@@ -392,7 +392,7 @@ class EvalConfig:
     target_fpr: float = 1e-5
     k: int = 50
     bins: int = 200
-    threshold_bins: int = 200
+    threshold_bins: int = 200  # checked (>= 2) by solve_threshold; T does not depend on it
     tile: int = DEFAULT_TILE
     workers: int = 1
     seed: int | None = None

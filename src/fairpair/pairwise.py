@@ -6,17 +6,19 @@ float32 unit vectors; rounding to float32 makes the blocked and scalar
 paths agree bitwise, so counts are exact for any tile schedule and any
 worker count. Counts are 64-bit integers and merge by plain addition.
 
-The overall-FPR threshold is solved exactly by bracketing passes: a
-histogram of negative-pair similarities locates the bin holding the wanted
-order statistic; if that bin is still too heavy to materialize, it becomes
-the histogram range of another pass. The final pass collects the candidate
-bin as deduplicated (value, count) pairs and selects the exact rank, so
-peak memory stays bounded for any bin count and any value distribution.
+The overall-FPR threshold is the k-th largest negative similarity, solved
+exactly. When k fits under COLLECT_CAP a single sweep keeps a running top-k
+with np.partition behind a floor that rises as slabs finish (blocked
+k-selection), holding O(k) values per worker. Larger ranks take an exact
+two-pass radix select over order-preserving keys of the float32 values:
+65,536 counters per pass and worker, whatever the value distribution or
+the number of ties.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .store import EmbeddingSet, MeanVectors, normalize
 
 DEFAULT_TILE = 768
 HIST_SLACK = 1e-6  # widens [-1, 1] so rounded endpoints stay in range
-COLLECT_CAP = 1 << 21  # refine the bracket rather than materialize more values
+COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
 
 # column order of every count quadruple
 TP, FP, TN, FN = 0, 1, 2, 3
@@ -131,18 +133,21 @@ class NegSimHistogram:
                                counts=np.zeros(bins, dtype=np.int64), total=0)
 
 
+def _neg_tiles(u32: np.ndarray, ids: np.ndarray, i0: int, i1: int, tile: int):
+    """(similarities, negative-pair mask) of row slab [i0, i1) against each column tile."""
+    rows64 = u32[i0:i1].astype(np.float64)
+    for j0, j1 in _row_blocks(len(ids), tile):
+        yield _sim_block(u32, rows64, j0, j1), ids[i0:i1, None] != ids[None, j0:j1]
+
+
 def _range_hist(u32: np.ndarray, ids: np.ndarray, lo: float, hi: float, bins: int,
                 tile: int, workers: int) -> NegSimHistogram:
     """Histogram of ordered negative similarities restricted to lo <= s < hi."""
     hist = NegSimHistogram(lo=lo, hi=hi, counts=np.zeros(bins, dtype=np.int64), total=0)
-    n = len(ids)
 
     def block(i0, i1):
         counts = np.zeros(bins, dtype=np.int64)
-        rows64 = u32[i0:i1].astype(np.float64)
-        for j0, j1 in _row_blocks(n, tile):
-            s32 = _sim_block(u32, rows64, j0, j1)
-            neg = ids[i0:i1, None] != ids[None, j0:j1]
+        for s32, neg in _neg_tiles(u32, ids, i0, i1, tile):
             # compare in float64: a float32 compare would round lo/hi and
             # disagree with the float64 edge partition used by bin_index
             vals = s32[neg].astype(np.float64)
@@ -150,7 +155,7 @@ def _range_hist(u32: np.ndarray, ids: np.ndarray, lo: float, hi: float, bins: in
             counts += np.bincount(hist.bin_index(vals), minlength=bins)
         return counts
 
-    for c in _map_blocks(block, n, tile, workers):
+    for c in _map_blocks(block, len(ids), tile, workers):
         hist.counts += c
     hist.total = int(hist.counts.sum())
     return hist
@@ -165,44 +170,94 @@ def sweep_histogram(dataset: EmbeddingSet, bins: int,
                        -1.0 - HIST_SLACK, 1.0 + HIST_SLACK, bins, tile, workers)
 
 
-def _collect_range(u32: np.ndarray, ids: np.ndarray, lo: float, hi: float,
-                   tile: int, workers: int):
-    """Deduplicated (values, counts) of negative similarities in lo <= s < hi.
+def _largest(vals: np.ndarray, k: int) -> np.ndarray:
+    """The k largest entries of vals as an unordered multiset (all of them if fewer)."""
+    if vals.size <= k:
+        return vals
+    return np.partition(vals, vals.size - k)[vals.size - k:]
 
-    Per-block results arrive as unique values with multiplicities, so even a
-    range holding one value repeated a billion times costs a few entries.
+
+def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
+                   tile: int, workers: int) -> np.ndarray:
+    """The k largest ordered negative similarities, in one sweep.
+
+    Each row slab buffers the values at or above a floor and cuts the buffer
+    to its k largest whenever it holds 2k; the cut's minimum then raises the
+    floor shared by all slabs, since k values at or above it are known. A
+    finished slab merges into the global top-k at once, so memory stays
+    O(k) per worker. np.partition keeps exactly k entries, which makes the
+    result the exact top-k multiset under any ties.
     """
-    n = len(ids)
+    lock = threading.Lock()
+    top = np.empty(0, dtype=np.float32)
+    floor = np.float32(-np.inf)  # raised under the lock; a stale read keeps extra values
+
+    def raise_floor(kept):
+        nonlocal floor
+        if kept.size == k:
+            with lock:
+                floor = max(floor, kept.min())
 
     def block(i0, i1):
-        uniq, cnts = [], []
-        rows64 = u32[i0:i1].astype(np.float64)
-        for j0, j1 in _row_blocks(n, tile):
-            s32 = _sim_block(u32, rows64, j0, j1)
-            neg = ids[i0:i1, None] != ids[None, j0:j1]
-            vals = s32[neg]
-            v64 = vals.astype(np.float64)  # float64 bounds, same partition as binning
-            vals = vals[(v64 >= lo) & (v64 < hi)]
-            if vals.size:
-                u, c = np.unique(vals, return_counts=True)
-                uniq.append(u)
-                cnts.append(c)
-        if not uniq:
-            return np.empty(0, dtype=np.float32), np.empty(0, dtype=np.int64)
-        u, inv = np.unique(np.concatenate(uniq), return_inverse=True)
-        c = np.zeros(len(u), dtype=np.int64)
-        np.add.at(c, inv, np.concatenate(cnts))
-        return u, c
+        nonlocal top
+        parts, held = [], 0
+        for s32, neg in _neg_tiles(u32, ids, i0, i1, tile):
+            neg &= s32 >= floor
+            parts.append(s32[neg])
+            held += parts[-1].size
+            if held >= 2 * k:
+                parts = [_largest(np.concatenate(parts), k)]
+                held = k
+                raise_floor(parts[0])
+        mine = _largest(np.concatenate(parts), k)
+        with lock:
+            top = _largest(np.concatenate([top, mine]), k)
+        raise_floor(top)
 
-    parts = _map_blocks(block, n, tile, workers)
-    all_u = np.concatenate([u for u, _ in parts])
-    all_c = np.concatenate([c for _, c in parts])
-    if all_u.size == 0:
-        return all_u, all_c
-    u, inv = np.unique(all_u, return_inverse=True)
-    c = np.zeros(len(u), dtype=np.int64)
-    np.add.at(c, inv, all_c)
-    return u, c
+    _map_blocks(block, len(ids), tile, workers)
+    return top
+
+
+def _radix_key(s32: np.ndarray) -> np.ndarray:
+    """Order-preserving uint32 keys of float32 values; -0.0 gets the key of +0.0."""
+    bits = (s32 + np.float32(0.0)).view(np.uint32)
+    return np.where(bits >> 31, ~bits, bits | 0x80000000)
+
+
+def _key_value(key: int) -> float:
+    bits = key & 0x7FFFFFFF if key >> 31 else ~key & 0xFFFFFFFF
+    return float(np.uint32(bits).view(np.float32))
+
+
+def _rank_bucket(counts: np.ndarray, k: int) -> tuple[int, int]:
+    """(b, above): bucket b holds the k-th largest value, `above` values lie higher."""
+    from_top = np.cumsum(counts[::-1])
+    r = int(np.searchsorted(from_top, k))  # first r with from_top[r] >= k
+    b = len(counts) - 1 - r
+    return b, int(from_top[r] - counts[b])
+
+
+def _radix_select(u32: np.ndarray, ids: np.ndarray, k: int,
+                  tile: int, workers: int) -> tuple[float, int]:
+    """(k-th largest ordered negative similarity, count above it) by radix select.
+
+    Pass 1 counts the negatives by the high 16 bits of their order-preserving
+    key, pass 2 counts the low 16 bits inside the bucket holding rank k. Both
+    passes hold 65,536 counters per worker, whatever the input.
+    """
+    def digit_counts(high):
+        def block(i0, i1):
+            counts = np.zeros(1 << 16, dtype=np.int64)
+            for s32, neg in _neg_tiles(u32, ids, i0, i1, tile):
+                key = _radix_key(s32[neg])
+                digits = key >> 16 if high is None else key[key >> 16 == high] & 0xFFFF
+                counts += np.bincount(digits, minlength=1 << 16)
+            return counts
+        return sum(_map_blocks(block, len(ids), tile, workers))
+
+    high, above = _rank_bucket(digit_counts(None), k)
+    low, within = _rank_bucket(digit_counts(high), k - above)
+    return _key_value(high << 16 | low), above + within
 
 
 @dataclass(frozen=True)
@@ -221,9 +276,13 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float, bins: int = 200,
                     tile: int = DEFAULT_TILE, workers: int = 1) -> ThresholdResult:
     """Find the similarity cutoff whose strict-greater FP count meets the target.
 
-    The threshold is the (allowed+1)-th largest ordered negative similarity,
-    allowed = floor(target_fpr * total_negatives) evaluated in exact
-    arithmetic. The result does not depend on the bin count.
+    The threshold T is the k-th largest ordered negative similarity,
+    k = allowed + 1 with allowed = floor(target_fpr * total_negatives)
+    evaluated in exact arithmetic. When k <= COLLECT_CAP one sweep keeps the
+    exact top-k multiset (O(k) memory per worker) and T is its minimum;
+    otherwise a two-pass radix select over the float32 bit patterns finds T
+    in fixed memory. `bins` is validated for callers but does not affect
+    the solve. A zero threshold is always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
         raise DomainError(f"target FPR must lie in (0, 1], got {target_fpr}")
@@ -239,38 +298,18 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float, bins: int = 200,
                                total_negatives=total_neg, degenerate=True)
 
     u32 = unit_rows(dataset)
-    ids = dataset.identity
-    lo, hi = -1.0 - HIST_SLACK, 1.0 + HIST_SLACK
-    above = 0        # count of negative similarities >= hi, exact at every pass
-    in_range = total_neg
-    for _ in range(64):
-        if in_range <= COLLECT_CAP or (hi - lo) <= 1e-9:
-            vals, cnts = _collect_range(u32, ids, lo, hi, tile, workers)
-            if int(cnts.sum()) != in_range:
-                raise AssertionError("collection pass disagrees with histogram count")
-            # walk distinct values from the top until the rank lands inside one
-            cum = 0
-            for idx in range(len(vals) - 1, -1, -1):
-                if above + cum + int(cnts[idx]) > allowed:
-                    threshold = float(vals[idx])
-                    realized = above + cum
-                    return ThresholdResult(threshold=threshold, target_fpr=target_fpr,
-                                           allowed_fp=allowed, realized_fp=realized,
-                                           total_negatives=total_neg)
-                cum += int(cnts[idx])
-            raise AssertionError("rank walk exhausted the collected range")
-        hist = _range_hist(u32, ids, lo, hi, bins, tile, workers)
-        if hist.total != in_range:
-            raise AssertionError(f"histogram covered {hist.total} negatives, expected {in_range}")
-        # walk bins from the top until the cumulative count passes the wanted rank
-        bin_idx = hist.bins - 1
-        while above + int(hist.counts[bin_idx]) <= allowed:
-            above += int(hist.counts[bin_idx])
-            bin_idx -= 1
-        in_range = int(hist.counts[bin_idx])
-        edges = hist.edges
-        lo, hi = float(edges[bin_idx]), float(edges[bin_idx + 1])
-    raise AssertionError("range refinement failed to converge")  # pragma: no cover
+    k = allowed + 1
+    if k <= COLLECT_CAP:
+        top = _top_negatives(u32, dataset.identity, k, tile, workers)
+        if top.size != k:
+            raise AssertionError(f"top-k pass kept {top.size} values, expected {k}")
+        t = top.min()
+        threshold, realized = float(t), int(np.count_nonzero(top > t))
+    else:
+        threshold, realized = _radix_select(u32, dataset.identity, k, tile, workers)
+    return ThresholdResult(threshold=threshold + 0.0, target_fpr=target_fpr,
+                           allowed_fp=allowed, realized_fp=realized,
+                           total_negatives=total_neg)
 
 
 @dataclass

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from fairpair import pairwise
 from fairpair.store import EmbeddingSet, LabelTable
 
 
@@ -32,3 +35,19 @@ def rng():
 @pytest.fixture
 def small_set(rng):
     return random_dataset(rng, n=60, d=8, g=12, m=3)
+
+
+# COLLECT_CAP relative to the rank k = allowed + 1 that solve_threshold seeks:
+# None keeps the default (top-k pass), k-1 forces the radix select, k and k+1
+# take the top-k pass right at the boundary where the path switches.
+CAP_OFFSETS = [None, -1, 0, 1]
+
+
+def solve_at_cap(dataset, target_fpr, cap_offset, **kw):
+    """solve_threshold with COLLECT_CAP set to k + cap_offset (None: unchanged)."""
+    if cap_offset is None:
+        return pairwise.solve_threshold(dataset, target_fpr, **kw)
+    allowed = int(Fraction(target_fpr) * pairwise.ordered_pair_totals(dataset)[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairwise, "COLLECT_CAP", allowed + 1 + cap_offset)
+        return pairwise.solve_threshold(dataset, target_fpr, **kw)

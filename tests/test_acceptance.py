@@ -27,6 +27,8 @@ from fairpair.store import (EmbeddingSet, LabelTable, load_dataset, mean_vectors
                             save_dataset)
 from fairpair.synth import BiasProfile, GroupSpec
 
+from conftest import CAP_OFFSETS, solve_at_cap
+
 
 # ---------------------------------------------------------------------------
 # naive references
@@ -193,6 +195,9 @@ def test_criterion_2_threshold_guarantees_and_bin_invariance():
 
         results = [pairwise.solve_threshold(ds, target, bins=b)
                    for b in (2, 16, 200, 4096)]
+        if inst < 2:
+            # the tie cases also through the radix select and the path boundary
+            results += [solve_at_cap(ds, target, off) for off in CAP_OFFSETS]
         first = results[0]
         for r in results[1:]:
             assert r.threshold == first.threshold
@@ -209,7 +214,8 @@ def test_criterion_2_threshold_guarantees_and_bin_invariance():
         assert strictly_over == first.realized_fp
         assert strictly_over <= allowed < at_least
     print("\n[2] 100 instances x bins {2,16,200,4096}: realized <= floor(target*neg) "
-          "< count(>= T), identical across bin counts")
+          "< count(>= T), identical across bin counts and, for the tie cases, "
+          "across the top-k and radix paths")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ per-pair float64 dot products rounded back to float32, clipped to [-1, 1]).
 It shares no code with the tiled engine.
 """
 
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairpair import metrics, pairwise
 from fairpair.errors import DegenerateDataError, DomainError
 from fairpair.pairwise import (
     PairStatsAccumulator,
@@ -28,7 +31,7 @@ from fairpair.pairwise import (
 )
 from fairpair.store import EmbeddingSet, LabelTable, mean_vectors
 
-from conftest import random_dataset
+from conftest import CAP_OFFSETS, random_dataset, solve_at_cap
 
 
 def oracle_sims(ds):
@@ -154,13 +157,14 @@ def test_accumulator_merge_is_addition(rng):
 
 # --- threshold solver ---------------------------------------------------------
 
+@pytest.mark.parametrize("cap_offset", CAP_OFFSETS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000),
        tfpr=st.sampled_from([1e-4, 1e-3, 1e-2, 0.3, 1.0]))
-def test_threshold_matches_oracle(seed, tfpr):
+def test_threshold_matches_oracle(cap_offset, seed, tfpr):
     ds = random_dataset(np.random.default_rng(seed), n=50, d=5, g=8, m=2)
     ot, oallowed, orealized = oracle_threshold(ds, tfpr)
-    r = solve_threshold(ds, tfpr, bins=16)
+    r = solve_at_cap(ds, tfpr, cap_offset, bins=16)
     assert r.allowed_fp == oallowed
     if np.isinf(ot):
         assert r.degenerate and np.isneginf(r.threshold)
@@ -188,23 +192,60 @@ def test_threshold_guarantees(small_set):
         assert at_or_above > r.allowed_fp
 
 
-def test_threshold_worker_invariance(small_set):
-    base = solve_threshold(small_set, 2e-3, bins=200, workers=1)
+@pytest.mark.parametrize("cap_offset", CAP_OFFSETS)
+def test_threshold_worker_invariance(small_set, cap_offset):
+    base = solve_at_cap(small_set, 2e-3, cap_offset, bins=200, workers=1)
     for w in (4, 8):
-        r = solve_threshold(small_set, 2e-3, bins=200, workers=w, tile=11)
+        r = solve_at_cap(small_set, 2e-3, cap_offset, bins=200, workers=w, tile=11)
         assert (r.threshold, r.realized_fp) == (base.threshold, base.realized_fp)
 
+    # many slabs raise the shared floor at once: 58 slabs of tile 7, more
+    # workers than cores, and the interpreter asked to switch threads every 1 us
+    ds = random_dataset(np.random.default_rng(7), n=400, d=6, g=80, m=2)
+    ot, _, orealized = oracle_threshold(ds, 2e-3)
+    base = solve_at_cap(ds, 2e-3, cap_offset, workers=1, tile=7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        r = solve_at_cap(ds, 2e-3, cap_offset, workers=8, tile=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (r.threshold, r.realized_fp) == (base.threshold, base.realized_fp)
+    assert (r.threshold, r.realized_fp) == (ot, orealized)
 
-def test_threshold_massive_ties():
+
+@pytest.mark.parametrize("cap_offset", CAP_OFFSETS)
+def test_threshold_massive_ties(cap_offset):
     # one similarity value repeated far beyond any bin's capacity to split
     vecs = np.tile(np.array([[1.0, 2.0, 2.0]], dtype=np.float32), (40, 1))
     ds = EmbeddingSet(vectors=vecs, identity=np.arange(40) // 2,
                       attribute=np.zeros(40, np.int64),
                       labels=LabelTable.default(20, 1))
-    r = solve_threshold(ds, 0.5, bins=2)
+    r = solve_at_cap(ds, 0.5, cap_offset, bins=2)
     # every negative similarity is exactly 1.0: rank selection must return it
     assert r.threshold == 1.0
     assert r.realized_fp == 0  # nothing is strictly greater
+
+
+@pytest.mark.parametrize("cap", [9, 10, 11, pairwise.COLLECT_CAP])  # k = 10
+def test_zero_threshold_sign_is_schedule_free(cap, monkeypatch):
+    # a.b = -1e-50 rounds to float32 -0.0 and b.c = +1e-50 to +0.0, so the
+    # rank-k value is a zero that either sign could represent
+    monkeypatch.setattr(pairwise, "COLLECT_CAP", cap)
+    a, b, c = [1e-25, 1.0, 0.0], [-1e-25, 0.0, 1.0], [-1e-25, 1.0, 0.0]
+    ds = EmbeddingSet(vectors=np.array([a, a, b, b, c, c], dtype=np.float32),
+                      identity=np.arange(6) // 2, attribute=np.zeros(6, np.int64),
+                      labels=LabelTable.default(3, 1))
+    s = oracle_sims(ds)
+    assert math.copysign(1.0, s[0, 2]) == -1.0 and math.copysign(1.0, s[2, 4]) == 1.0
+    payloads = set()
+    for tile, workers in [(1, 1), (1, 3), (2, 2), (5, 1), (768, 1)]:
+        r = solve_threshold(ds, 0.4, tile=tile, workers=workers)
+        assert (r.allowed_fp, r.realized_fp) == (9, 8)
+        assert r.threshold == 0.0 and math.copysign(1.0, r.threshold) == 1.0
+        cfg = metrics.EvalConfig(target_fpr=0.4, k=1, tile=tile, workers=workers)
+        payloads.add(metrics.evaluate_dataset(ds, cfg).to_json())
+    assert len(payloads) == 1
 
 
 def test_degenerate_target(small_set):
