@@ -157,20 +157,20 @@ def test_accumulator_merge_is_addition(rng):
 
 # --- threshold solver ---------------------------------------------------------
 
-@pytest.mark.parametrize("cap_offset", CAP_OFFSETS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000),
        tfpr=st.sampled_from([1e-4, 1e-3, 1e-2, 0.3, 1.0]))
-def test_threshold_matches_oracle(cap_offset, seed, tfpr):
+def test_threshold_matches_oracle(seed, tfpr):
     ds = random_dataset(np.random.default_rng(seed), n=50, d=5, g=8, m=2)
     ot, oallowed, orealized = oracle_threshold(ds, tfpr)
-    r = solve_at_cap(ds, tfpr, cap_offset, bins=16)
-    assert r.allowed_fp == oallowed
-    if np.isinf(ot):
-        assert r.degenerate and np.isneginf(r.threshold)
-    else:
-        assert r.threshold == ot
-        assert r.realized_fp == orealized
+    for cap_offset in CAP_OFFSETS:
+        r = solve_at_cap(ds, tfpr, cap_offset, bins=16)
+        assert r.allowed_fp == oallowed
+        if np.isinf(ot):
+            assert r.degenerate and np.isneginf(r.threshold)
+        else:
+            assert r.threshold == ot
+            assert r.realized_fp == orealized
 
 
 @pytest.mark.parametrize("bins", [2, 16, 200, 4096])
@@ -192,39 +192,40 @@ def test_threshold_guarantees(small_set):
         assert at_or_above > r.allowed_fp
 
 
-@pytest.mark.parametrize("cap_offset", CAP_OFFSETS)
-def test_threshold_worker_invariance(small_set, cap_offset):
-    base = solve_at_cap(small_set, 2e-3, cap_offset, bins=200, workers=1)
-    for w in (4, 8):
-        r = solve_at_cap(small_set, 2e-3, cap_offset, bins=200, workers=w, tile=11)
+def test_threshold_worker_invariance(small_set):
+    # many slabs raise the shared floor at once in the second dataset: 58 slabs
+    # of tile 7, more workers than cores, and the interpreter asked to switch
+    # threads every 1 us
+    big = random_dataset(np.random.default_rng(7), n=400, d=6, g=80, m=2)
+    ot, _, orealized = oracle_threshold(big, 2e-3)
+    for cap_offset in CAP_OFFSETS:
+        base = solve_at_cap(small_set, 2e-3, cap_offset, bins=200, workers=1)
+        for w in (4, 8):
+            r = solve_at_cap(small_set, 2e-3, cap_offset, bins=200, workers=w, tile=11)
+            assert (r.threshold, r.realized_fp) == (base.threshold, base.realized_fp)
+
+        base = solve_at_cap(big, 2e-3, cap_offset, workers=1, tile=7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            r = solve_at_cap(big, 2e-3, cap_offset, workers=8, tile=7)
+        finally:
+            sys.setswitchinterval(interval)
         assert (r.threshold, r.realized_fp) == (base.threshold, base.realized_fp)
-
-    # many slabs raise the shared floor at once: 58 slabs of tile 7, more
-    # workers than cores, and the interpreter asked to switch threads every 1 us
-    ds = random_dataset(np.random.default_rng(7), n=400, d=6, g=80, m=2)
-    ot, _, orealized = oracle_threshold(ds, 2e-3)
-    base = solve_at_cap(ds, 2e-3, cap_offset, workers=1, tile=7)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        r = solve_at_cap(ds, 2e-3, cap_offset, workers=8, tile=7)
-    finally:
-        sys.setswitchinterval(interval)
-    assert (r.threshold, r.realized_fp) == (base.threshold, base.realized_fp)
-    assert (r.threshold, r.realized_fp) == (ot, orealized)
+        assert (r.threshold, r.realized_fp) == (ot, orealized)
 
 
-@pytest.mark.parametrize("cap_offset", CAP_OFFSETS)
-def test_threshold_massive_ties(cap_offset):
+def test_threshold_massive_ties():
     # one similarity value repeated far beyond any bin's capacity to split
     vecs = np.tile(np.array([[1.0, 2.0, 2.0]], dtype=np.float32), (40, 1))
     ds = EmbeddingSet(vectors=vecs, identity=np.arange(40) // 2,
                       attribute=np.zeros(40, np.int64),
                       labels=LabelTable.default(20, 1))
-    r = solve_at_cap(ds, 0.5, cap_offset, bins=2)
-    # every negative similarity is exactly 1.0: rank selection must return it
-    assert r.threshold == 1.0
-    assert r.realized_fp == 0  # nothing is strictly greater
+    for cap_offset in CAP_OFFSETS:
+        r = solve_at_cap(ds, 0.5, cap_offset, bins=2)
+        # every negative similarity is exactly 1.0: rank selection must return it
+        assert r.threshold == 1.0
+        assert r.realized_fp == 0  # nothing is strictly greater
 
 
 @pytest.mark.parametrize("cap", [9, 10, 11, pairwise.COLLECT_CAP])  # k = 10
