@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .pairwise import (DEFAULT_TILE, FN, FP, TP, TN, PairStatsAccumulator,
                        ThresholdResult, _row_blocks, confusion_sweep,
-                       neighbor_mean_similarity, solve_threshold, topk_neighbors)
+                       neighbor_mean_similarity, solve_threshold, topk_neighbors,
+                       unit_rows)
 from .store import EmbeddingSet, MeanVectors, mean_vectors
 
 STD_CONVENTION = "population"
@@ -405,15 +406,17 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
         if progress is not None:
             progress(msg)
 
+    rows = unit_rows(dataset)
     say(f"solving threshold for target FPR {config.target_fpr:g}")
     thresh = solve_threshold(dataset, config.target_fpr, bins=config.threshold_bins,
-                             tile=config.tile, workers=config.workers)
+                             tile=config.tile, workers=config.workers, rows=rows)
     say(f"threshold {thresh.threshold:.9g} (allowed {thresh.allowed_fp}, "
         f"realized {thresh.realized_fp} of {thresh.total_negatives})")
 
     say("sweeping confusion counts")
     acc = confusion_sweep(dataset, thresh.threshold, tile=config.tile,
-                          workers=config.workers)
+                          workers=config.workers, rows=rows)
+    del rows  # not held through the similarity analysis, which sets the peak
 
     warnings = []
     k = config.k

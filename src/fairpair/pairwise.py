@@ -1,18 +1,39 @@
 """Blocked all-pairs engine: similarities, exact FPR threshold, confusion counts.
 
-All ordered pairs (i, j), i != j are visited in rectangular tiles. Pair
-similarities are float32 values obtained from float64 dot products of
-float32 unit vectors; rounding to float32 makes the blocked and scalar
-paths agree bitwise, so counts are exact for any tile schedule and any
-worker count. Counts are 64-bit integers and merge by plain addition.
+Similarity. s_ij is the float64 dot product of the float32 unit rows u_i and
+u_j, rounded to float32 and clipped to [-1, 1]. `_exact_pairs` computes it
+per pair: the d products are exact in float64 and are summed by one fixed
+pairwise tree, so s_ij = s_ji and the value depends on the two rows alone,
+never on the tile, the batch or the worker that asks for it.
 
-The overall-FPR threshold is the k-th largest negative similarity, solved
-exactly. When k fits under COLLECT_CAP a single sweep keeps a running top-k
-with np.partition behind a floor that rises as slabs finish (blocked
-k-selection), holding O(k) values per worker. Larger ranks take an exact
-two-pass radix select over order-preserving keys of the float32 values:
-65,536 counters per pass and worker, whatever the value distribution or
-the number of ties.
+Half sweep. Because s_ij = s_ji, every sweep visits only the tiles J >= I of
+the upper triangle, and on a diagonal tile only the pairs i < j: each
+unordered pair once. An ordered count is twice the unordered one.
+
+Screen and refine. The threshold pass and the confusion sweep compute every
+tile with a float32 GEMM. Its clipped value s~ obeys |s~ - s| <= delta(d),
+from the dot-product error bound gamma_d = d*u / (1 - d*u) (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., section 3.1) for the float32
+GEMM and the float64 sum, plus the final float32 rounding: about 3.06e-5 at
+d = 512 and 7.7e-6 at d = 128. A pair whose s~ lies more than delta from a
+decision boundary is decided by s~; only pairs inside that band get their
+exact value from `_exact_pairs`. Every bound is rounded outward, so counts
+are exact for any tile schedule and any worker count. Counts are 64-bit
+integers and merge by plain addition.
+
+Threshold. The overall-FPR threshold is the k-th largest ordered negative
+similarity, which is the ceil(k/2)-th largest unordered one. When k fits
+under COLLECT_CAP one sweep keeps a running top set of (s~, pair) entries
+behind a floor that rises as slabs cut their buffers (blocked k-selection);
+each cut refines the entries within 2*delta of its k-th value and keeps
+exactly ceil(k/2) of them. Larger ranks take an exact two-pass radix select
+over order-preserving keys of the float32 values: 65,536 counters per pass
+and worker, whatever the value distribution or the number of ties.
+
+The radix select and `sweep_histogram` are the one remaining float64-GEMM
+path: they need every value, so they compute their tiles with `_sim_block`
+(float64 GEMM, rounded to float32 and clipped) and count each unordered pair
+twice.
 """
 
 from __future__ import annotations
@@ -31,6 +52,7 @@ from .store import EmbeddingSet, MeanVectors, normalize
 DEFAULT_TILE = 768
 HIST_SLACK = 1e-6  # widens [-1, 1] so rounded endpoints stay in range
 COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
+PAIR_CHUNK = 256  # pairs per gather in _exact_pairs; larger chunks raise peak memory
 
 # column order of every count quadruple
 TP, FP, TN, FN = 0, 1, 2, 3
@@ -50,20 +72,72 @@ def unit_rows(dataset: EmbeddingSet, chunk: int = 4096) -> np.ndarray:
     return out
 
 
+def _exact_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Similarities s_ij of the pairs (i[p], j[p]) by the per-pair kernel.
+
+    The float64 products of two float32 rows are exact. Each pair's d products
+    are summed by the same tree (fold the top half onto the bottom half until
+    one column is left), then rounded to float32 and clipped to [-1, 1].
+    """
+    out = np.empty(len(i), dtype=np.float32)
+    for p0 in range(0, len(i), PAIR_CHUNK):
+        prod = u32[i[p0:p0 + PAIR_CHUNK]].astype(np.float64)
+        prod *= u32[j[p0:p0 + PAIR_CHUNK]]
+        w = prod.shape[1]
+        while w > 1:
+            h = w // 2
+            prod[:, :h] += prod[:, w - h:w]
+            w -= h
+        out[p0:p0 + PAIR_CHUNK] = prod[:, 0]
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
+def _screen_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Float32 screen values of the pairs (i[p], j[p]), clipped; within delta of s_ij."""
+    out = np.empty(len(i), dtype=np.float32)
+    for p0 in range(0, len(i), PAIR_CHUNK):
+        out[p0:p0 + PAIR_CHUNK] = np.einsum("ij,ij->i", u32[i[p0:p0 + PAIR_CHUNK]],
+                                            u32[j[p0:p0 + PAIR_CHUNK]])
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
 def _sim_block(u32: np.ndarray, rows64: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """Similarities of a row slab against columns [j0, j1): float64 dots, float32 result."""
+    """Similarities of a row slab against columns [j0, j1): float64 GEMM, float32 result."""
     s = rows64 @ u32[j0:j1].astype(np.float64).T
     s32 = s.astype(np.float32)
     np.clip(s32, -1.0, 1.0, out=s32)
     return s32
 
 
+def _screen_delta(u32: np.ndarray) -> float:
+    """delta(d): a bound on |s~ - s| for every pair, s~ the clipped float32 GEMM value.
+
+    gamma_d * sum_k |u_ik u_jk| bounds each dot product's error, and the sum is
+    at most the largest squared row norm m (1 for unit rows, bounded here from
+    a float32 sum of squares). Terms: the float32 GEMM, the float64 sum, the
+    float32 rounding of s, and float32 products that underflow.
+    """
+    d = u32.shape[1]
+    g32 = d * 2.0**-24 / (1 - d * 2.0**-24)
+    g64 = d * 2.0**-53 / (1 - d * 2.0**-53)
+    m = max(1.0, float(np.einsum("ij,ij->i", u32, u32).max()) / (1 - g32))
+    return float(np.nextafter(m * (g32 + g64 + 2.0**-24 * (1 + g64)) + d * 2.0**-149, np.inf))
+
+
+def _f32_out(x: float, up: bool) -> np.float32:
+    """The float32 nearest to x on its outer side: >= x when up, <= x otherwise."""
+    toward = math.inf if up else -math.inf
+    x = float(np.nextafter(x, toward))  # absorbs the float64 rounding of x itself
+    f = np.float32(x)
+    if (float(f) < x) if up else (float(f) > x):  # compare exactly, as Python floats
+        f = np.nextafter(f, np.float32(toward))
+    return f
+
+
 def cosine_similarity(u, v) -> float:
     """Cosine of two raw vectors through the engine's kernel (float32 value)."""
-    uu = normalize(u).astype(np.float32).astype(np.float64)
-    vv = normalize(v).astype(np.float32).astype(np.float64)
-    s32 = np.float32(np.dot(uu, vv))
-    return float(np.clip(s32, np.float32(-1.0), np.float32(1.0)))
+    rows = np.stack([normalize(u), normalize(v)]).astype(np.float32)
+    return float(_exact_pairs(rows, np.array([0]), np.array([1]))[0])
 
 
 def pair_label(dataset: EmbeddingSet, i: int, j: int) -> str:
@@ -94,6 +168,50 @@ def _map_blocks(fn, n: int, tile: int, workers: int) -> list:
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
+def _half_tiles(u32: np.ndarray, i0: int, i1: int, tile: int, exact: bool = False):
+    """Similarity tiles of row slab [i0, i1) against the column tiles j0 >= i0.
+
+    Yields (j0, s): s[r, c] belongs to rows i0 + r and j0 + c. It is the
+    clipped float32 GEMM screen, or with `exact` the `_sim_block` values.
+    Slabs and tiles share one grid, so the first tile is the diagonal one
+    (j0 == i0), whose pairs i < j are its entries c > r.
+    """
+    rows = u32[i0:i1].astype(np.float64) if exact else u32[i0:i1]
+    for j0 in range(i0, len(u32), tile):
+        j1 = min(j0 + tile, len(u32))
+        if exact:
+            yield j0, _sim_block(u32, rows, j0, j1)
+        else:
+            s = rows @ u32[j0:j1].T
+            yield j0, np.clip(s, -1.0, 1.0, out=s)
+
+
+def _upper(mask: np.ndarray, i0: int, j0: int) -> np.ndarray:
+    """mask without the entries of pairs i >= j, which only a diagonal tile holds."""
+    return np.triu(mask, 1) if i0 == j0 else mask
+
+
+def _negatives(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None) -> np.ndarray:
+    """Flat indices into tile s of its negative pairs i < j, among `where` if given.
+
+    The identity test runs over the whole tile, unless `where` selects at
+    most an eighth of it: then only those entries are tested, which saves
+    the tile-sized mask and keeps index arrays small.
+    """
+    w = s.shape[1]
+    if where is None or np.count_nonzero(where) > where.size // 8:
+        neg = ids[i0:i0 + len(s), None] != ids[None, j0:j0 + w]
+        if where is not None:
+            neg &= where
+        return np.flatnonzero(_upper(neg, i0, j0))
+    f = np.flatnonzero(where)
+    r, c = np.divmod(f, w)
+    keep = ids[i0 + r] != ids[j0 + c]
+    if i0 == j0:
+        keep &= c > r
+    return f[keep]
+
+
 @dataclass
 class NegSimHistogram:
     """Fixed-bin counts of all ordered negative-pair similarities."""
@@ -113,17 +231,24 @@ class NegSimHistogram:
 
     @property
     def edges(self) -> np.ndarray:
-        """(bins+1,) float64 boundaries; bin b holds edges[b] <= v < edges[b+1].
-
-        Binning is done by searchsorted against these exact floats, so the
-        partition agrees bit-for-bit with >=/< comparisons on the same edges.
-        """
+        """(bins+1,) float64 boundaries; bin b holds edges[b] <= v < edges[b+1]."""
         e = self.lo + self.width * np.arange(self.bins + 1, dtype=np.float64)
         e[0], e[-1] = self.lo, self.hi
         return e
 
     def bin_index(self, values: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.edges[1:-1], values.astype(np.float64), side="right")
+        """Bin of each finite value, clamped to [0, bins): the partition of the edges.
+
+        floor((v - lo) / width) lands at most one bin off; one compare against
+        the exact float64 edges on each side fixes it, so the result equals
+        searchsorted(edges[1:-1], v, side="right") bit for bit.
+        """
+        v = np.asarray(values, dtype=np.float64)
+        e = self.edges
+        b = np.clip(np.floor((v - self.lo) / self.width), 0, self.bins - 1).astype(np.int64)
+        b -= (b > 0) & (v < e[b])
+        b += (b < self.bins - 1) & (v >= e[b + 1])
+        return b
 
     @staticmethod
     def empty(bins: int) -> "NegSimHistogram":
@@ -133,13 +258,6 @@ class NegSimHistogram:
                                counts=np.zeros(bins, dtype=np.int64), total=0)
 
 
-def _neg_tiles(u32: np.ndarray, ids: np.ndarray, i0: int, i1: int, tile: int):
-    """(similarities, negative-pair mask) of row slab [i0, i1) against each column tile."""
-    rows64 = u32[i0:i1].astype(np.float64)
-    for j0, j1 in _row_blocks(len(ids), tile):
-        yield _sim_block(u32, rows64, j0, j1), ids[i0:i1, None] != ids[None, j0:j1]
-
-
 def _range_hist(u32: np.ndarray, ids: np.ndarray, lo: float, hi: float, bins: int,
                 tile: int, workers: int) -> NegSimHistogram:
     """Histogram of ordered negative similarities restricted to lo <= s < hi."""
@@ -147,12 +265,12 @@ def _range_hist(u32: np.ndarray, ids: np.ndarray, lo: float, hi: float, bins: in
 
     def block(i0, i1):
         counts = np.zeros(bins, dtype=np.int64)
-        for s32, neg in _neg_tiles(u32, ids, i0, i1, tile):
+        for j0, s in _half_tiles(u32, i0, i1, tile, exact=True):
             # compare in float64: a float32 compare would round lo/hi and
             # disagree with the float64 edge partition used by bin_index
-            vals = s32[neg].astype(np.float64)
+            vals = s.ravel()[_negatives(s, ids, i0, j0)].astype(np.float64)
             vals = vals[(vals >= lo) & (vals < hi)]
-            counts += np.bincount(hist.bin_index(vals), minlength=bins)
+            counts += 2 * np.bincount(hist.bin_index(vals), minlength=bins)
         return counts
 
     for c in _map_blocks(block, len(ids), tile, workers):
@@ -170,52 +288,94 @@ def sweep_histogram(dataset: EmbeddingSet, bins: int,
                        -1.0 - HIST_SLACK, 1.0 + HIST_SLACK, bins, tile, workers)
 
 
-def _largest(vals: np.ndarray, k: int) -> np.ndarray:
-    """The k largest entries of vals as an unordered multiset (all of them if fewer)."""
-    if vals.size <= k:
-        return vals
-    return np.partition(vals, vals.size - k)[vals.size - k:]
+def _keep_top(u32: np.ndarray, vals: np.ndarray, pairs: np.ndarray, k: int,
+              delta: float) -> tuple[np.ndarray, np.ndarray, np.float32, int]:
+    """Cut a buffer of at least k entries to the k holding its exact top-k.
+
+    Each entry of `vals` lies within delta of the exact similarity of its pair
+    (pair index i*n + j). With v_k the buffer's k-th largest value, an entry
+    above v_k + 2*delta is surely in the exact top-k and one below v_k - 2*delta
+    surely is not; only the band between is refined with `_exact_pairs`.
+    Returns the k kept entries (refined values replace screened ones), the
+    exact k-th largest similarity t, and how many buffered pairs exceed t.
+    """
+    n = len(u32)
+    kth = float(np.partition(vals, vals.size - k)[vals.size - k])
+    sure = vals > _f32_out(kth + 2 * delta, up=True)
+    band = np.flatnonzero(~sure & (vals >= _f32_out(kth - 2 * delta, up=False)))
+    p = pairs[band].astype(np.int64)
+    exact = _exact_pairs(u32, p // n, p % n)
+    need = k - int(np.count_nonzero(sure))
+    chosen = np.argpartition(exact, exact.size - need)[exact.size - need:]
+    t = exact[chosen].min()
+    above = k - need + int(np.count_nonzero(exact > t))
+    return (np.concatenate([vals[sure], exact[chosen]]),
+            np.concatenate([pairs[sure], pairs[band[chosen]]]), t, above)
+
+
+def _drain(parts: list) -> np.ndarray:
+    """Concatenate parts and empty the list, so the pieces are freed at once."""
+    whole = np.concatenate(parts)
+    parts.clear()
+    return whole
 
 
 def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
-                   tile: int, workers: int) -> np.ndarray:
-    """The k largest ordered negative similarities, in one sweep.
+                   tile: int, workers: int) -> tuple[np.float32, int]:
+    """(k-th largest unordered negative similarity, count above it), in one sweep.
 
-    Each row slab buffers the values at or above a floor and cuts the buffer
-    to its k largest whenever it holds 2k; the cut's minimum then raises the
-    floor shared by all slabs, since k values at or above it are known. A
-    finished slab merges into the global top-k at once, so memory stays
-    O(k) per worker. np.partition keeps exactly k entries, which makes the
-    result the exact top-k multiset under any ties.
+    Each row slab buffers (s~, pair) entries at or above a floor and cuts
+    the buffer with `_keep_top` whenever it holds 2k; the cut's exact k-th
+    value t then raises the floor shared by all slabs to t - delta, below
+    which no screened value can reach the global top-k. A finished slab
+    merges into the global top-k at once, so memory stays O(k) per worker,
+    whatever the ties.
     """
+    n = len(ids)
+    index_type = np.uint32 if n * n < 1 << 32 else np.int64
+    delta = _screen_delta(u32)
     lock = threading.Lock()
-    top = np.empty(0, dtype=np.float32)
-    floor = np.float32(-np.inf)  # raised under the lock; a stale read keeps extra values
+    top_vals, top_pairs = np.empty(0, dtype=np.float32), np.empty(0, dtype=index_type)
+    kth, above = None, 0
+    floor = np.float32(-np.inf)  # raised under the lock; a stale read keeps extra entries
 
-    def raise_floor(kept):
-        nonlocal floor
-        if kept.size == k:
-            with lock:
-                floor = max(floor, kept.min())
+    def candidates(i0, j0, s):
+        """(s~, pair) of the tile's negative pairs i < j at or above the floor."""
+        f = _negatives(s, ids, i0, j0, s >= floor).astype(index_type)
+        w = s.shape[1]
+        p = f // w  # pair (i0 + r) * n + j0 + c of the flat tile index f = r * w + c
+        p *= n - w
+        p += f
+        p += i0 * n + j0
+        return s.ravel()[f], p
 
     def block(i0, i1):
-        nonlocal top
-        parts, held = [], 0
-        for s32, neg in _neg_tiles(u32, ids, i0, i1, tile):
-            neg &= s32 >= floor
-            parts.append(s32[neg])
-            held += parts[-1].size
+        nonlocal top_vals, top_pairs, kth, above, floor
+        vals, pairs, held = [], [], 0
+        for j0, s in _half_tiles(u32, i0, i1, tile):
+            v, p = candidates(i0, j0, s)
+            vals.append(v)
+            pairs.append(p)
+            held += v.size
             if held >= 2 * k:
-                parts = [_largest(np.concatenate(parts), k)]
-                held = k
-                raise_floor(parts[0])
-        mine = _largest(np.concatenate(parts), k)
+                v, p, cut, _ = _keep_top(u32, _drain(vals), _drain(pairs), k, delta)
+                vals, pairs, held = [v], [p], k
+                with lock:
+                    floor = max(floor, _f32_out(float(cut) - delta, up=False))
+        vals, pairs = _drain(vals), _drain(pairs)
+        if held >= k:
+            vals, pairs, _, _ = _keep_top(u32, vals, pairs, k, delta)
         with lock:
-            top = _largest(np.concatenate([top, mine]), k)
-        raise_floor(top)
+            top_vals = np.concatenate([top_vals, vals])
+            top_pairs = np.concatenate([top_pairs, pairs])
+            if top_vals.size >= k:
+                top_vals, top_pairs, kth, above = _keep_top(u32, top_vals, top_pairs, k, delta)
+                floor = max(floor, _f32_out(float(kth) - delta, up=False))
 
-    _map_blocks(block, len(ids), tile, workers)
-    return top
+    _map_blocks(block, n, tile, workers)
+    if kth is None:
+        raise AssertionError(f"top-k pass found fewer than {k} negative pairs")
+    return kth, above
 
 
 def _radix_key(s32: np.ndarray) -> np.ndarray:
@@ -224,9 +384,9 @@ def _radix_key(s32: np.ndarray) -> np.ndarray:
     return np.where(bits >> 31, ~bits, bits | 0x80000000)
 
 
-def _key_value(key: int) -> float:
+def _key_value(key: int) -> np.float32:
     bits = key & 0x7FFFFFFF if key >> 31 else ~key & 0xFFFFFFFF
-    return float(np.uint32(bits).view(np.float32))
+    return np.uint32(bits).view(np.float32)
 
 
 def _rank_bucket(counts: np.ndarray, k: int) -> tuple[int, int]:
@@ -242,22 +402,31 @@ def _radix_select(u32: np.ndarray, ids: np.ndarray, k: int,
     """(k-th largest ordered negative similarity, count above it) by radix select.
 
     Pass 1 counts the negatives by the high 16 bits of their order-preserving
-    key, pass 2 counts the low 16 bits inside the bucket holding rank k. Both
-    passes hold 65,536 counters per worker, whatever the input.
+    key, pass 2 counts the low 16 bits inside the bucket holding rank k; it
+    first keeps only the values between that bucket's two float32 bounds, so
+    keys are built for those alone. Both passes hold 65,536 counters per
+    worker, whatever the input. Each unordered pair counts twice.
     """
     def digit_counts(high):
+        if high is not None:
+            # the bucket's values form the closed float range [lo, hi]; the
+            # range can also admit a zero of the other sign, which the key
+            # test below drops
+            lo, hi = _key_value(high << 16), _key_value(high << 16 | 0xFFFF)
+
         def block(i0, i1):
             counts = np.zeros(1 << 16, dtype=np.int64)
-            for s32, neg in _neg_tiles(u32, ids, i0, i1, tile):
-                key = _radix_key(s32[neg])
+            for j0, s in _half_tiles(u32, i0, i1, tile, exact=True):
+                where = None if high is None else (s >= lo) & (s <= hi)
+                key = _radix_key(s.ravel()[_negatives(s, ids, i0, j0, where)])
                 digits = key >> 16 if high is None else key[key >> 16 == high] & 0xFFFF
-                counts += np.bincount(digits, minlength=1 << 16)
+                counts += 2 * np.bincount(digits, minlength=1 << 16)
             return counts
         return sum(_map_blocks(block, len(ids), tile, workers))
 
     high, above = _rank_bucket(digit_counts(None), k)
     low, within = _rank_bucket(digit_counts(high), k - above)
-    return _key_value(high << 16 | low), above + within
+    return float(_key_value(high << 16 | low)), above + within
 
 
 @dataclass(frozen=True)
@@ -273,16 +442,18 @@ class ThresholdResult:
 
 
 def solve_threshold(dataset: EmbeddingSet, target_fpr: float, bins: int = 200,
-                    tile: int = DEFAULT_TILE, workers: int = 1) -> ThresholdResult:
+                    tile: int = DEFAULT_TILE, workers: int = 1, *,
+                    rows: np.ndarray | None = None) -> ThresholdResult:
     """Find the similarity cutoff whose strict-greater FP count meets the target.
 
     The threshold T is the k-th largest ordered negative similarity,
     k = allowed + 1 with allowed = floor(target_fpr * total_negatives)
-    evaluated in exact arithmetic. When k <= COLLECT_CAP one sweep keeps the
-    exact top-k multiset (O(k) memory per worker) and T is its minimum;
-    otherwise a two-pass radix select over the float32 bit patterns finds T
-    in fixed memory. `bins` is validated for callers but does not affect
-    the solve. A zero threshold is always +0.0.
+    evaluated in exact arithmetic. When k <= COLLECT_CAP one screened sweep
+    over the unordered pairs keeps the exact top-ceil(k/2) (O(k) memory per
+    worker) and T is its minimum; otherwise a two-pass radix select over the
+    float32 bit patterns finds T in fixed memory. `rows` passes the
+    `unit_rows` of the dataset when the caller has them. `bins` is validated
+    for callers but does not affect the solve. A zero threshold is always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
         raise DomainError(f"target FPR must lie in (0, 1], got {target_fpr}")
@@ -297,14 +468,12 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float, bins: int = 200,
                                allowed_fp=allowed, realized_fp=total_neg,
                                total_negatives=total_neg, degenerate=True)
 
-    u32 = unit_rows(dataset)
+    u32 = unit_rows(dataset) if rows is None else rows
     k = allowed + 1
     if k <= COLLECT_CAP:
-        top = _top_negatives(u32, dataset.identity, k, tile, workers)
-        if top.size != k:
-            raise AssertionError(f"top-k pass kept {top.size} values, expected {k}")
-        t = top.min()
-        threshold, realized = float(t), int(np.count_nonzero(top > t))
+        # each unordered value stands twice in the ordered ranking
+        t, above = _top_negatives(u32, dataset.identity, (k + 1) // 2, tile, workers)
+        threshold, realized = float(t), 2 * above
     else:
         threshold, realized = _radix_select(u32, dataset.identity, k, tile, workers)
     return ThresholdResult(threshold=threshold + 0.0, target_fpr=target_fpr,
@@ -346,52 +515,69 @@ class PairStatsAccumulator:
             raise AssertionError("per-identity and per-attribute totals disagree")
 
 
+def _same_identity_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair i < j of records sharing an identity, as two index arrays."""
+    n = len(ids)
+    order = np.argsort(ids, kind="stable")  # stable: i < j within each identity
+    ends = np.cumsum(np.bincount(ids))[ids[order]]
+    later = ends - np.arange(n) - 1  # same-identity records after each sorted position
+    left = np.repeat(np.arange(n), later)
+    step = np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+    return order[left], order[left + 1 + step]
+
+
 def confusion_sweep(dataset: EmbeddingSet, threshold: float,
-                    tile: int = DEFAULT_TILE, workers: int = 1) -> PairStatsAccumulator:
+                    tile: int = DEFAULT_TILE, workers: int = 1, *,
+                    rows: np.ndarray | None = None) -> PairStatsAccumulator:
     """Count TP/FP/TN/FN over all ordered pairs: predict positive iff S > threshold.
 
     Equality S == threshold counts as a negative prediction, so the four
-    counts partition every ordered pair.
+    counts partition every ordered pair. One screened half sweep counts,
+    per record, the pairs above the threshold. TP comes from the
+    within-identity pairs alone, screened and refined the same way; FP is
+    the rest, and the positive and negative totals come from the identity
+    sizes. `rows` passes the `unit_rows` of the dataset when the caller has
+    them.
     """
-    u32 = unit_rows(dataset)
-    ids = dataset.identity
-    attrs = dataset.attribute
-    n = dataset.n
-    g, m = dataset.n_identities, dataset.n_attributes
+    u32 = unit_rows(dataset) if rows is None else rows
+    ids, n = dataset.identity, dataset.n
+    t = np.float64(threshold)  # compared exactly, never rounded to float32
+    delta = _screen_delta(u32)
+    tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
+    lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
+    above = np.zeros(n, dtype=np.int64)  # per record i: pairs j != i with s_ij > T
+    lock = threading.Lock()
 
     def block(i0, i1):
-        acc = PairStatsAccumulator.zeros(g, m)
-        rows = i1 - i0
-        tp = np.zeros(rows, dtype=np.int64)
-        fp = np.zeros(rows, dtype=np.int64)
-        pos_n = np.zeros(rows, dtype=np.int64)
-        neg_n = np.zeros(rows, dtype=np.int64)
-        rows64 = u32[i0:i1].astype(np.float64)
-        for j0, j1 in _row_blocks(n, tile):
-            s32 = _sim_block(u32, rows64, j0, j1)
-            same = ids[i0:i1, None] == ids[None, j0:j1]
-            if j0 < i1 and i0 < j1:  # tile touches the diagonal
-                ii = np.arange(max(i0, j0), min(i1, j1))
-                same[ii - i0, ii - j0] = False
-                diag = np.zeros_like(same)
-                diag[ii - i0, ii - j0] = True
-            else:
-                diag = None
-            pred = s32 > np.float64(threshold)  # exact compare, no float32 rounding of T
-            tp += np.count_nonzero(pred & same, axis=1)
-            pos_n += np.count_nonzero(same, axis=1)
-            neg = ~same if diag is None else ~(same | diag)
-            fp += np.count_nonzero(pred & neg, axis=1)
-            neg_n += np.count_nonzero(neg, axis=1)
-        quad = np.stack([tp, fp, neg_n - fp, pos_n - tp], axis=1)
-        np.add.at(acc.identity_counts, ids[i0:i1], quad)
-        np.add.at(acc.attribute_counts, attrs[i0:i1], quad)
-        return acc
+        mine = np.zeros(n, dtype=np.int64)
+        for j0, s in _half_tiles(u32, i0, i1, tile):
+            sure = s > hi
+            band = _upper((s > lo) ^ sure, i0, j0)  # lo < s~ <= hi: refine
+            sure = _upper(sure, i0, j0)
+            mine[i0:i1] += np.count_nonzero(sure, axis=1)
+            mine[j0:j0 + s.shape[1]] += np.count_nonzero(sure, axis=0)
+            if band.any():
+                r, c = np.nonzero(band)
+                hit = _exact_pairs(u32, i0 + r, j0 + c) > t
+                np.add.at(mine, i0 + r[hit], 1)
+                np.add.at(mine, j0 + c[hit], 1)
+        with lock:
+            above[:] += mine
 
-    total = PairStatsAccumulator.zeros(g, m)
-    for part in _map_blocks(block, n, tile, workers):
-        total = total.merge(part)
-    return total
+    _map_blocks(block, n, tile, workers)
+    i, j = _same_identity_pairs(ids)
+    screened = _screen_pairs(u32, i, j)
+    hit = screened > hi
+    band = np.flatnonzero((screened > lo) & ~hit)
+    hit[band] = _exact_pairs(u32, i[band], j[band]) > t
+    tp = np.bincount(i[hit], minlength=n) + np.bincount(j[hit], minlength=n)
+    size = np.bincount(ids, minlength=dataset.n_identities)[ids]
+    fp = above - tp
+    quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)
+    acc = PairStatsAccumulator.zeros(dataset.n_identities, dataset.n_attributes)
+    np.add.at(acc.identity_counts, ids, quad)
+    np.add.at(acc.attribute_counts, dataset.attribute, quad)
+    return acc
 
 
 def topk_neighbors(means: MeanVectors, k: int, block: int = 512) -> np.ndarray:

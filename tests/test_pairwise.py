@@ -320,3 +320,214 @@ def test_topk_k_out_of_range(small_set):
     for bad in (0, g, g + 3):
         with pytest.raises(DomainError):
             topk_neighbors(mv, bad)
+
+
+# --- float32 screen, per-pair kernel and the half sweep ------------------------
+
+def _all_pairs(n):
+    i, j = np.triu_indices(n, 1)
+    return i.astype(np.int64), j.astype(np.int64)
+
+
+def _screen_matrix(u):
+    """The float32 GEMM screen of every pair, tile by tile as the engine computes it.
+
+    The half sweep leaves the tiles below the diagonal out; they are mirrored.
+    """
+    s = np.full((len(u), len(u)), np.nan, dtype=np.float32)
+    for i0, i1 in pairwise._row_blocks(len(u), 37):
+        for j0, tile in pairwise._half_tiles(u, i0, i1, 37):
+            s[i0:i1, j0:j0 + tile.shape[1]] = tile
+    return np.where(np.isnan(s), s.T, s)
+
+
+def _adversarial_rows(rng, d):
+    """Near-duplicates (s near +-1, clipped), cancellation-heavy and wide-range vectors."""
+    base = rng.normal(size=(6, d))
+    near = np.concatenate([base + eps * rng.normal(size=(6, d)) for eps in (0.0, 1e-7, 1e-4)])
+    near = np.concatenate([near, -near[:6]])
+    # large equal-magnitude components with opposite signs: s near 0, sum |u_k v_k| near 1
+    signs = rng.choice([-1.0, 1.0], size=(12, d))
+    flip = signs * np.where(rng.random(size=(12, d)) < 0.5, -1.0, 1.0)
+    cancel = np.concatenate([signs, flip, signs + 1e-6 * rng.normal(size=(12, d))])
+    wide = rng.normal(size=(8, d)) * 10.0 ** rng.integers(-30, 3, size=(8, d))
+    rows = np.concatenate([near, cancel, wide]).astype(np.float32)
+    ds = EmbeddingSet(vectors=rows, identity=np.arange(len(rows)),
+                      attribute=np.zeros(len(rows), np.int64),
+                      labels=LabelTable.default(len(rows), 1))
+    return unit_rows(ds)
+
+
+@pytest.mark.parametrize("d", [2, 64, 512])
+def test_screen_error_within_delta(d):
+    u = _adversarial_rows(np.random.default_rng(d), d)
+    delta = pairwise._screen_delta(u)
+    i, j = _all_pairs(len(u))
+    exact = pairwise._exact_pairs(u, i, j).astype(np.float64)
+    tiles = _screen_matrix(u)[i, j].astype(np.float64)
+    listed = pairwise._screen_pairs(u, i, j).astype(np.float64)
+    assert np.all(np.abs(tiles - exact) <= delta)
+    assert np.all(np.abs(listed - exact) <= delta)
+    assert exact.max() == 1.0 and exact.min() == -1.0  # the clipped ends are exercised
+    gamma = d * 2.0**-24 / (1 - d * 2.0**-24)
+    assert gamma < delta < gamma + 1e-6
+
+
+def test_screen_delta_values():
+    for d, want in ((512, 3.06e-5), (128, 7.7e-6)):
+        u = np.eye(d, dtype=np.float32)
+        assert abs(pairwise._screen_delta(u) - want) < 0.01 * want
+
+
+def test_exact_pairs_symmetric_and_batch_free(monkeypatch):
+    rng = np.random.default_rng(3)
+    u = unit_rows(random_dataset(rng, n=600, d=512, g=50, m=2))
+    i, j = _all_pairs(len(u))
+    ref = pairwise._exact_pairs(u, i, j)
+    assert np.array_equal(pairwise._exact_pairs(u, j, i), ref)
+    perm = rng.permutation(len(i))
+    assert np.array_equal(pairwise._exact_pairs(u, i[perm], j[perm]), ref[perm])
+    for chunk in (1, 7):
+        monkeypatch.setattr(pairwise, "PAIR_CHUNK", chunk)
+        pick = perm[:500]
+        assert np.array_equal(pairwise._exact_pairs(u, i[pick], j[pick]), ref[pick])
+    # the float64 GEMM path of the radix select and the histogram agrees bitwise
+    full = pairwise._sim_block(u, u.astype(np.float64), 0, len(u))
+    assert np.array_equal(full[i, j], ref)
+
+
+def _boundary_set(steps=20):
+    """Many pairs exactly on T and one float32 ulp on either side of it, plus filler.
+
+    Probes step their cosine to e1 by single float32 ulps around 0.3, anchors
+    are e1 perturbed by 1e-7, and a random rotation makes every product
+    inexact, so the float32 screen and the exact value disagree near T. Rows
+    are shuffled so the pairs near T fall into many slabs and tiles. Returns
+    the set and the (anchor, probe) row indices.
+    """
+    rng = np.random.default_rng(0)
+    d, n_anchor = 16, 8
+    c = 0.3 + np.arange(-steps, steps + 1) * float(np.spacing(np.float32(0.3)))
+    probes = np.zeros((len(c), d))
+    probes[:, 0], probes[:, 1] = c, np.sqrt(1 - c ** 2)
+    anchors = np.zeros((n_anchor, d))
+    anchors[:, 0] = 1.0
+    anchors[:, 2:] = 1e-7 * rng.normal(size=(n_anchor, d - 2))
+    rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    vecs = np.concatenate([np.concatenate([anchors, probes]) @ rotation,
+                           rng.normal(size=(30, d))]).astype(np.float32)
+    ident = np.concatenate([np.arange(n_anchor) % 5, np.arange(len(c)) % 5,
+                            5 + rng.integers(0, 7, size=30)]).astype(np.int64)
+    perm = rng.permutation(len(vecs))
+    ds = EmbeddingSet(vectors=vecs[perm], identity=ident[perm], attribute=ident[perm] % 2,
+                      labels=LabelTable.default(12, 2))
+    row = np.argsort(perm)  # row[m]: where record m of the unshuffled layout went
+    return ds, (row[:n_anchor], row[n_anchor:n_anchor + len(c)])
+
+
+def test_counts_exact_on_and_one_ulp_around_threshold():
+    ds, (a, p) = _boundary_set()
+    s = oracle_sims(ds)
+    vals, same = s[np.ix_(a, p)], ds.identity[a, None] == ds.identity[None, p]
+    t = np.float32(np.median(vals))
+    for near in (t, np.nextafter(t, np.float32(2)), np.nextafter(t, np.float32(-2))):
+        assert np.count_nonzero((vals == near) & same) >= 1
+        assert np.count_nonzero((vals == near) & ~same) >= 1
+    u = unit_rows(ds)
+    screen = _screen_matrix(u)[np.ix_(a, p)]
+    assert np.count_nonzero((screen > t) != (vals > t)) >= 3  # the refine decides these
+    gid, att = oracle_counts(ds, float(t))
+    for tile in (7, 37, 768):
+        for workers in (1, 3):
+            acc = confusion_sweep(ds, float(t), tile=tile, workers=workers)
+            assert np.array_equal(acc.identity_counts, gid)
+            assert np.array_equal(acc.attribute_counts, att)
+    # the solver lands on the boundary values too, for every rank around them
+    neg = ds.identity[:, None] != ds.identity[None, :]
+    total = int(np.count_nonzero(neg))
+    above = int(np.count_nonzero(s[neg] > np.nextafter(t, np.float32(2))))
+    for allowed in range(above - 8, above + 40, 3):
+        target = (allowed + 0.5) / total
+        ot, oallowed, orealized = oracle_threshold(ds, target)
+        for tile in (7, 37, 768):
+            for workers in (1, 3):
+                r = solve_threshold(ds, target, tile=tile, workers=workers)
+                assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
+
+
+def _adversarial_screen(monkeypatch):
+    """Replace every screened value by the exact one moved 0.9 delta up or down.
+
+    The engine may assume no more than |s~ - s| <= delta of its screen, so
+    counts and thresholds must stay exact under this worst-case-sized error.
+    The push is a fixed function of the value's bits, the same in any thread.
+    """
+    half_tiles = pairwise._half_tiles
+
+    def push(u32, exact):
+        noise = np.where(exact.view(np.uint32).astype(np.uint64) * 2654435761 & 1 << 20, 1.0, -1.0)
+        moved = exact + 0.9 * pairwise._screen_delta(u32) * noise
+        return np.clip(moved.astype(np.float32), -1.0, 1.0)
+
+    def tiles(u32, i0, i1, tile, exact=False):
+        for j0, s in half_tiles(u32, i0, i1, tile, exact=True):
+            yield j0, s if exact else push(u32, s)
+
+    monkeypatch.setattr(pairwise, "_half_tiles", tiles)
+    monkeypatch.setattr(pairwise, "_screen_pairs",
+                        lambda u32, i, j: push(u32, pairwise._exact_pairs(u32, i, j)))
+
+
+def test_exact_under_worst_case_screen_error(monkeypatch):
+    ds, (a, p) = _boundary_set(steps=60)  # probe cosines span +-1.8e-6, about 2 delta
+    s = oracle_sims(ds)
+    t = float(np.median(s[np.ix_(a, p)]))
+    gid, att = oracle_counts(ds, t)
+    neg = ds.identity[:, None] != ds.identity[None, :]
+    total = int(np.count_nonzero(neg))
+    above = int(np.count_nonzero(s[neg] > t))
+    targets = [(allowed + 0.5) / total for allowed in range(above - 300, above + 300, 23)]
+    oracle = [oracle_threshold(ds, target) for target in targets]
+    _adversarial_screen(monkeypatch)
+    for tile, workers in ((7, 1), (37, 3), (768, 1)):
+        acc = confusion_sweep(ds, t, tile=tile, workers=workers)
+        assert np.array_equal(acc.identity_counts, gid)
+        assert np.array_equal(acc.attribute_counts, att)
+        for target, (ot, oallowed, orealized) in zip(targets, oracle):
+            r = solve_threshold(ds, target, tile=tile, workers=workers)
+            assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
+
+
+def test_threshold_ties_odd_and_even_rank():
+    # four distinct vectors repeated across identities: a few similarity values,
+    # each shared by many unordered pairs, so ceil(k/2) lands inside tie runs
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(4, 6)).astype(np.float32)
+    vecs = base[np.arange(48) % 4]
+    ident = (np.arange(48) // 3).astype(np.int64)
+    ds = EmbeddingSet(vectors=vecs, identity=ident, attribute=np.zeros(48, np.int64),
+                      labels=LabelTable.default(16, 1))
+    total = ordered_pair_totals(ds)[1]
+    ranks = set()
+    for allowed in list(range(0, 40)) + list(range(total // 2 - 20, total // 2 + 20)):
+        target = (allowed + 0.5) / total
+        ot, oallowed, orealized = oracle_threshold(ds, target)
+        ranks.add((oallowed + 1) % 2)
+        for cap_offset in CAP_OFFSETS:
+            for tile, workers in ((768, 1), (5, 3)):
+                r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
+                assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
+    assert ranks == {0, 1}
+
+
+@pytest.mark.parametrize("bins", [2, 16, 200, 4096])
+def test_bin_index_matches_searchsorted(bins):
+    rng = np.random.default_rng(bins)
+    for lo, hi in ((-1.0 - pairwise.HIST_SLACK, 1.0 + pairwise.HIST_SLACK), (-0.37, 0.81)):
+        hist = pairwise.NegSimHistogram(lo=lo, hi=hi, counts=np.zeros(bins, np.int64), total=0)
+        e = hist.edges
+        values = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                                 rng.uniform(lo - 0.5, hi + 0.5, size=5000),
+                                 np.float32(e).astype(np.float64), [-5.0, 5.0]])
+        want = np.searchsorted(e[1:-1], values, side="right")
+        assert np.array_equal(hist.bin_index(values), want)
