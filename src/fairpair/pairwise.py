@@ -1,10 +1,16 @@
 """Blocked all-pairs engine: similarities, exact FPR threshold, confusion counts.
 
-Similarity. s_ij is the float64 dot product of the float32 unit rows u_i and
-u_j, rounded to float32 and clipped to [-1, 1]. `_exact_pairs` computes it
-per pair: the d products are exact in float64 and are summed by one fixed
-pairwise tree, so s_ij = s_ji and the value depends on the two rows alone,
-never on the tile, the batch or the worker that asks for it.
+Similarity. s_ij is the exact real dot product of the float32 unit rows u_i
+and u_j, rounded once to the nearest float32 (ties to even) and clipped to
+[-1, 1]. Being correctly rounded, it does not depend on any summation order:
+s_ij = s_ji, and the tile, batch or worker that asks for a pair gets the same
+value. `_exact_grid` computes it for a block of pairs with a float64 GEMM,
+which lies within gamma_d * max |u|^2 of the exact dot product in any order
+the BLAS may sum (gamma_d = d*u / (1 - d*u); Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., section 3.1). Its float32 rounding is the
+correct one unless a float32 rounding midpoint lies that close; those rare
+entries are summed again by `_round_dots`, a compensated (TwoSum) fold whose
+own few doubtful results go to the exact `math.fsum` of `_round_dot`.
 
 Half sweep. Because s_ij = s_ji, every sweep visits only the tiles J >= I of
 the upper triangle, and on a diagonal tile only the pairs i < j: each
@@ -12,28 +18,30 @@ unordered pair once. An ordered count is twice the unordered one.
 
 Screen and refine. The threshold pass and the confusion sweep compute every
 tile with a float32 GEMM. Its clipped value s~ obeys |s~ - s| <= delta(d),
-from the dot-product error bound gamma_d = d*u / (1 - d*u) (Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., section 3.1) for the float32
-GEMM and the float64 sum, plus the final float32 rounding: about 3.06e-5 at
-d = 512 and 7.7e-6 at d = 128. A pair whose s~ lies more than delta from a
-decision boundary is decided by s~; only pairs inside that band get their
-exact value from `_exact_pairs`. Every bound is rounded outward, so counts
-are exact for any tile schedule and any worker count. Counts are 64-bit
-integers and merge by plain addition.
+from gamma_d for the float32 GEMM plus the float32 rounding of s: about
+3.06e-5 at d = 512 and 7.7e-6 at d = 128. A pair whose s~ lies more than
+delta from a decision boundary is decided by s~; only pairs inside that band
+get their exact value, from `_exact_pairs`, which groups them by tile and runs
+`_exact_grid` on each group's distinct rows and columns. One refine therefore
+costs at most one float64 GEMM per tile it touches, however many pairs tie
+there. Every bound is rounded outward, so counts are exact for any tile
+schedule and any worker count. The confusion sweep counts, per record, the
+pairs above the threshold and those of them that share its identity, tile by
+tile. Counts are 64-bit integers and merge by plain addition.
 
 Threshold. The overall-FPR threshold is the k-th largest ordered negative
 similarity, which is the ceil(k/2)-th largest unordered one. When k fits
 under COLLECT_CAP one sweep keeps a running top set of (s~, pair) entries
 behind a floor that rises as slabs cut their buffers (blocked k-selection);
-each cut refines the entries within 2*delta of its k-th value and keeps
-exactly ceil(k/2) of them. Larger ranks take an exact two-pass radix select
-over order-preserving keys of the float32 values: 65,536 counters per pass
-and worker, whatever the value distribution or the number of ties.
+each cut gives exact values to the entries within 2*delta of its k-th value
+that lack one and keeps exactly ceil(k/2) entries. Larger ranks take an exact
+two-pass radix select over order-preserving keys of the float32 values:
+65,536 counters per pass and worker, whatever the value distribution or the
+number of ties.
 
-The radix select and `sweep_histogram` are the one remaining float64-GEMM
-path: they need every value, so they compute their tiles with `_sim_block`
-(float64 GEMM, rounded to float32 and clipped) and count each unordered pair
-twice.
+The radix select and `sweep_histogram` need every value, so they compute
+whole tiles with `_exact_grid` (the float64 GEMM, rounded as above) instead
+of the screen, and count each unordered pair twice.
 """
 
 from __future__ import annotations
@@ -52,7 +60,6 @@ from .store import EmbeddingSet, MeanVectors, normalize
 DEFAULT_TILE = 768
 HIST_SLACK = 1e-6  # widens [-1, 1] so rounded endpoints stay in range
 COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
-PAIR_CHUNK = 256  # pairs per gather in _exact_pairs; larger chunks raise peak memory
 
 # column order of every count quadruple
 TP, FP, TN, FN = 0, 1, 2, 3
@@ -72,56 +79,142 @@ def unit_rows(dataset: EmbeddingSet, chunk: int = 4096) -> np.ndarray:
     return out
 
 
-def _exact_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Similarities s_ij of the pairs (i[p], j[p]) by the per-pair kernel.
+def _near_midpoint(v: np.ndarray, e) -> np.ndarray:
+    """Where a float32 rounding midpoint may lie within e (scalar or per entry) of v.
 
-    The float64 products of two float32 rows are exact. Each pair's d products
-    are summed by the same tree (fold the top half onto the bottom half until
-    one column is left), then rounded to float32 and clipped to [-1, 1].
+    A float64 drops 29 significand bits on its way to a normal float32, and
+    they read 2^28 exactly on a midpoint, so |low - 2^28| is the distance
+    from v to the nearest midpoint in ulps of v. From 2^27 ulps on, a
+    midpoint of the binade below (half as wide) may lie closer, so such an e
+    flags the value whatever its bits; so does any e > 0 below 2^-126, where
+    float32 turns subnormal.
+    """
+    bits = v.view(np.int64)
+    exponent = bits >> 52 & 0x7FF
+    table = np.ndim(e) == 0  # one e for all values: convert it once per exponent
+    at = np.arange(2048) if table else exponent
+    ulps = np.ldexp(e, np.minimum(1075 - at, 200))  # e in float64 ulps at exponent `at`
+    ulps = np.where((at < 1023 - 126) & (e > 0), np.inf, ulps)
+    lim = np.where(ulps < 2.0**27, np.floor(ulps), 2.0**62).astype(np.int64)
+    return np.abs((bits & (1 << 29) - 1) - (1 << 28)) <= (lim[exponent] if table else lim)
+
+
+def _round_dot(x: np.ndarray, y: np.ndarray) -> np.float32:
+    """The float32 nearest to the exact dot product of two float32 rows (ties to even)."""
+    p = x.astype(np.float64) * y  # a product of two float32 values is exact in float64
+    f = math.fsum(p)  # the exact sum, rounded once to float64
+    s = np.float32(f)
+    # rounding f again errs only when f lands on a float32 midpoint that the
+    # exact sum is not on; the sign of (sum - f), exact from fsum, settles it
+    if float(s) != f:
+        other = np.nextafter(s, np.float32(math.inf if f > float(s) else -math.inf))
+        if (float(s) + float(other)) / 2 == f:
+            rest = math.fsum([*p, -f])
+            if rest != 0:
+                s = max(s, other) if rest > 0 else min(s, other)
+    return s
+
+
+def _round_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`_round_dot` of the row pairs (x[p], y[p]), vectorized for all but a rare few.
+
+    The exact products are summed by a pairwise fold whose rounding errors,
+    exact by TwoSum, are added back; the result lies within about
+    d * log2(d) * 2^-106 * sum |p| of the exact sum plus its own rounding.
+    Only values that this still leaves next to a float32 midpoint, such as
+    sums that cancel to zero, go through `_round_dot`.
+    """
+    p = x.astype(np.float64) * y
+    d = p.shape[1]
+    bound = np.abs(p).sum(axis=1) * (d * (math.log2(d) + 2) * 2.0**-104)
+    err = np.zeros(len(p))
+    w = d
+    while w > 1:
+        h = w // 2
+        a, b = p[:, :h], p[:, w - h:w]
+        s = a + b
+        z = s - a
+        err += ((a - (s - z)) + (b - z)).sum(axis=1)  # a + b - s, exactly, summed
+        p[:, :h] = s
+        w -= h
+    v = p[:, 0] + err
+    out = v.astype(np.float32)
+    for q in np.flatnonzero(_near_midpoint(v, bound + np.abs(v) * 2.0**-52)):
+        out[q] = _round_dot(x[q], y[q])
+    return out
+
+
+def _rounded(s64: np.ndarray, e: float, u32: np.ndarray, i: np.ndarray,
+             j: np.ndarray) -> np.ndarray:
+    """Clipped similarities of the pairs (i, j) from float64 values s64 within e of exact.
+
+    The float32 rounding of s64 is the correct one unless a float32 rounding
+    midpoint lies within e of it; those entries go through `_round_dots`.
+    """
+    s = s64.astype(np.float32)
+    unsure = _near_midpoint(s64, e)
+    if unsure.any():
+        i, j = (a[unsure] for a in np.broadcast_arrays(i, j))
+        fixed = np.empty(len(i), dtype=np.float32)
+        for p0 in range(0, len(i), 1024):  # bounded gathers
+            fixed[p0:p0 + 1024] = _round_dots(u32[i[p0:p0 + 1024]], u32[j[p0:p0 + 1024]])
+        s[unsure] = fixed
+    return np.clip(s, -1.0, 1.0, out=s)
+
+
+def _exact_grid(u32: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                pick: tuple | None = None) -> np.ndarray:
+    """Similarities of the pairs in rows x cols, or of the grid entries `pick` only.
+
+    One float64 GEMM, whose value lies within e = gamma_d * m of the exact dot
+    product in whatever order it was summed, m the largest squared norm of
+    the rows involved; `_rounded` rounds it correctly.
+    """
+    a, b = u32[rows].astype(np.float64), u32[cols].astype(np.float64)
+    s64 = a @ b.T
+    d = u32.shape[1]
+    g = d * 2.0**-53 / (1 - d * 2.0**-53)
+    m = max(np.einsum("ij,ij->i", a, a).max(initial=0.0),
+            np.einsum("ij,ij->i", b, b).max(initial=0.0), 1.0)
+    e = 2 * g * float(m)  # twice: covers the rounding of m
+    if pick is None:
+        return _rounded(s64, e, u32, rows[:, None], cols[None, :])
+    r, c = pick
+    return _rounded(s64[r, c], e, u32, rows[r], cols[c])
+
+
+def _exact_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 tile: int = DEFAULT_TILE) -> np.ndarray:
+    """Similarities of the pairs (i[p], j[p]), by `_exact_grid` on each tile's group.
+
+    Pairs are grouped by the (i // tile, j // tile) tile they fall in; each
+    group computes the GEMM of its distinct rows and columns. A dense group
+    (many pairs of few rows, as under ties) thus costs one small GEMM, and no
+    group costs more than a whole tile.
     """
     out = np.empty(len(i), dtype=np.float32)
-    for p0 in range(0, len(i), PAIR_CHUNK):
-        prod = u32[i[p0:p0 + PAIR_CHUNK]].astype(np.float64)
-        prod *= u32[j[p0:p0 + PAIR_CHUNK]]
-        w = prod.shape[1]
-        while w > 1:
-            h = w // 2
-            prod[:, :h] += prod[:, w - h:w]
-            w -= h
-        out[p0:p0 + PAIR_CHUNK] = prod[:, 0]
-    return np.clip(out, -1.0, 1.0, out=out)
-
-
-def _screen_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Float32 screen values of the pairs (i[p], j[p]), clipped; within delta of s_ij."""
-    out = np.empty(len(i), dtype=np.float32)
-    for p0 in range(0, len(i), PAIR_CHUNK):
-        out[p0:p0 + PAIR_CHUNK] = np.einsum("ij,ij->i", u32[i[p0:p0 + PAIR_CHUNK]],
-                                            u32[j[p0:p0 + PAIR_CHUNK]])
-    return np.clip(out, -1.0, 1.0, out=out)
-
-
-def _sim_block(u32: np.ndarray, rows64: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """Similarities of a row slab against columns [j0, j1): float64 GEMM, float32 result."""
-    s = rows64 @ u32[j0:j1].astype(np.float64).T
-    s32 = s.astype(np.float32)
-    np.clip(s32, -1.0, 1.0, out=s32)
-    return s32
+    key = i // tile * -(-len(u32) // tile) + j // tile
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        if group.size:
+            r, ri = np.unique(i[group], return_inverse=True)
+            c, ci = np.unique(j[group], return_inverse=True)
+            out[group] = _exact_grid(u32, r, c, (ri, ci))
+    return out
 
 
 def _screen_delta(u32: np.ndarray) -> float:
     """delta(d): a bound on |s~ - s| for every pair, s~ the clipped float32 GEMM value.
 
-    gamma_d * sum_k |u_ik u_jk| bounds each dot product's error, and the sum is
+    gamma_d * sum_k |u_ik u_jk| bounds the float32 GEMM's error, and the sum is
     at most the largest squared row norm m (1 for unit rows, bounded here from
-    a float32 sum of squares). Terms: the float32 GEMM, the float64 sum, the
-    float32 rounding of s, and float32 products that underflow.
+    a float32 sum of squares). Terms: the float32 GEMM, the float32 rounding
+    of s, and float32 products that underflow.
     """
     d = u32.shape[1]
     g32 = d * 2.0**-24 / (1 - d * 2.0**-24)
-    g64 = d * 2.0**-53 / (1 - d * 2.0**-53)
     m = max(1.0, float(np.einsum("ij,ij->i", u32, u32).max()) / (1 - g32))
-    return float(np.nextafter(m * (g32 + g64 + 2.0**-24 * (1 + g64)) + d * 2.0**-149, np.inf))
+    return float(np.nextafter(m * (g32 + 2.0**-24) + d * 2.0**-149, np.inf))
 
 
 def _f32_out(x: float, up: bool) -> np.float32:
@@ -172,15 +265,15 @@ def _half_tiles(u32: np.ndarray, i0: int, i1: int, tile: int, exact: bool = Fals
     """Similarity tiles of row slab [i0, i1) against the column tiles j0 >= i0.
 
     Yields (j0, s): s[r, c] belongs to rows i0 + r and j0 + c. It is the
-    clipped float32 GEMM screen, or with `exact` the `_sim_block` values.
+    clipped float32 GEMM screen, or with `exact` the `_exact_grid` values.
     Slabs and tiles share one grid, so the first tile is the diagonal one
     (j0 == i0), whose pairs i < j are its entries c > r.
     """
-    rows = u32[i0:i1].astype(np.float64) if exact else u32[i0:i1]
+    rows = u32[i0:i1]
     for j0 in range(i0, len(u32), tile):
         j1 = min(j0 + tile, len(u32))
         if exact:
-            yield j0, _sim_block(u32, rows, j0, j1)
+            yield j0, _exact_grid(u32, np.arange(i0, i1), np.arange(j0, j1))
         else:
             s = rows @ u32[j0:j1].T
             yield j0, np.clip(s, -1.0, 1.0, out=s)
@@ -192,24 +285,11 @@ def _upper(mask: np.ndarray, i0: int, j0: int) -> np.ndarray:
 
 
 def _negatives(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None) -> np.ndarray:
-    """Flat indices into tile s of its negative pairs i < j, among `where` if given.
-
-    The identity test runs over the whole tile, unless `where` selects at
-    most an eighth of it: then only those entries are tested, which saves
-    the tile-sized mask and keeps index arrays small.
-    """
-    w = s.shape[1]
-    if where is None or np.count_nonzero(where) > where.size // 8:
-        neg = ids[i0:i0 + len(s), None] != ids[None, j0:j0 + w]
-        if where is not None:
-            neg &= where
-        return np.flatnonzero(_upper(neg, i0, j0))
-    f = np.flatnonzero(where)
-    r, c = np.divmod(f, w)
-    keep = ids[i0 + r] != ids[j0 + c]
-    if i0 == j0:
-        keep &= c > r
-    return f[keep]
+    """Flat indices into tile s of its negative pairs i < j, among `where` if given."""
+    neg = ids[i0:i0 + len(s), None] != ids[None, j0:j0 + s.shape[1]]
+    if where is not None:
+        neg &= where
+    return np.flatnonzero(_upper(neg, i0, j0))
 
 
 @dataclass
@@ -237,18 +317,7 @@ class NegSimHistogram:
         return e
 
     def bin_index(self, values: np.ndarray) -> np.ndarray:
-        """Bin of each finite value, clamped to [0, bins): the partition of the edges.
-
-        floor((v - lo) / width) lands at most one bin off; one compare against
-        the exact float64 edges on each side fixes it, so the result equals
-        searchsorted(edges[1:-1], v, side="right") bit for bit.
-        """
-        v = np.asarray(values, dtype=np.float64)
-        e = self.edges
-        b = np.clip(np.floor((v - self.lo) / self.width), 0, self.bins - 1).astype(np.int64)
-        b -= (b > 0) & (v < e[b])
-        b += (b < self.bins - 1) & (v >= e[b + 1])
-        return b
+        return np.searchsorted(self.edges[1:-1], values.astype(np.float64), side="right")
 
     @staticmethod
     def empty(bins: int) -> "NegSimHistogram":
@@ -288,34 +357,37 @@ def sweep_histogram(dataset: EmbeddingSet, bins: int,
                        -1.0 - HIST_SLACK, 1.0 + HIST_SLACK, bins, tile, workers)
 
 
-def _keep_top(u32: np.ndarray, vals: np.ndarray, pairs: np.ndarray, k: int,
-              delta: float) -> tuple[np.ndarray, np.ndarray, np.float32, int]:
+def _keep_top(u32: np.ndarray, vals: np.ndarray, pairs: np.ndarray, known: np.ndarray,
+              k: int, delta: float, tile: int):
     """Cut a buffer of at least k entries to the k holding its exact top-k.
 
     Each entry of `vals` lies within delta of the exact similarity of its pair
-    (pair index i*n + j). With v_k the buffer's k-th largest value, an entry
-    above v_k + 2*delta is surely in the exact top-k and one below v_k - 2*delta
-    surely is not; only the band between is refined with `_exact_pairs`.
-    Returns the k kept entries (refined values replace screened ones), the
-    exact k-th largest similarity t, and how many buffered pairs exceed t.
+    (pair index i*n + j), and equals it where `known` is set. With v_k the
+    buffer's k-th largest value, an entry above v_k + 2*delta is surely in the
+    exact top-k and one below v_k - 2*delta surely is not; the entries between
+    get their exact values, unless they have them already. Returns the k kept
+    entries with their flags, the exact k-th largest similarity t, and how
+    many buffered pairs exceed t. Writes exact values into `vals` and `known`.
     """
     n = len(u32)
     kth = float(np.partition(vals, vals.size - k)[vals.size - k])
     sure = vals > _f32_out(kth + 2 * delta, up=True)
     band = np.flatnonzero(~sure & (vals >= _f32_out(kth - 2 * delta, up=False)))
-    p = pairs[band].astype(np.int64)
-    exact = _exact_pairs(u32, p // n, p % n)
+    todo = band[~known[band]]
+    p = pairs[todo].astype(np.int64)
+    vals[todo] = _exact_pairs(u32, p // n, p % n, tile)
+    known[todo] = True
     need = k - int(np.count_nonzero(sure))
-    chosen = np.argpartition(exact, exact.size - need)[exact.size - need:]
-    t = exact[chosen].min()
-    above = k - need + int(np.count_nonzero(exact > t))
-    return (np.concatenate([vals[sure], exact[chosen]]),
-            np.concatenate([pairs[sure], pairs[band[chosen]]]), t, above)
+    chosen = band[np.argpartition(vals[band], band.size - need)[band.size - need:]]
+    t = vals[chosen].min()
+    above = k - need + int(np.count_nonzero(vals[band] > t))
+    keep = np.concatenate([np.flatnonzero(sure), chosen])
+    return vals[keep], pairs[keep], known[keep], t, above
 
 
-def _drain(parts: list) -> np.ndarray:
-    """Concatenate parts and empty the list, so the pieces are freed at once."""
-    whole = np.concatenate(parts)
+def _drain(parts: list) -> list:
+    """Concatenate the parts column by column and empty the list, freeing the pieces."""
+    whole = [np.concatenate(col) for col in zip(*parts)]
     parts.clear()
     return whole
 
@@ -329,47 +401,45 @@ def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
     value t then raises the floor shared by all slabs to t - delta, below
     which no screened value can reach the global top-k. A finished slab
     merges into the global top-k at once, so memory stays O(k) per worker,
-    whatever the ties.
+    whatever the ties. Entries carry a flag once they hold their exact value,
+    so no pair is refined twice within a buffer.
     """
     n = len(ids)
     index_type = np.uint32 if n * n < 1 << 32 else np.int64
     delta = _screen_delta(u32)
     lock = threading.Lock()
-    top_vals, top_pairs = np.empty(0, dtype=np.float32), np.empty(0, dtype=index_type)
+    top = (np.empty(0, dtype=np.float32), np.empty(0, dtype=index_type), np.empty(0, dtype=bool))
     kth, above = None, 0
     floor = np.float32(-np.inf)  # raised under the lock; a stale read keeps extra entries
 
     def candidates(i0, j0, s):
-        """(s~, pair) of the tile's negative pairs i < j at or above the floor."""
+        """(s~, pair, flag) of the tile's negative pairs i < j at or above the floor."""
         f = _negatives(s, ids, i0, j0, s >= floor).astype(index_type)
         w = s.shape[1]
         p = f // w  # pair (i0 + r) * n + j0 + c of the flat tile index f = r * w + c
         p *= n - w
         p += f
         p += i0 * n + j0
-        return s.ravel()[f], p
+        return s.ravel()[f], p, np.zeros(f.size, dtype=bool)
 
     def block(i0, i1):
-        nonlocal top_vals, top_pairs, kth, above, floor
-        vals, pairs, held = [], [], 0
+        nonlocal top, kth, above, floor
+        parts, held = [], 0
         for j0, s in _half_tiles(u32, i0, i1, tile):
-            v, p = candidates(i0, j0, s)
-            vals.append(v)
-            pairs.append(p)
-            held += v.size
+            parts.append(candidates(i0, j0, s))
+            held += parts[-1][0].size
             if held >= 2 * k:
-                v, p, cut, _ = _keep_top(u32, _drain(vals), _drain(pairs), k, delta)
-                vals, pairs, held = [v], [p], k
+                *buf, cut, _ = _keep_top(u32, *_drain(parts), k, delta, tile)
+                parts, held = [buf], k
                 with lock:
                     floor = max(floor, _f32_out(float(cut) - delta, up=False))
-        vals, pairs = _drain(vals), _drain(pairs)
+        buf = _drain(parts)
         if held >= k:
-            vals, pairs, _, _ = _keep_top(u32, vals, pairs, k, delta)
+            *buf, _, _ = _keep_top(u32, *buf, k, delta, tile)
         with lock:
-            top_vals = np.concatenate([top_vals, vals])
-            top_pairs = np.concatenate([top_pairs, pairs])
-            if top_vals.size >= k:
-                top_vals, top_pairs, kth, above = _keep_top(u32, top_vals, top_pairs, k, delta)
+            top = tuple(np.concatenate([a, b]) for a, b in zip(top, buf))
+            if top[0].size >= k:
+                *top, kth, above = _keep_top(u32, *top, k, delta, tile)
                 floor = max(floor, _f32_out(float(kth) - delta, up=False))
 
     _map_blocks(block, n, tile, workers)
@@ -515,29 +585,17 @@ class PairStatsAccumulator:
             raise AssertionError("per-identity and per-attribute totals disagree")
 
 
-def _same_identity_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair i < j of records sharing an identity, as two index arrays."""
-    n = len(ids)
-    order = np.argsort(ids, kind="stable")  # stable: i < j within each identity
-    ends = np.cumsum(np.bincount(ids))[ids[order]]
-    later = ends - np.arange(n) - 1  # same-identity records after each sorted position
-    left = np.repeat(np.arange(n), later)
-    step = np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
-    return order[left], order[left + 1 + step]
-
-
 def confusion_sweep(dataset: EmbeddingSet, threshold: float,
                     tile: int = DEFAULT_TILE, workers: int = 1, *,
                     rows: np.ndarray | None = None) -> PairStatsAccumulator:
     """Count TP/FP/TN/FN over all ordered pairs: predict positive iff S > threshold.
 
     Equality S == threshold counts as a negative prediction, so the four
-    counts partition every ordered pair. One screened half sweep counts,
-    per record, the pairs above the threshold. TP comes from the
-    within-identity pairs alone, screened and refined the same way; FP is
-    the rest, and the positive and negative totals come from the identity
-    sizes. `rows` passes the `unit_rows` of the dataset when the caller has
-    them.
+    counts partition every ordered pair. One screened half sweep counts, per
+    record, the pairs above the threshold and how many of them share its
+    identity (TP); FP is the rest, and the positive and negative totals come
+    from the identity sizes. `rows` passes the `unit_rows` of the dataset
+    when the caller has them.
     """
     u32 = unit_rows(dataset) if rows is None else rows
     ids, n = dataset.identity, dataset.n
@@ -546,31 +604,28 @@ def confusion_sweep(dataset: EmbeddingSet, threshold: float,
     tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
     lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
     above = np.zeros(n, dtype=np.int64)  # per record i: pairs j != i with s_ij > T
+    tp = np.zeros(n, dtype=np.int64)  # ... of which j shares i's identity
     lock = threading.Lock()
 
     def block(i0, i1):
-        mine = np.zeros(n, dtype=np.int64)
+        mine, mine_tp = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         for j0, s in _half_tiles(u32, i0, i1, tile):
-            sure = s > hi
-            band = _upper((s > lo) ^ sure, i0, j0)  # lo < s~ <= hi: refine
-            sure = _upper(sure, i0, j0)
-            mine[i0:i1] += np.count_nonzero(sure, axis=1)
-            mine[j0:j0 + s.shape[1]] += np.count_nonzero(sure, axis=0)
-            if band.any():
-                r, c = np.nonzero(band)
-                hit = _exact_pairs(u32, i0 + r, j0 + c) > t
-                np.add.at(mine, i0 + r[hit], 1)
-                np.add.at(mine, j0 + c[hit], 1)
+            r, c = np.nonzero(_upper(s > lo, i0, j0))  # every pair that may lie above T
+            hit = s[r, c] > hi
+            band = np.flatnonzero(~hit)  # lo < s~ <= hi: refine
+            if band.size:
+                hit[band] = _exact_pairs(u32, i0 + r[band], j0 + c[band], tile) > t
+            r, c = r[hit], c[hit]
+            same = ids[i0 + r] == ids[j0 + c]
+            w = s.shape[1]
+            for acc, pick in ((mine, slice(None)), (mine_tp, same)):
+                acc[i0:i1] += np.bincount(r[pick], minlength=i1 - i0)
+                acc[j0:j0 + w] += np.bincount(c[pick], minlength=w)
         with lock:
             above[:] += mine
+            tp[:] += mine_tp
 
     _map_blocks(block, n, tile, workers)
-    i, j = _same_identity_pairs(ids)
-    screened = _screen_pairs(u32, i, j)
-    hit = screened > hi
-    band = np.flatnonzero((screened > lo) & ~hit)
-    hit[band] = _exact_pairs(u32, i[band], j[band]) > t
-    tp = np.bincount(i[hit], minlength=n) + np.bincount(j[hit], minlength=n)
     size = np.bincount(ids, minlength=dataset.n_identities)[ids]
     fp = above - tp
     quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)

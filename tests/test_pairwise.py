@@ -3,7 +3,10 @@
 The oracle below recomputes everything with plain per-pair loops from the
 documented similarity definition (float64-normalized rows rounded to float32,
 per-pair float64 dot products rounded back to float32, clipped to [-1, 1]).
-It shares no code with the tiled engine.
+It shares no code with the tiled engine. The engine rounds the exact dot
+product instead; the two differ only where a float32 rounding midpoint lies
+within float64 error, which the random sets here never reach. The tests of
+that difference use `exact_sims`, built from exact rational dot products.
 """
 
 import math
@@ -365,9 +368,7 @@ def test_screen_error_within_delta(d):
     i, j = _all_pairs(len(u))
     exact = pairwise._exact_pairs(u, i, j).astype(np.float64)
     tiles = _screen_matrix(u)[i, j].astype(np.float64)
-    listed = pairwise._screen_pairs(u, i, j).astype(np.float64)
     assert np.all(np.abs(tiles - exact) <= delta)
-    assert np.all(np.abs(listed - exact) <= delta)
     assert exact.max() == 1.0 and exact.min() == -1.0  # the clipped ends are exercised
     gamma = d * 2.0**-24 / (1 - d * 2.0**-24)
     assert gamma < delta < gamma + 1e-6
@@ -379,7 +380,24 @@ def test_screen_delta_values():
         assert abs(pairwise._screen_delta(u) - want) < 0.01 * want
 
 
-def test_exact_pairs_symmetric_and_batch_free(monkeypatch):
+def _round_fraction(x):
+    """The float32 nearest to the rational x, ties to the even significand."""
+    near = np.float32(float(x))
+    cands = [near, np.nextafter(near, np.float32(-2)), np.nextafter(near, np.float32(2))]
+    return min(cands, key=lambda f: (abs(Fraction(float(f)) - x), int(f.view(np.uint32)) & 1))
+
+
+def exact_sims(u):
+    """Similarities from exact rational dot products of the unit rows, rounded once."""
+    rows = [[Fraction(float(x)) for x in row] for row in u]
+    s = np.empty((len(u), len(u)), dtype=np.float32)
+    for a, x in enumerate(rows):
+        for b, y in enumerate(rows[a:], a):
+            s[a, b] = s[b, a] = _round_fraction(sum(p * q for p, q in zip(x, y)))
+    return np.clip(s, -1.0, 1.0)
+
+
+def test_exact_pairs_symmetric_and_batch_free():
     rng = np.random.default_rng(3)
     u = unit_rows(random_dataset(rng, n=600, d=512, g=50, m=2))
     i, j = _all_pairs(len(u))
@@ -387,13 +405,116 @@ def test_exact_pairs_symmetric_and_batch_free(monkeypatch):
     assert np.array_equal(pairwise._exact_pairs(u, j, i), ref)
     perm = rng.permutation(len(i))
     assert np.array_equal(pairwise._exact_pairs(u, i[perm], j[perm]), ref[perm])
-    for chunk in (1, 7):
-        monkeypatch.setattr(pairwise, "PAIR_CHUNK", chunk)
-        pick = perm[:500]
-        assert np.array_equal(pairwise._exact_pairs(u, i[pick], j[pick]), ref[pick])
-    # the float64 GEMM path of the radix select and the histogram agrees bitwise
-    full = pairwise._sim_block(u, u.astype(np.float64), 0, len(u))
+    pick = perm[:500]
+    for tile in (1, 7, 600):  # other groupings into GEMMs
+        assert np.array_equal(pairwise._exact_pairs(u, i[pick], j[pick], tile), ref[pick])
+    # the whole-tile path of the radix select and the histogram agrees bitwise
+    full = pairwise._exact_grid(u, np.arange(len(u)), np.arange(len(u)))
     assert np.array_equal(full[i, j], ref)
+    few = rng.choice(len(u), size=12, replace=False)
+    assert np.array_equal(full[np.ix_(few, few)], exact_sims(u[few]))
+
+
+def test_near_midpoint_flags_exactly_the_margin():
+    ulp = 2.0**-54  # float64 ulp in [0.25, 0.5)
+    f = np.float32(0.3)
+    mid = (float(f) + float(np.nextafter(f, np.float32(1)))) / 2  # a float32 midpoint
+    k = np.arange(-6, 7)
+    v = mid + k * ulp
+    assert np.array_equal(pairwise._near_midpoint(v, 3 * ulp), np.abs(k) <= 3)
+    assert np.array_equal(pairwise._near_midpoint(v, np.full(len(k), 3 * ulp)), np.abs(k) <= 3)
+    assert not pairwise._near_midpoint(np.array([float(f)]), 1e-12)[0]  # half a gap away
+    # above a power of two, the midpoint below it is half as far as the window's own
+    above = np.array([0.5 + 2.0**-40])
+    assert pairwise._near_midpoint(above, 2.0**-26 + 2.0**-39)[0]
+    assert not pairwise._near_midpoint(above, 2.0**-26 - 2.0**-39)[0]
+    # float32 subnormals and zero: flagged for any e > 0, never for e = 0
+    tiny = np.array([0.0, 3e-45, -1e-40])
+    assert pairwise._near_midpoint(tiny, 1e-300).all()
+    assert not pairwise._near_midpoint(tiny, 0.0).any()
+
+
+def _fsum_round(x, y):
+    """Correct float32 rounding of a dot product: fsum, with exact tie-breaking."""
+    p = x.astype(np.float64) * y
+    f = math.fsum(p)
+    near = np.float32(f)
+    if float(near) == f:
+        return near
+    other = np.nextafter(near, np.float32(2 if f > float(near) else -2))
+    if (float(near) + float(other)) / 2 != f:
+        return near
+    return _round_fraction(sum(Fraction(float(q)) for q in p))
+
+
+def test_exact_grid_rounds_cancelling_sums_correctly():
+    # rows nearly orthogonal to 60 random rows: dot products near 1e-6, where
+    # the float64 GEMM's error reaches a float32 rounding midpoint now and then
+    rng = np.random.default_rng(2)
+    d = 512
+    x = rng.normal(size=(60, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    q, _ = np.linalg.qr(x.T)
+    w = rng.normal(size=(60, d))
+    w -= (w @ q) @ q.T
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w += 1e-6 * rng.normal(size=(60, 60)) @ x
+    v = np.concatenate([x, w])
+    u = (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
+    rows, cols = np.arange(60), np.arange(60, 120)
+    want = np.array([[_fsum_round(u[i], u[j]) for j in cols] for i in rows])
+    u64 = u.astype(np.float64)
+    assert np.count_nonzero((u64[rows] @ u64[cols].T).astype(np.float32) != want) >= 2
+    assert np.array_equal(pairwise._exact_grid(u, rows, cols), want)
+    i, j = np.meshgrid(rows, cols, indexing="ij")
+    assert np.array_equal(pairwise._exact_pairs(u, i.ravel(), j.ravel(), 7), want.ravel())
+
+
+def _midpoint_pair_set():
+    """Records 0 and 1 form a d = 3 pair whose float64 GEMM rounds the wrong way.
+
+    Their large products sum exactly to a float32 rounding midpoint and the
+    tiny product 2^-60 is lost in float64 in any summation order, so the
+    float64 value rounds to the even neighbour while the exact dot product
+    rounds to the other one. The rows are their own normalization. Random
+    filler records make up the rest of the set.
+    """
+    m, c = 0.5646133422851562, 0.8253555297851562
+    pair = np.array([[2.0**-30, m, c], [2.0**-30, m, -c]], dtype=np.float32)
+    rng = np.random.default_rng(11)
+    vecs = np.concatenate([pair, rng.normal(size=(22, 3)).astype(np.float32)])
+    ident = np.concatenate([[0, 1], rng.integers(0, 6, size=22)]).astype(np.int64)
+    return EmbeddingSet(vectors=vecs, identity=ident, attribute=ident % 2,
+                        labels=LabelTable.default(6, 2)), pair
+
+
+def test_one_similarity_on_every_path():
+    ds, pair = _midpoint_pair_set()
+    u = unit_rows(ds)
+    assert np.array_equal(u[:2], pair)
+    want = exact_sims(u)
+    u64 = u.astype(np.float64)
+    assert np.float32(u64[0] @ u64[1]) != want[0, 1]  # the plain float64 rounding differs
+    assert pairwise._exact_pairs(u, np.array([0]), np.array([1]))[0] == want[0, 1]
+    full = pairwise._exact_grid(u, np.arange(len(u)), np.arange(len(u)))
+    off = ~np.eye(ds.n, dtype=bool)
+    assert np.array_equal(full[off], want[off])
+    neg = ds.identity[:, None] != ds.identity[None, :]
+    vals = np.sort(want[neg])[::-1]
+    rank = int(np.count_nonzero(vals > want[0, 1]))  # the pair holds ranks rank, rank + 1
+    for allowed in range(rank - 2, rank + 4):
+        target = (allowed + 0.5) / len(vals)
+        t = vals[allowed]
+        for cap_offset in CAP_OFFSETS:  # the radix select (-1) and the top-k pass
+            for tile, workers in ((768, 1), (5, 3)):
+                r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
+                assert (r.threshold, r.realized_fp) == (t, np.count_nonzero(vals > t))
+                acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers)
+                assert acc.overall[pairwise.FP] == r.realized_fp
+    # the histogram bins the pair by its exact value too
+    lo = float(want[0, 1])
+    hist = pairwise._range_hist(u, ds.identity, lo, 1.5, 4, 5, 2)
+    assert hist.total == np.count_nonzero(vals >= want[0, 1])
 
 
 def _boundary_set(steps=20):
@@ -474,8 +595,6 @@ def _adversarial_screen(monkeypatch):
             yield j0, s if exact else push(u32, s)
 
     monkeypatch.setattr(pairwise, "_half_tiles", tiles)
-    monkeypatch.setattr(pairwise, "_screen_pairs",
-                        lambda u32, i, j: push(u32, pairwise._exact_pairs(u32, i, j)))
 
 
 def test_exact_under_worst_case_screen_error(monkeypatch):
@@ -518,16 +637,3 @@ def test_threshold_ties_odd_and_even_rank():
                 r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
                 assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
     assert ranks == {0, 1}
-
-
-@pytest.mark.parametrize("bins", [2, 16, 200, 4096])
-def test_bin_index_matches_searchsorted(bins):
-    rng = np.random.default_rng(bins)
-    for lo, hi in ((-1.0 - pairwise.HIST_SLACK, 1.0 + pairwise.HIST_SLACK), (-0.37, 0.81)):
-        hist = pairwise.NegSimHistogram(lo=lo, hi=hi, counts=np.zeros(bins, np.int64), total=0)
-        e = hist.edges
-        values = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
-                                 rng.uniform(lo - 0.5, hi + 0.5, size=5000),
-                                 np.float32(e).astype(np.float64), [-5.0, 5.0]])
-        want = np.searchsorted(e[1:-1], values, side="right")
-        assert np.array_equal(hist.bin_index(values), want)
