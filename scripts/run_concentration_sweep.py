@@ -37,6 +37,10 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     kappas = [float(s) for s in args.kappas.split(",")]
+    g = 2 * args.identities  # the swept and the fixed group
+    k = min(args.k, g - 1)
+    if k != args.k:
+        print(f"K clamped from {args.k} to {k} (only {g} identities)", file=sys.stderr)
 
     rows = []
     for kappa in kappas:
@@ -50,7 +54,7 @@ def main(argv=None):
         result = solve_threshold(dataset, args.target_fpr)
         acc = confusion_sweep(dataset, result.threshold)
         rates = attribute_rates(acc)
-        _, s_inter = intra_inter_similarity(dataset, mean_vectors(dataset), args.k)
+        _, s_inter = intra_inter_similarity(dataset, mean_vectors(dataset), k)
         swept = truth.identity_group == 0
         rows.append({
             "kappa": kappa,

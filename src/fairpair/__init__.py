@@ -6,28 +6,4 @@ ships a desk-scale training core for a feature-mixing debias adapter so the
 measurement tools have something whose bias they can watch shrink.
 """
 
-from .errors import (ConfigError, DegenerateDataError, DivergenceError,
-                     DomainError, FairpairError, FormatError, PairingError,
-                     ValidationError)
-from .metrics import (AttributeRates, EvalConfig, FairnessReport, HistogramTable,
-                      IdentityRates, ReportConfig, attribute_rates, build_histograms,
-                      build_report, dumps_stable, evaluate_dataset, identity_rates,
-                      intra_inter_similarity, overall_rates, population_std,
-                      report_from_json)
-from .model import (BatchCache, ModelParams, batch_backward, batch_forward,
-                    cosface_loss, debias_forward, encoder_forward, epsilon,
-                    finite_diff_grad, grad_check, load_model, mix, mixfair_loss,
-                    save_model, xavier_init)
-from .pairwise import (NegSimHistogram, PairStatsAccumulator, ThresholdResult,
-                       confusion_sweep, cosine_similarity, neighbor_mean_similarity,
-                       ordered_pair_totals, pair_label, solve_threshold,
-                       sweep_histogram, topk_neighbors, unit_rows)
-from .store import (EmbeddingSet, LabelTable, MeanVectors, load_csv, load_dataset,
-                    mean_vectors, normalize, save_csv, save_dataset)
-from .synth import (BiasProfile, GroupSpec, SynthTruth, TrainingSet, format_profile,
-                    gen_population, gen_training_set, parse_profile, seeded_rng,
-                    split_by_identity, standard_biased_profile, zero_bias_profile)
-from .train import (BiasTrace, TrainConfig, encode_dataset, load_trace, pair_samples,
-                    parse_train_config, save_trace, train)
-
 __version__ = "0.1.0"

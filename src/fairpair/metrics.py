@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .pairwise import (DEFAULT_TILE, FN, FP, TP, TN, PairStatsAccumulator,
-                       ThresholdResult, _row_blocks, confusion_sweep,
-                       neighbor_mean_similarity, solve_threshold, topk_neighbors,
-                       unit_rows)
+                       ThresholdResult, _neighbor_pass, _unit_chunks, _unit_means,
+                       confusion_sweep, solve_threshold, unit_rows)
 from .store import EmbeddingSet, MeanVectors, mean_vectors
 
 STD_CONVENTION = "population"
@@ -110,24 +109,13 @@ def identity_rates(acc: PairStatsAccumulator) -> IdentityRates:
 def intra_inter_similarity(dataset: EmbeddingSet, means: MeanVectors,
                            k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-identity mean cosine to the own mean, and to the K closest other means."""
-    g = dataset.n_identities
-    norms = np.linalg.norm(means.means, axis=1, keepdims=True)
-    dead = np.flatnonzero(norms[:, 0] == 0.0)
-    if dead.size:
-        raise DomainError(f"identity {int(dead[0])} has a zero mean vector; cosine undefined")
-    mu = means.means / norms
-
-    intra_sums = np.zeros(g, dtype=np.float64)
-    for i0, i1 in _row_blocks(dataset.n, 4096):
-        v64 = dataset.vectors[i0:i1].astype(np.float64)
-        v64 /= np.linalg.norm(v64, axis=1, keepdims=True)
+    mu = _unit_means(means)
+    s_inter = _neighbor_pass(mu, k)[1]
+    intra_sums = np.zeros(dataset.n_identities, dtype=np.float64)
+    for i0, i1, v64 in _unit_chunks(dataset.vectors):
         ids = dataset.identity[i0:i1]
         np.add.at(intra_sums, ids, np.einsum("ij,ij->i", v64, mu[ids]))
-    s_intra = intra_sums / means.counts
-
-    neighbors = topk_neighbors(means, k)
-    s_inter = neighbor_mean_similarity(means, neighbors)
-    return s_intra, s_inter
+    return intra_sums / means.counts, s_inter
 
 
 @dataclass(frozen=True)

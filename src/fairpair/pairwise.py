@@ -65,17 +65,25 @@ COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
 TP, FP, TN, FN = 0, 1, 2, 3
 
 
-def unit_rows(dataset: EmbeddingSet, chunk: int = 4096) -> np.ndarray:
-    """Float32 unit-norm rows; the raw vectors are normalized in float64 first.
+def _unit_chunks(vectors: np.ndarray, chunk: int = 4096):
+    """Yields (i0, i1, v): rows [i0, i1) of `vectors` scaled to unit norm in float64.
 
-    Works in row chunks so the float64 intermediates never exceed O(chunk * d).
+    v is one buffer that the next chunk overwrites, so the float64
+    intermediates never exceed O(chunk * d), even while a caller holds v.
     """
-    n = dataset.n
-    out = np.empty((n, dataset.dim), dtype=np.float32)
-    for i0, i1 in _row_blocks(n, chunk):
-        v64 = dataset.vectors[i0:i1].astype(np.float64)
-        norms = np.linalg.norm(v64, axis=1, keepdims=True)
-        out[i0:i1] = v64 / norms
+    buf = np.empty((min(chunk, len(vectors)), vectors.shape[1]), dtype=np.float64)
+    for i0, i1 in _row_blocks(len(vectors), chunk):
+        v64 = buf[:i1 - i0]
+        v64[...] = vectors[i0:i1]
+        v64 /= np.linalg.norm(v64, axis=1, keepdims=True)
+        yield i0, i1, v64
+
+
+def unit_rows(dataset: EmbeddingSet, chunk: int = 4096) -> np.ndarray:
+    """Float32 unit-norm rows; the raw vectors are normalized in float64 first."""
+    out = np.empty((dataset.n, dataset.dim), dtype=np.float32)
+    for i0, i1, v64 in _unit_chunks(dataset.vectors, chunk):
+        out[i0:i1] = v64
     return out
 
 
@@ -318,13 +326,6 @@ class NegSimHistogram:
 
     def bin_index(self, values: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.edges[1:-1], values.astype(np.float64), side="right")
-
-    @staticmethod
-    def empty(bins: int) -> "NegSimHistogram":
-        if bins < 2:
-            raise DomainError(f"histogram needs at least 2 bins, got {bins}")
-        return NegSimHistogram(lo=-1.0 - HIST_SLACK, hi=1.0 + HIST_SLACK,
-                               counts=np.zeros(bins, dtype=np.int64), total=0)
 
 
 def _range_hist(u32: np.ndarray, ids: np.ndarray, lo: float, hi: float, bins: int,
@@ -635,38 +636,68 @@ def confusion_sweep(dataset: EmbeddingSet, threshold: float,
     return acc
 
 
+def _unit_means(means: MeanVectors) -> np.ndarray:
+    """The identity means scaled to unit norm (float64); a zero mean has no cosine."""
+    norms = np.linalg.norm(means.means, axis=1, keepdims=True)
+    dead = np.flatnonzero(norms[:, 0] == 0.0)
+    if dead.size:
+        raise DomainError(f"identity {int(dead[0])} has a zero mean vector; cosine undefined")
+    return means.means / norms
+
+
+def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
+    """Columns of each row's K largest entries, largest first, ties to the lower column.
+
+    Row r of `sims` belongs to identity i0 + r, whose own column is set to
+    -inf. The K-th largest value v of a row comes from `np.partition`; the
+    row takes every entry above v, then its lowest-index entries equal to v
+    until it holds K.
+    """
+    b, g = sims.shape
+    own = np.arange(b)
+    sims[own, i0 + own] = -np.inf
+    # copied, so no view keeps the partitioned block alive
+    kth = np.partition(sims, g - k, axis=1)[:, g - k].copy()
+    take = sims > kth[:, None]
+    r, c = np.nonzero(sims == kth[:, None])  # row-major: each row's ties by column
+    fill = np.arange(r.size) - np.searchsorted(r, r) < (k - np.count_nonzero(take, axis=1))[r]
+    take[r[fill], c[fill]] = True
+    cols = np.nonzero(take)[1].reshape(b, k)
+    order = np.argsort(-np.take_along_axis(sims, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = None,
+                   block: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """(neighbors, mean cosine to them) of every unit mean in `mu`, one GEMM per row block.
+
+    Without `neighbors` given, each identity's neighbours are the K other
+    identities with the most similar means (`_top_columns`).
+    """
+    g = len(mu)
+    pick = neighbors is None
+    if pick:
+        if not 1 <= k <= g - 1:
+            raise DomainError(f"K must lie in [1, G-1] = [1, {g - 1}], got {k}")
+        neighbors = np.empty((g, k), dtype=np.int64)
+    mean = np.empty(g, dtype=np.float64)
+    for i0, i1 in _row_blocks(g, block):
+        sims = mu[i0:i1] @ mu.T
+        if pick:
+            neighbors[i0:i1] = _top_columns(sims, i0, k)
+        mean[i0:i1] = np.take_along_axis(sims, neighbors[i0:i1], axis=1).mean(axis=1)
+    return neighbors, mean
+
+
 def topk_neighbors(means: MeanVectors, k: int, block: int = 512) -> np.ndarray:
     """Indices of the K other identities with the most similar mean vectors.
 
     Similarity is cosine; ties break toward the lower identity index.
     """
-    g = means.means.shape[0]
-    if not 1 <= k <= g - 1:
-        raise DomainError(f"K must lie in [1, G-1] = [1, {g - 1}], got {k}")
-    norms = np.linalg.norm(means.means, axis=1, keepdims=True)
-    dead = np.flatnonzero(norms[:, 0] == 0.0)
-    if dead.size:
-        raise DomainError(f"identity {int(dead[0])} has a zero mean vector; cosine undefined")
-    mu = means.means / norms
-    out = np.empty((g, k), dtype=np.int64)
-    for i0, i1 in _row_blocks(g, block):
-        sims = mu[i0:i1] @ mu.T
-        sims[np.arange(i1 - i0), np.arange(i0, i1)] = -np.inf
-        kth = np.partition(sims, g - k, axis=1)[:, g - k]
-        for r in range(i1 - i0):
-            cand = np.flatnonzero(sims[r] >= kth[r])
-            order = np.lexsort((cand, -sims[r, cand]))
-            out[i0 + r] = cand[order[:k]]
-    return out
+    return _neighbor_pass(_unit_means(means), k, block=block)[0]
 
 
 def neighbor_mean_similarity(means: MeanVectors, neighbors: np.ndarray,
                              block: int = 512) -> np.ndarray:
     """Mean cosine similarity of each identity's mean to its listed neighbors."""
-    mu = means.means / np.linalg.norm(means.means, axis=1, keepdims=True)
-    g = mu.shape[0]
-    out = np.empty(g, dtype=np.float64)
-    for i0, i1 in _row_blocks(g, block):
-        sims = mu[i0:i1] @ mu.T
-        out[i0:i1] = np.take_along_axis(sims, neighbors[i0:i1], axis=1).mean(axis=1)
-    return out
+    return _neighbor_pass(_unit_means(means), neighbors=neighbors, block=block)[1]

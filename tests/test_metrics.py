@@ -22,7 +22,8 @@ from fairpair.metrics import (
     write_histogram_csv,
     write_per_identity_csv,
 )
-from fairpair.pairwise import PairStatsAccumulator, confusion_sweep, solve_threshold, topk_neighbors
+from fairpair.pairwise import (PairStatsAccumulator, confusion_sweep, neighbor_mean_similarity,
+                              solve_threshold, topk_neighbors)
 from fairpair.store import EmbeddingSet, LabelTable, mean_vectors
 
 from conftest import random_dataset
@@ -102,6 +103,7 @@ def test_intra_inter_against_loop(small_set):
     for g in range(small_set.n_identities):
         want = float(np.mean([mu[g] @ mu[j] for j in nb[g]]))
         assert s_inter[g] == pytest.approx(want, abs=1e-12)
+    assert np.array_equal(s_inter, neighbor_mean_similarity(mv, nb))  # bitwise
 
 
 def test_means_not_renormalized_before_averaging(rng):

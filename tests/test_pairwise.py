@@ -32,7 +32,7 @@ from fairpair.pairwise import (
     topk_neighbors,
     unit_rows,
 )
-from fairpair.store import EmbeddingSet, LabelTable, mean_vectors
+from fairpair.store import EmbeddingSet, LabelTable, MeanVectors, mean_vectors
 
 from conftest import CAP_OFFSETS, random_dataset, solve_at_cap
 
@@ -282,18 +282,29 @@ def test_histogram_totals(small_set):
 
 # --- nearest identity means ----------------------------------------------------
 
+def _tied_means(g=40, seed=1):
+    """Means along a few directions whose unit vectors and cosines are exact: many ties."""
+    rng = np.random.default_rng(seed)
+    dirs = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0],
+                     [1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1]], dtype=np.float64)
+    means = dirs[rng.integers(0, len(dirs), g)] * rng.integers(1, 4, size=(g, 1))
+    return MeanVectors(means=means, counts=np.ones(g, dtype=np.int64))
+
+
 def test_topk_matches_sort(small_set):
-    mv = mean_vectors(small_set)
-    mu = mv.means / np.linalg.norm(mv.means, axis=1, keepdims=True)
-    sims = mu @ mu.T
-    np.fill_diagonal(sims, -np.inf)
-    g = sims.shape[0]
-    for k in (1, 3, g - 1):
-        nb = topk_neighbors(mv, k)
-        for i in range(g):
-            # stable selection: sort by (-sim, index)
-            want = sorted(range(g), key=lambda j: (-sims[i, j], j))[:k]
-            assert list(nb[i]) == want
+    # blocks of 7 rows split the tie runs of the tied set across block edges
+    for mv, every_k in ((mean_vectors(small_set), False), (_tied_means(), True)):
+        mu = mv.means / np.linalg.norm(mv.means, axis=1, keepdims=True)
+        sims = mu @ mu.T
+        np.fill_diagonal(sims, -np.inf)
+        g = sims.shape[0]
+        for k in range(1, g) if every_k else (1, 3, g - 1):
+            for block in (512, 7):
+                nb = topk_neighbors(mv, k, block=block)
+                for i in range(g):
+                    # stable selection: sort by (-sim, index)
+                    want = sorted(range(g), key=lambda j: (-sims[i, j], j))[:k]
+                    assert list(nb[i]) == want
 
 
 def test_topk_tie_breaks_to_lower_index():
@@ -302,9 +313,17 @@ def test_topk_tie_breaks_to_lower_index():
         vectors=base.astype(np.float32),
         identity=np.arange(4), attribute=np.zeros(4, np.int64),
         labels=LabelTable.default(4, 1)))
-    nb = topk_neighbors(mv, 2)
-    assert list(nb[0]) == [1, 2]  # identities 1,2,3 tie; lower indices win
-    assert list(nb[3]) == [1, 2]
+    for block in (512, 3):
+        nb = topk_neighbors(mv, 2, block=block)
+        assert list(nb[0]) == [1, 2]  # identities 1,2,3 tie; lower indices win
+        assert list(nb[3]) == [1, 2]
+    # 40 identities on six directions: the first K of each run of equal means win
+    mv = _tied_means()
+    mu = mv.means / np.linalg.norm(mv.means, axis=1, keepdims=True)
+    for i in (0, 39):
+        same = [j for j in range(40) if j != i and np.array_equal(mu[j], mu[i])]
+        for block in (512, 7):
+            assert list(topk_neighbors(mv, 3, block=block)[i]) == same[:3]
 
 
 def test_neighbor_mean_similarity(small_set):
@@ -315,6 +334,19 @@ def test_neighbor_mean_similarity(small_set):
     for i in range(len(mu)):
         want = float(np.mean([mu[i] @ mu[j] for j in nb[i]]))
         assert abs(got[i] - want) < 1e-12
+
+
+def test_zero_mean_rejected():
+    # identity 0 holds v and -v, so its mean is exactly zero and has no direction
+    v = np.array([[1.0, 2.0], [-1.0, -2.0], [0.0, 1.0], [1.0, 0.0]], dtype=np.float32)
+    ds = EmbeddingSet(vectors=v, identity=np.array([0, 0, 1, 2]),
+                      attribute=np.zeros(4, np.int64), labels=LabelTable.default(3, 1))
+    mv = mean_vectors(ds)
+    for call in (lambda: topk_neighbors(mv, 1),
+                 lambda: neighbor_mean_similarity(mv, np.array([[1], [2], [1]])),
+                 lambda: metrics.intra_inter_similarity(ds, mv, 1)):
+        with pytest.raises(DomainError, match="identity 0 has a zero mean"):
+            call()
 
 
 def test_topk_k_out_of_range(small_set):
@@ -465,6 +497,39 @@ def test_exact_grid_rounds_cancelling_sums_correctly():
     want = np.array([[_fsum_round(u[i], u[j]) for j in cols] for i in rows])
     u64 = u.astype(np.float64)
     assert np.count_nonzero((u64[rows] @ u64[cols].T).astype(np.float32) != want) >= 2
+    assert np.array_equal(pairwise._exact_grid(u, rows, cols), want)
+    i, j = np.meshgrid(rows, cols, indexing="ij")
+    assert np.array_equal(pairwise._exact_pairs(u, i.ravel(), j.ravel(), 7), want.ravel())
+
+
+def test_exact_grid_margin_holds_under_worst_case_gemm_error(monkeypatch):
+    # d = 512 rows with two nonzero entries whose float64 dot products are
+    # exact: some lie on a float32 rounding midpoint, others t * 2^-49 from
+    # one, well inside the float64 margin e of `_exact_grid` (about 2^-43)
+    d, steps = 512, np.array([0, 1, -1, 5, -5, 30, -30, 60, -60])
+    x = np.zeros((20, d), dtype=np.float32)
+    x[:, 0], x[:, 1] = 0.5 + np.arange(20) * 2.0**-24, 1.0
+    y = np.zeros((len(steps), d), dtype=np.float32)
+    y[:, 0], y[:, 1] = 1.0, 2.0**-25 + steps * 2.0**-49
+    y[1::2, :2] *= -1.0  # negative similarities as well
+    u = np.concatenate([x, y])
+    rows, cols = np.arange(len(x)), np.arange(len(x), len(u))
+    want = np.array([[_fsum_round(u[i], u[j]) for j in cols] for i in rows])
+    u64 = u.astype(np.float64)
+    assert np.array_equal(u64[rows] @ u64[cols].T, [[math.fsum(u64[i] * u64[j]) for j in cols]
+                                                    for i in rows])  # the GEMM itself is exact
+    g = d * 2.0**-53 / (1 - d * 2.0**-53)
+    e = 2 * g * float(np.einsum("ij,ij->i", u64, u64).max())
+
+    def push(s64):
+        """Every value moved 0.9 e toward its nearest float32 rounding midpoint."""
+        r = s64.astype(np.float32).astype(np.float64)
+        return s64 + np.where(s64 >= r, 0.9, -0.9) * e
+
+    # the move crosses a midpoint for every pair: no plain rounding is right
+    assert np.all(push(u64[rows] @ u64[cols].T).astype(np.float32) != want)
+    rounded = pairwise._rounded
+    monkeypatch.setattr(pairwise, "_rounded", lambda s64, *args: rounded(push(s64), *args))
     assert np.array_equal(pairwise._exact_grid(u, rows, cols), want)
     i, j = np.meshgrid(rows, cols, indexing="ij")
     assert np.array_equal(pairwise._exact_pairs(u, i.ravel(), j.ravel(), 7), want.ravel())
