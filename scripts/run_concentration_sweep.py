@@ -13,9 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from fairpair.metrics import attribute_rates, intra_inter_similarity
-from fairpair.pairwise import confusion_sweep, solve_threshold
-from fairpair.store import mean_vectors
+from fairpair.metrics import EvalConfig, evaluate_dataset
 from fairpair.synth import BiasProfile, GroupSpec, gen_population
 
 
@@ -37,12 +35,9 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     kappas = [float(s) for s in args.kappas.split(",")]
-    g = 2 * args.identities  # the swept and the fixed group
-    k = min(args.k, g - 1)
-    if k != args.k:
-        print(f"K clamped from {args.k} to {k} (only {g} identities)", file=sys.stderr)
+    config = EvalConfig(target_fpr=args.target_fpr, k=args.k)
 
-    rows = []
+    rows, said = [], set()
     for kappa in kappas:
         profile = BiasProfile(dim=args.dim, images_per_identity=args.images, groups=(
             GroupSpec(name="swept", identities=args.identities,
@@ -51,18 +46,20 @@ def main(argv=None):
                       concentration=args.fixed_kappa, noise=args.noise),
         ))
         dataset, truth = gen_population(profile, seed=args.seed)
-        result = solve_threshold(dataset, args.target_fpr)
-        acc = confusion_sweep(dataset, result.threshold)
-        rates = attribute_rates(acc)
-        _, s_inter = intra_inter_similarity(dataset, mean_vectors(dataset), k)
+        report = evaluate_dataset(dataset, config)
+        for warning in report.warnings:  # the same K clamp comes with every kappa
+            if warning not in said:
+                said.add(warning)
+                print(warning, file=sys.stderr)
+        result, s_inter = report.threshold, report.s_inter
         swept = truth.identity_group == 0
         rows.append({
             "kappa": kappa,
             "threshold": result.threshold,
             "s_inter_swept": float(s_inter[swept].mean()),
             "s_inter_fixed": float(s_inter[~swept].mean()),
-            "afpr_swept": float(rates.afpr[0]),
-            "afpr_fixed": float(rates.afpr[1]),
+            "afpr_swept": float(report.attributes.afpr[0]),
+            "afpr_fixed": float(report.attributes.afpr[1]),
         })
         print(f"kappa {kappa:g}: threshold {result.threshold:.4f} "
               f"(realized {result.realized_fp}/{result.total_negatives})", file=sys.stderr)

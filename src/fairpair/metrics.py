@@ -381,7 +381,8 @@ class EvalConfig:
     target_fpr: float = 1e-5
     k: int = 50
     bins: int = 200
-    threshold_bins: int = 200  # checked (>= 2) by solve_threshold; T does not depend on it
+    # read only by perfbench's histogram probe; goes with that probe (ROADMAP item 1)
+    threshold_bins: int = 200
     tile: int = DEFAULT_TILE
     workers: int = 1
     seed: int | None = None
@@ -396,8 +397,8 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
 
     rows = unit_rows(dataset)
     say(f"solving threshold for target FPR {config.target_fpr:g}")
-    thresh = solve_threshold(dataset, config.target_fpr, bins=config.threshold_bins,
-                             tile=config.tile, workers=config.workers, rows=rows)
+    thresh = solve_threshold(dataset, config.target_fpr, tile=config.tile,
+                             workers=config.workers, rows=rows)
     say(f"threshold {thresh.threshold:.9g} (allowed {thresh.allowed_fp}, "
         f"realized {thresh.realized_fp} of {thresh.total_negatives})")
 

@@ -39,9 +39,11 @@ two-pass radix select over order-preserving keys of the float32 values:
 65,536 counters per pass and worker, whatever the value distribution or the
 number of ties.
 
-The radix select and `sweep_histogram` need every value, so they compute
-whole tiles with `_exact_grid` (the float64 GEMM, rounded as above) instead
-of the screen, and count each unordered pair twice.
+The radix select and `sweep_histogram` need every value, so they share one
+exact count, `_exact_counts`: it computes whole tiles with `_exact_grid` (the
+float64 GEMM, rounded as above) instead of the screen, maps each negative
+pair's value to a bucket and counts each unordered pair twice. A radix pass
+and the histogram differ only in their bucket map.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .errors import DegenerateDataError, DomainError
 from .store import EmbeddingSet, MeanVectors, normalize
 
 DEFAULT_TILE = 768
-HIST_SLACK = 1e-6  # widens [-1, 1] so rounded endpoints stay in range
 COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
 
 # column order of every count quadruple
@@ -261,8 +262,8 @@ def _row_blocks(n: int, tile: int):
         yield i0, min(i0 + tile, n)
 
 
-def _map_blocks(fn, n: int, tile: int, workers: int) -> list:
-    blocks = list(_row_blocks(n, tile))
+def _map_blocks(fn, blocks, workers: int) -> list:
+    blocks = list(blocks)
     if workers <= 1:
         return [fn(i0, i1) for i0, i1 in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -300,62 +301,36 @@ def _negatives(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None) -> 
     return np.flatnonzero(_upper(neg, i0, j0))
 
 
-@dataclass
-class NegSimHistogram:
-    """Fixed-bin counts of all ordered negative-pair similarities."""
+def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
+                  tile: int, workers: int, where=None) -> np.ndarray:
+    """(size,) int64 counts of the ordered negative pairs by the bucket of their value.
 
-    lo: float
-    hi: float
-    counts: np.ndarray  # (B,) int64
-    total: int
-
-    @property
-    def bins(self) -> int:
-        return len(self.counts)
-
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / self.bins
-
-    @property
-    def edges(self) -> np.ndarray:
-        """(bins+1,) float64 boundaries; bin b holds edges[b] <= v < edges[b+1]."""
-        e = self.lo + self.width * np.arange(self.bins + 1, dtype=np.float64)
-        e[0], e[-1] = self.lo, self.hi
-        return e
-
-    def bin_index(self, values: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.edges[1:-1], values.astype(np.float64), side="right")
-
-
-def _range_hist(u32: np.ndarray, ids: np.ndarray, lo: float, hi: float, bins: int,
-                tile: int, workers: int) -> NegSimHistogram:
-    """Histogram of ordered negative similarities restricted to lo <= s < hi."""
-    hist = NegSimHistogram(lo=lo, hi=hi, counts=np.zeros(bins, dtype=np.int64), total=0)
-
+    Every tile is computed exactly. `bucket` maps a float32 array of values
+    to the bucket of each one it counts, in [0, size); it may drop values.
+    `where`, given a tile, masks the entries to consider at all.
+    """
     def block(i0, i1):
-        counts = np.zeros(bins, dtype=np.int64)
+        counts = np.zeros(size, dtype=np.int64)
         for j0, s in _half_tiles(u32, i0, i1, tile, exact=True):
-            # compare in float64: a float32 compare would round lo/hi and
-            # disagree with the float64 edge partition used by bin_index
-            vals = s.ravel()[_negatives(s, ids, i0, j0)].astype(np.float64)
-            vals = vals[(vals >= lo) & (vals < hi)]
-            counts += 2 * np.bincount(hist.bin_index(vals), minlength=bins)
+            vals = s.ravel()[_negatives(s, ids, i0, j0, None if where is None else where(s))]
+            counts += np.bincount(bucket(vals), minlength=size)
         return counts
-
-    for c in _map_blocks(block, len(ids), tile, workers):
-        hist.counts += c
-    hist.total = int(hist.counts.sum())
-    return hist
+    return 2 * sum(_map_blocks(block, _row_blocks(len(ids), tile), workers))
 
 
 def sweep_histogram(dataset: EmbeddingSet, bins: int,
-                    tile: int = DEFAULT_TILE, workers: int = 1) -> NegSimHistogram:
-    """Full-range histogram of every ordered negative-pair similarity."""
+                    tile: int = DEFAULT_TILE, workers: int = 1) -> np.ndarray:
+    """(bins,) int64 counts of every ordered negative-pair similarity over [-1, 1].
+
+    The interior edges are those of `np.linspace(-1, 1, bins + 1)`; bin b
+    holds edges[b] <= s < edges[b + 1], and the last bin also holds 1.
+    """
     if bins < 2:
         raise DomainError(f"histogram needs at least 2 bins, got {bins}")
-    return _range_hist(unit_rows(dataset), dataset.identity,
-                       -1.0 - HIST_SLACK, 1.0 + HIST_SLACK, bins, tile, workers)
+    edges = np.linspace(-1.0, 1.0, bins + 1)[1:-1]
+    return _exact_counts(unit_rows(dataset), dataset.identity,
+                         lambda v: np.searchsorted(edges, v.astype(np.float64), side="right"),
+                         bins, tile, workers)
 
 
 def _keep_top(u32: np.ndarray, vals: np.ndarray, pairs: np.ndarray, known: np.ndarray,
@@ -403,7 +378,9 @@ def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
     which no screened value can reach the global top-k. A finished slab
     merges into the global top-k at once, so memory stays O(k) per worker,
     whatever the ties. Entries carry a flag once they hold their exact value,
-    so no pair is refined twice within a buffer.
+    so no pair is refined twice within a buffer. The first slab runs alone, as
+    its tiles buffer all their negatives; workers doing that at once would make
+    the peak memory depend on thread timing. Later slabs start from its floor.
     """
     n = len(ids)
     index_type = np.uint32 if n * n < 1 << 32 else np.int64
@@ -443,7 +420,9 @@ def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
                 *top, kth, above = _keep_top(u32, *top, k, delta, tile)
                 floor = max(floor, _f32_out(float(kth) - delta, up=False))
 
-    _map_blocks(block, n, tile, workers)
+    first, *rest = _row_blocks(n, tile)
+    block(*first)
+    _map_blocks(block, rest, workers)
     if kth is None:
         raise AssertionError(f"top-k pass found fewer than {k} negative pairs")
     return kth, above
@@ -478,25 +457,20 @@ def _radix_select(u32: np.ndarray, ids: np.ndarray, k: int,
     keys are built for those alone. Both passes hold 65,536 counters per
     worker, whatever the input. Each unordered pair counts twice.
     """
-    def digit_counts(high):
-        if high is not None:
-            # the bucket's values form the closed float range [lo, hi]; the
-            # range can also admit a zero of the other sign, which the key
-            # test below drops
-            lo, hi = _key_value(high << 16), _key_value(high << 16 | 0xFFFF)
+    n16 = 1 << 16
+    high, above = _rank_bucket(
+        _exact_counts(u32, ids, lambda v: _radix_key(v) >> 16, n16, tile, workers), k)
+    # the bucket's values form the closed float range [lo, hi]; the range can
+    # also admit a zero of the other sign, which the key test drops
+    lo, hi = _key_value(high << 16), _key_value(high << 16 | 0xFFFF)
 
-        def block(i0, i1):
-            counts = np.zeros(1 << 16, dtype=np.int64)
-            for j0, s in _half_tiles(u32, i0, i1, tile, exact=True):
-                where = None if high is None else (s >= lo) & (s <= hi)
-                key = _radix_key(s.ravel()[_negatives(s, ids, i0, j0, where)])
-                digits = key >> 16 if high is None else key[key >> 16 == high] & 0xFFFF
-                counts += 2 * np.bincount(digits, minlength=1 << 16)
-            return counts
-        return sum(_map_blocks(block, len(ids), tile, workers))
+    def low_digits(v):
+        key = _radix_key(v)
+        return key[key >> 16 == high] & 0xFFFF
 
-    high, above = _rank_bucket(digit_counts(None), k)
-    low, within = _rank_bucket(digit_counts(high), k - above)
+    low, within = _rank_bucket(
+        _exact_counts(u32, ids, low_digits, n16, tile, workers,
+                      where=lambda s: (s >= lo) & (s <= hi)), k - above)
     return float(_key_value(high << 16 | low)), above + within
 
 
@@ -512,7 +486,7 @@ class ThresholdResult:
     degenerate: bool = False
 
 
-def solve_threshold(dataset: EmbeddingSet, target_fpr: float, bins: int = 200,
+def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
                     tile: int = DEFAULT_TILE, workers: int = 1, *,
                     rows: np.ndarray | None = None) -> ThresholdResult:
     """Find the similarity cutoff whose strict-greater FP count meets the target.
@@ -523,13 +497,11 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float, bins: int = 200,
     over the unordered pairs keeps the exact top-ceil(k/2) (O(k) memory per
     worker) and T is its minimum; otherwise a two-pass radix select over the
     float32 bit patterns finds T in fixed memory. `rows` passes the
-    `unit_rows` of the dataset when the caller has them. `bins` is validated
-    for callers but does not affect the solve. A zero threshold is always +0.0.
+    `unit_rows` of the dataset when the caller has them. A zero threshold is
+    always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
         raise DomainError(f"target FPR must lie in (0, 1], got {target_fpr}")
-    if bins < 2:
-        raise DomainError(f"threshold search needs at least 2 bins, got {bins}")
     _, total_neg = ordered_pair_totals(dataset)
     if total_neg == 0:
         raise DegenerateDataError("dataset has no negative ordered pairs")
@@ -554,11 +526,9 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float, bins: int = 200,
 
 @dataclass
 class PairStatsAccumulator:
-    """Mergeable integer confusion counts, binned by the pair's first element.
+    """Integer confusion counts of the ordered pairs, binned by the pair's first element.
 
-    Column order is TP, FP, TN, FN. Merging accumulators from disjoint
-    pair blocks is plain integer addition, so any tile schedule and any
-    worker count produce identical totals.
+    Column order is TP, FP, TN, FN.
     """
 
     identity_counts: np.ndarray   # (G, 4) int64
@@ -574,16 +544,6 @@ class PairStatsAccumulator:
     @property
     def overall(self) -> np.ndarray:
         return self.identity_counts.sum(axis=0)
-
-    def merge(self, other: "PairStatsAccumulator") -> "PairStatsAccumulator":
-        return PairStatsAccumulator(
-            identity_counts=self.identity_counts + other.identity_counts,
-            attribute_counts=self.attribute_counts + other.attribute_counts,
-        )
-
-    def check_consistent(self) -> None:
-        if not np.array_equal(self.identity_counts.sum(axis=0), self.attribute_counts.sum(axis=0)):
-            raise AssertionError("per-identity and per-attribute totals disagree")
 
 
 def confusion_sweep(dataset: EmbeddingSet, threshold: float,
@@ -626,7 +586,7 @@ def confusion_sweep(dataset: EmbeddingSet, threshold: float,
             above[:] += mine
             tp[:] += mine_tp
 
-    _map_blocks(block, n, tile, workers)
+    _map_blocks(block, _row_blocks(n, tile), workers)
     size = np.bincount(ids, minlength=dataset.n_identities)[ids]
     fp = above - tp
     quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)

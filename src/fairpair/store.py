@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,10 +160,16 @@ def normalize(v) -> np.ndarray:
 
 
 def mean_vectors(dataset: EmbeddingSet) -> MeanVectors:
-    """Arithmetic mean of each identity's vectors, accumulated in float64 row order."""
-    g = dataset.n_identities
+    """Arithmetic mean of each identity's vectors, accumulated in float64 row order.
+
+    Rows are cast to float64 a chunk at a time, so the cast copy stays
+    O(chunk * d) while every row still adds in the order it is stored.
+    """
+    g, chunk = dataset.n_identities, 4096
     sums = np.zeros((g, dataset.dim), dtype=np.float64)
-    np.add.at(sums, dataset.identity, dataset.vectors.astype(np.float64))
+    for i0 in range(0, dataset.n, chunk):
+        np.add.at(sums, dataset.identity[i0:i0 + chunk],
+                  dataset.vectors[i0:i0 + chunk].astype(np.float64))
     counts = np.bincount(dataset.identity, minlength=g).astype(np.int64)
     return MeanVectors(means=sums / counts[:, None], counts=counts)
 
@@ -184,10 +191,15 @@ def save_dataset(path, dataset: EmbeddingSet) -> None:
 
 
 def _read_exact(f, count: int, offset: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise FormatError(f"truncated {what} at byte {offset}: wanted {count} bytes, got {len(buf)}")
-    return buf
+    """`count` bytes from f, checked against the bytes left before any is read.
+
+    A forged header can ask for more than memory holds, so the file length,
+    not the read, decides whether the request is truncated.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise FormatError(f"truncated {what} at byte {offset}: wanted {count} bytes, got {left}")
+    return f.read(count)
 
 
 def load_dataset(path) -> EmbeddingSet:

@@ -11,7 +11,8 @@ still measures it every iteration, so the two traces are directly comparable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,33 +73,19 @@ class TrainConfig:
 
 
 def parse_train_config(text: str, d_in: int | None = None) -> TrainConfig:
+    """A TrainConfig from `key = value` lines: its field names, cast to their types.
+
+    `decay_epochs` is a comma-separated list. An absent key keeps the field's
+    default; `d_in`, which has none, falls back to the argument (without it,
+    to 0, which TrainConfig rejects).
+    """
     kv = parse_kv(text)
-    decay_raw = kv_get(kv, "decay_epochs", str, default="")
-    decay = tuple(int(p) for p in decay_raw.split(",") if p.strip()) if decay_raw else ()
-    cfg = TrainConfig(
-        d_in=kv_get(kv, "d_in", int, default=d_in if d_in is not None else 0),
-        d_k=kv_get(kv, "d_k", int, default=32),
-        d_f=kv_get(kv, "d_f", int, default=16),
-        n_id=kv_get(kv, "n_id", int, default=0),
-        lr=kv_get(kv, "lr", float, default=0.1),
-        decay_epochs=decay,
-        decay_factor=kv_get(kv, "decay_factor", float, default=0.1),
-        momentum=kv_get(kv, "momentum", float, default=0.9),
-        weight_decay=kv_get(kv, "weight_decay", float, default=5e-4),
-        batch_size=kv_get(kv, "batch_size", int, default=64),
-        epochs=kv_get(kv, "epochs", int, default=40),
-        seed=kv_get(kv, "seed", int, default=0),
-        mode=kv_get(kv, "mode", str, default="mixfair"),
-        detach_eps=kv_get(kv, "detach_eps", bool, default=False),
-        encoder_act=kv_get(kv, "encoder_act", str, default="softplus"),
-        debias_act=kv_get(kv, "debias_act", str, default="identity"),
-        scale=kv_get(kv, "scale", float, default=64.0),
-        margin=kv_get(kv, "margin", float, default=0.35),
-    )
-    known = {"d_in", "d_k", "d_f", "n_id", "lr", "decay_epochs", "decay_factor",
-             "momentum", "weight_decay", "batch_size", "epochs", "seed", "mode",
-             "detach_eps", "encoder_act", "debias_act", "scale", "margin"}
-    unknown = set(kv) - known
+    casts = typing.get_type_hints(TrainConfig)
+    casts["decay_epochs"] = lambda v: tuple(int(p) for p in v.split(",") if p.strip())
+    names = {f.name for f in fields(TrainConfig)}
+    cfg = TrainConfig(**{"d_in": d_in if d_in is not None else 0,
+                         **{name: kv_get(kv, name, casts[name]) for name in names & set(kv)}})
+    unknown = set(kv) - names
     if unknown:
         raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
     return cfg

@@ -138,7 +138,7 @@ def test_criterion_1_engine_matches_naive_reference():
         sims = _oracle_sims(ds)
 
         target = float(rng.choice([1e-4, 1e-3, 1e-2, 0.07, 0.3]))
-        res = pairwise.solve_threshold(ds, target, bins=int(rng.choice([2, 16, 200])))
+        res = pairwise.solve_threshold(ds, target, workers=int(rng.choice([1, 2, 3])))
         offd = ~np.eye(n, dtype=bool)
         quant = float(np.quantile(sims[offd].astype(np.float64), 0.97))
 
@@ -166,7 +166,7 @@ def test_criterion_1_engine_matches_naive_reference():
 
 
 # ---------------------------------------------------------------------------
-# 2. threshold guarantees, invariant to bin count
+# 2. threshold guarantees, invariant to the tile and worker schedule
 
 def test_criterion_2_threshold_guarantees_and_bin_invariance():
     rng = np.random.default_rng(42)
@@ -193,8 +193,8 @@ def test_criterion_2_threshold_guarantees_and_bin_invariance():
             ds = _random_set(rng, n, int(rng.integers(2, 49)), g, int(rng.integers(1, 6)))
         target = targets[inst % len(targets)]
 
-        results = [pairwise.solve_threshold(ds, target, bins=b)
-                   for b in (2, 16, 200, 4096)]
+        results = [pairwise.solve_threshold(ds, target, tile=tile, workers=workers)
+                   for tile, workers in ((768, 1), (7, 1), (7, 3), (37, 2))]
         if inst < 2:
             # the tie cases also through the radix select and the path boundary
             results += [solve_at_cap(ds, target, off) for off in CAP_OFFSETS]
@@ -213,9 +213,9 @@ def test_criterion_2_threshold_guarantees_and_bin_invariance():
         at_least = int(np.count_nonzero(negvals >= first.threshold))
         assert strictly_over == first.realized_fp
         assert strictly_over <= allowed < at_least
-    print("\n[2] 100 instances x bins {2,16,200,4096}: realized <= floor(target*neg) "
-          "< count(>= T), identical across bin counts and, for the tie cases, "
-          "across the top-k and radix paths")
+    print("\n[2] 100 instances x (tile, workers) {(768,1),(7,1),(7,3),(37,2)}: "
+          "realized <= floor(target*neg) < count(>= T), identical across schedules "
+          "and, for the tie cases, across the top-k and radix paths")
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,14 @@ def test_eval_corrupt_input_exit_3(tmp_path, capsys):
     assert main(["eval", "--in", str(bad), "--out-dir", str(tmp_path / "o")]) == 3
 
 
+def test_eval_forged_header_exit_3(tmp_path, capsys):
+    # a header claiming N = d = 2^30 must be refused by length, not read
+    bad = tmp_path / "forged.ffeb"
+    bad.write_bytes(b"FFEB" + np.array([1, 2**30, 2**30, 1, 1], dtype="<u4").tobytes())
+    assert main(["eval", "--in", str(bad), "--out-dir", str(tmp_path / "o")]) == 3
+    assert "truncated vector payload at byte 24" in capsys.readouterr().err
+
+
 def test_eval_bad_fpr_exit_2(tmp_path, pop_path, capsys):
     assert main(["eval", "--in", str(pop_path), "--out-dir", str(tmp_path / "o"),
                  "--target-fpr", "0"]) == 2

@@ -217,7 +217,7 @@ def test_report_k_clamp_warning(small_set):
 def test_report_matches_components(small_set):
     cfg = EvalConfig(target_fpr=2e-2, k=5, bins=12)
     rep = evaluate_dataset(small_set, cfg)
-    r = solve_threshold(small_set, cfg.target_fpr, bins=cfg.threshold_bins)
+    r = solve_threshold(small_set, cfg.target_fpr)
     acc = confusion_sweep(small_set, r.threshold)
     idr = identity_rates(acc)
     np.testing.assert_array_equal(

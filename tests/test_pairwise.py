@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from fairpair import metrics, pairwise
 from fairpair.errors import DegenerateDataError, DomainError
 from fairpair.pairwise import (
-    PairStatsAccumulator,
     confusion_sweep,
     cosine_similarity,
     neighbor_mean_similarity,
@@ -146,18 +145,6 @@ def test_equality_counts_negative(rng):
     assert acc.overall[2] == 24 and acc.overall[3] == 6
 
 
-def test_accumulator_merge_is_addition(rng):
-    a = PairStatsAccumulator.zeros(3, 2)
-    b = PairStatsAccumulator.zeros(3, 2)
-    a.identity_counts += rng.integers(0, 10, size=(3, 4))
-    b.identity_counts += rng.integers(0, 10, size=(3, 4))
-    a.attribute_counts += a.identity_counts[:2] * 0 + 1
-    b.attribute_counts += 2
-    m = a.merge(b)
-    assert np.array_equal(m.identity_counts, a.identity_counts + b.identity_counts)
-    assert np.array_equal(m.attribute_counts, a.attribute_counts + b.attribute_counts)
-
-
 # --- threshold solver ---------------------------------------------------------
 
 @settings(max_examples=20, deadline=None)
@@ -167,20 +154,13 @@ def test_threshold_matches_oracle(seed, tfpr):
     ds = random_dataset(np.random.default_rng(seed), n=50, d=5, g=8, m=2)
     ot, oallowed, orealized = oracle_threshold(ds, tfpr)
     for cap_offset in CAP_OFFSETS:
-        r = solve_at_cap(ds, tfpr, cap_offset, bins=16)
+        r = solve_at_cap(ds, tfpr, cap_offset)
         assert r.allowed_fp == oallowed
         if np.isinf(ot):
             assert r.degenerate and np.isneginf(r.threshold)
         else:
             assert r.threshold == ot
             assert r.realized_fp == orealized
-
-
-@pytest.mark.parametrize("bins", [2, 16, 200, 4096])
-def test_bin_count_invariance(small_set, bins):
-    r = solve_threshold(small_set, 1e-3, bins=bins)
-    ref = solve_threshold(small_set, 1e-3, bins=37)
-    assert (r.threshold, r.realized_fp, r.allowed_fp) == (ref.threshold, ref.realized_fp, ref.allowed_fp)
 
 
 def test_threshold_guarantees(small_set):
@@ -202,9 +182,9 @@ def test_threshold_worker_invariance(small_set):
     big = random_dataset(np.random.default_rng(7), n=400, d=6, g=80, m=2)
     ot, _, orealized = oracle_threshold(big, 2e-3)
     for cap_offset in CAP_OFFSETS:
-        base = solve_at_cap(small_set, 2e-3, cap_offset, bins=200, workers=1)
+        base = solve_at_cap(small_set, 2e-3, cap_offset, workers=1)
         for w in (4, 8):
-            r = solve_at_cap(small_set, 2e-3, cap_offset, bins=200, workers=w, tile=11)
+            r = solve_at_cap(small_set, 2e-3, cap_offset, workers=w, tile=11)
             assert (r.threshold, r.realized_fp) == (base.threshold, base.realized_fp)
 
         base = solve_at_cap(big, 2e-3, cap_offset, workers=1, tile=7)
@@ -218,6 +198,25 @@ def test_threshold_worker_invariance(small_set):
         assert (r.threshold, r.realized_fp) == (ot, orealized)
 
 
+def test_top_k_first_slab_runs_alone(monkeypatch):
+    # before the first cut there is no floor and every tile buffers all of its
+    # negatives; the first slab sweeps alone, so workers never do that at once
+    events = []
+    half_tiles = pairwise._half_tiles
+
+    def tiles(u32, i0, i1, tile, exact=False):
+        events.append(("start", i0))
+        yield from half_tiles(u32, i0, i1, tile, exact)
+        events.append(("end", i0))
+
+    monkeypatch.setattr(pairwise, "_half_tiles", tiles)
+    big = random_dataset(np.random.default_rng(7), n=400, d=6, g=80, m=2)
+    r = solve_threshold(big, 2e-3, tile=7, workers=4)
+    assert (r.threshold, r.realized_fp) == oracle_threshold(big, 2e-3)[::2]
+    assert events[:2] == [("start", 0), ("end", 0)]
+    assert sorted(i0 for what, i0 in events if what == "start") == list(range(0, 400, 7))
+
+
 def test_threshold_massive_ties():
     # one similarity value repeated far beyond any bin's capacity to split
     vecs = np.tile(np.array([[1.0, 2.0, 2.0]], dtype=np.float32), (40, 1))
@@ -225,7 +224,7 @@ def test_threshold_massive_ties():
                       attribute=np.zeros(40, np.int64),
                       labels=LabelTable.default(20, 1))
     for cap_offset in CAP_OFFSETS:
-        r = solve_at_cap(ds, 0.5, cap_offset, bins=2)
+        r = solve_at_cap(ds, 0.5, cap_offset)
         # every negative similarity is exactly 1.0: rank selection must return it
         assert r.threshold == 1.0
         assert r.realized_fp == 0  # nothing is strictly greater
@@ -273,9 +272,13 @@ def test_bad_target_fpr_rejected(small_set):
 
 
 def test_histogram_totals(small_set):
-    hist = sweep_histogram(small_set, bins=64)
+    counts = sweep_histogram(small_set, bins=64)
     _, neg = ordered_pair_totals(small_set)
-    assert hist.total == neg == int(hist.counts.sum())
+    assert counts.dtype == np.int64 and int(counts.sum()) == neg
+    s = oracle_sims(small_set)
+    mask = small_set.identity[:, None] != small_set.identity[None, :]
+    want, _ = np.histogram(s[mask].astype(np.float64), bins=np.linspace(-1.0, 1.0, 65))
+    assert np.array_equal(counts, want)
     with pytest.raises(DomainError):
         sweep_histogram(small_set, bins=1)
 
@@ -576,10 +579,10 @@ def test_one_similarity_on_every_path():
                 assert (r.threshold, r.realized_fp) == (t, np.count_nonzero(vals > t))
                 acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers)
                 assert acc.overall[pairwise.FP] == r.realized_fp
-    # the histogram bins the pair by its exact value too
-    lo = float(want[0, 1])
-    hist = pairwise._range_hist(u, ds.identity, lo, 1.5, 4, 5, 2)
-    assert hist.total == np.count_nonzero(vals >= want[0, 1])
+    # the exact count of the radix select and the histogram buckets it by its exact value too
+    lo = want[0, 1]
+    counts = pairwise._exact_counts(u, ds.identity, lambda v: (v >= lo).astype(np.int64), 2, 5, 2)
+    assert counts[1] == np.count_nonzero(vals >= want[0, 1])
 
 
 def _boundary_set(steps=20):

@@ -83,6 +83,16 @@ def test_truncated_file_names_offset(tmp_path, small_set):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("size", [2**30, 4_000_000_000])
+def test_forged_header_sizes_rejected_before_reading(tmp_path, size):
+    # N = d = size asks for 4 * N * d payload bytes: 2^62, or more than a read can take
+    p = tmp_path / "forged.ffeb"
+    p.write_bytes(struct.pack("<4sIIIII", b"FFEB", 1, size, size, 1, 1) + b"\0" * 16)
+    with pytest.raises(FormatError, match=f"truncated vector payload at byte 24: "
+                                          f"wanted {4 * size * size} bytes, got 16"):
+        load_dataset(p)
+
+
 def test_trailing_garbage_rejected(tmp_path, small_set):
     p = tmp_path / "a.ffeb"
     save_dataset(p, small_set)
@@ -205,6 +215,16 @@ def test_mean_vectors_match_loop(small_set):
         rows = small_set.vectors[small_set.identity == k].astype(np.float64)
         np.testing.assert_allclose(mv.means[k], rows.mean(axis=0), rtol=1e-13)
         assert mv.counts[k] == len(rows)
+
+
+def test_mean_vectors_add_in_row_order():
+    # 9,000 rows cross two chunk boundaries; the sums must equal one float64
+    # pass over all rows in their stored order, bit for bit
+    ds = random_dataset(np.random.default_rng(5), n=9000, d=3, g=7, m=2)
+    sums = np.zeros((ds.n_identities, ds.dim))
+    np.add.at(sums, ds.identity, ds.vectors.astype(np.float64))
+    mv = mean_vectors(ds)
+    assert np.array_equal(mv.means, sums / mv.counts[:, None])
 
 
 def test_normalize_unit_norm(rng):

@@ -197,6 +197,11 @@ def test_parse_train_config_rejects_unknown_key():
         parse_train_config("d_in = 4\nnope = 3\n")
 
 
+def test_parse_train_config_rejects_bad_decay_list():
+    with pytest.raises(ConfigError, match="decay_epochs"):
+        parse_train_config("d_in = 4\ndecay_epochs = 8, x\n")
+
+
 def test_parse_train_config_rejects_bad_mode():
     with pytest.raises(ConfigError):
         parse_train_config("d_in = 4\nmode = fancy\n")
