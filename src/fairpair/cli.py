@@ -10,6 +10,7 @@ problem, 4 degenerate data (e.g. no negative pairs), 5 training divergence
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -20,16 +21,17 @@ from .errors import (ConfigError, DegenerateDataError, DivergenceError,
                      DomainError, FormatError, PairingError, ValidationError)
 from .metrics import (EvalConfig, dumps_stable, evaluate_dataset,
                       intra_inter_similarity, write_histogram_csv,
-                      write_per_identity_csv)
+                      write_per_identity_csv, write_similarity_csv)
 from .model import grad_check, save_model
 from .pairwise import DEFAULT_TILE
 from .store import load_csv, load_dataset, mean_vectors, save_csv, save_dataset
 from .synth import (gen_population, gen_training_set, parse_profile, seeded_rng,
                     split_by_identity)
-from .train import (TrainConfig, encode_dataset, parse_train_config, save_trace,
-                    scaled_decay_epochs, train)
+from .train import TrainConfig, encode_dataset, parse_train_config, save_trace, train
 
 WORKERS_ENV = "FAIRPAIR_WORKERS"
+# train-toy flags that override the TrainConfig field of the same name when given
+TRAIN_FLAGS = ("epochs", "batch_size", "lr", "seed", "d_k", "d_f", "detach_eps")
 
 
 def _progress(msg: str) -> None:
@@ -41,19 +43,20 @@ def _emit(doc: dict) -> None:
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        w = args.workers
-    elif os.environ.get(WORKERS_ENV):
-        try:
-            w = int(os.environ[WORKERS_ENV])
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, "
-                              f"got {os.environ[WORKERS_ENV]!r}")
-    else:
-        w = 1
-    if w < 1:
-        raise ConfigError("worker count must be at least 1")
-    return w
+    if args.workers is not None:
+        return args.workers
+    if not os.environ.get(WORKERS_ENV):
+        return 1
+    try:
+        return int(os.environ[WORKERS_ENV])
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, "
+                          f"got {os.environ[WORKERS_ENV]!r}")
+
+
+def _eval_config(args) -> EvalConfig:
+    return EvalConfig(target_fpr=args.target_fpr, k=args.k, bins=args.bins,
+                      tile=args.tile, workers=_resolve_workers(args))
 
 
 def _read_text(path, what: str) -> str:
@@ -98,23 +101,12 @@ def _write_report(report, out_dir: Path, dataset) -> None:
     (out_dir / "report.json").write_text(report.to_json() + "\n")
 
 
-def _eval_config(args, workers) -> EvalConfig:
-    if args.target_fpr <= 0 or args.target_fpr > 1:
-        raise ConfigError("target FPR must lie in (0, 1]")
-    if args.k < 1:
-        raise ConfigError("K must be at least 1")
-    if args.bins < 2:
-        raise ConfigError("histogram bins must be at least 2")
-    return EvalConfig(target_fpr=args.target_fpr, k=args.k, bins=args.bins,
-                      tile=args.tile, workers=workers)
-
-
 def cmd_eval(args) -> int:
-    workers = _resolve_workers(args)
+    config = _eval_config(args)
     dataset = _load_ffeb(args.input)
     _progress(f"loaded {dataset.n} x {dataset.dim} "
               f"({dataset.n_identities} identities, {dataset.n_attributes} attributes)")
-    report = evaluate_dataset(dataset, _eval_config(args, workers), progress=_progress)
+    report = evaluate_dataset(dataset, config, progress=_progress)
     _write_report(report, Path(args.out_dir), dataset)
     _progress(f"report written to {args.out_dir}")
     _emit(report.to_json_dict())
@@ -122,56 +114,39 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    config = EvalConfig(k=args.k)
     dataset = _load_ffeb(args.input)
-    k = args.k
-    if k < 1:
-        raise ConfigError("K must be at least 1")
-    clamped = min(k, dataset.n_identities - 1)
-    if clamped != k:
-        _progress(f"K clamped from {k} to {clamped}")
+    k, note = config.clamped_k(dataset.n_identities)
+    if note:
+        _progress(note)
     means = mean_vectors(dataset)
-    s_intra, s_inter = intra_inter_similarity(dataset, means, clamped)
-    ident_attr = dataset.identity_attribute()
+    s_intra, s_inter = intra_inter_similarity(dataset, means, k)
     if args.out:
-        import csv as _csv
-        with open(args.out, "w", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(["identity", "name", "attribute", "attribute_name",
-                        "s_intra", "s_inter"])
-            for i in range(dataset.n_identities):
-                w.writerow([i, dataset.labels.identities[i], int(ident_attr[i]),
-                            dataset.labels.attributes[ident_attr[i]],
-                            f"{s_intra[i]:.9g}", f"{s_inter[i]:.9g}"])
+        write_similarity_csv(args.out, dataset, s_intra, s_inter)
         _progress(f"per-identity similarity written to {args.out}")
+    ident_attr = dataset.identity_attribute()
     groups = {}
     for t, name in enumerate(dataset.labels.attributes):
         mask = ident_attr == t
-        groups[name] = {"mean_s_intra": float(s_intra[mask].mean()),
-                        "mean_s_inter": float(s_inter[mask].mean()),
-                        "identities": int(mask.sum())}
-    _emit({"k": clamped, "groups": groups,
+        n = int(mask.sum())   # a group with no identities has no means
+        groups[name] = {"mean_s_intra": float(s_intra[mask].mean()) if n else None,
+                        "mean_s_inter": float(s_inter[mask].mean()) if n else None,
+                        "identities": n}
+    _emit({"k": k, "groups": groups,
            "overall": {"mean_s_intra": float(s_intra.mean()),
                        "mean_s_inter": float(s_inter.mean())}})
     return 0
 
 
 def cmd_train_toy(args) -> int:
-    workers = _resolve_workers(args)
+    eval_cfg = _eval_config(args)
     dataset = _load_ffeb(args.data)
     base = parse_train_config(_read_text(args.config, "training config"),
                               d_in=dataset.dim) if args.config else TrainConfig(d_in=dataset.dim)
-    cfg_kwargs = dict(base.__dict__)
-    cfg_kwargs.update(d_in=dataset.dim, n_id=dataset.n_identities, mode=args.mode)
-    for flag, key in (("epochs", "epochs"), ("batch_size", "batch_size"),
-                      ("lr", "lr"), ("seed", "seed"), ("d_k", "d_k"), ("d_f", "d_f")):
-        v = getattr(args, flag)
-        if v is not None:
-            cfg_kwargs[key] = v
-    if args.epochs is not None and cfg_kwargs["decay_epochs"] == scaled_decay_epochs(base.epochs):
-        cfg_kwargs["decay_epochs"] = ()  # auto schedule follows the overridden epoch count
-    if args.detach_eps:
-        cfg_kwargs["detach_eps"] = True
-    config = TrainConfig(**cfg_kwargs)
+    overrides = {name: getattr(args, name) for name in TRAIN_FLAGS
+                 if getattr(args, name) is not None}
+    config = dataclasses.replace(base, d_in=dataset.dim, n_id=dataset.n_identities,
+                                 mode=args.mode, **overrides)
 
     x = dataset.vectors.astype(np.float64)
     train_idx, eval_idx = split_by_identity(dataset.identity)
@@ -186,8 +161,6 @@ def cmd_train_toy(args) -> int:
 
     encoded = encode_dataset(params, x[eval_idx], dataset.identity[eval_idx],
                              dataset.attribute[eval_idx], dataset.labels)
-    eval_cfg = EvalConfig(target_fpr=args.eval_target_fpr, k=args.k, bins=args.bins,
-                          tile=args.tile, workers=workers)
     report = evaluate_dataset(encoded, eval_cfg, progress=_progress)
     _write_report(report, out_dir, encoded)
 
@@ -296,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--d-k", type=int, default=None)
     p.add_argument("--d-f", type=int, default=None)
-    p.add_argument("--detach-eps", action="store_true",
+    p.add_argument("--detach-eps", action="store_true", default=None,
                    help="stop-gradient ablation for the bias difference")
-    p.add_argument("--eval-target-fpr", dest="eval_target_fpr", type=float, default=1e-2,
+    p.add_argument("--eval-target-fpr", dest="target_fpr", type=float, default=1e-2,
                    help="target FPR for the post-training eval (toy eval sets "
                         "are too small for the production 1e-5)")
     p.add_argument("--k", type=int, default=50)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ConfigError, DomainError, ValidationError
 from .pairwise import (DEFAULT_TILE, FN, FP, TP, TN, PairStatsAccumulator,
                        ThresholdResult, _neighbor_pass, _unit_chunks, _unit_means,
                        confusion_sweep, solve_threshold, unit_rows)
@@ -365,6 +365,20 @@ def write_per_identity_csv(path, dataset: EmbeddingSet, idr: IdentityRates,
             ])
 
 
+def write_similarity_csv(path, dataset: EmbeddingSet, s_intra: np.ndarray,
+                         s_inter: np.ndarray) -> None:
+    """One row per identity: its attribute and Eq-style similarities."""
+    ident_attr = dataset.identity_attribute()
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["identity", "name", "attribute", "attribute_name",
+                    "s_intra", "s_inter"])
+        for k in range(dataset.n_identities):
+            w.writerow([k, dataset.labels.identities[k], int(ident_attr[k]),
+                        dataset.labels.attributes[ident_attr[k]],
+                        f"{s_intra[k]:.9g}", f"{s_inter[k]:.9g}"])
+
+
 def write_histogram_csv(path, table: HistogramTable) -> None:
     """Rows of group,bin_lo,bin_hi,density with 9 significant digits."""
     with open(path, "w", newline="") as f:
@@ -387,6 +401,25 @@ class EvalConfig:
     workers: int = 1
     seed: int | None = None
 
+    def __post_init__(self):
+        if not 0 < self.target_fpr <= 1:
+            raise ConfigError("target FPR must lie in (0, 1]")
+        if self.k < 1:
+            raise ConfigError("K must be at least 1")
+        if self.bins < 2:
+            raise ConfigError("histogram bins must be at least 2")
+        if self.tile < 1:
+            raise ConfigError("tile must be at least 1")
+        if self.workers < 1:
+            raise ConfigError("worker count must be at least 1")
+
+    def clamped_k(self, n_identities: int) -> tuple[int, str | None]:
+        """K cut to the G - 1 other identities, and the note saying so if it was."""
+        k = min(self.k, n_identities - 1)
+        if k == self.k:
+            return k, None
+        return k, f"K clamped from {self.k} to {k} (only {n_identities} identities)"
+
 
 def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
                      progress=None) -> FairnessReport:
@@ -407,11 +440,8 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
                           workers=config.workers, rows=rows)
     del rows  # not held through the similarity analysis, which sets the peak
 
-    warnings = []
-    k = config.k
-    if k > dataset.n_identities - 1:
-        k = dataset.n_identities - 1
-        warnings.append(f"K clamped from {config.k} to {k} (only {dataset.n_identities} identities)")
+    k, note = config.clamped_k(dataset.n_identities)
+    warnings = [note] if note else []
     say(f"similarity analysis with K={k}")
     means = mean_vectors(dataset)
     s_intra, s_inter = intra_inter_similarity(dataset, means, k)

@@ -63,12 +63,11 @@ class TrainConfig:
             raise ConfigError("n_id must be nonnegative")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.decay_epochs:
-            self.decay_epochs = scaled_decay_epochs(self.epochs)
 
     def learning_rate(self, epoch: int) -> float:
         """lr for a 0-based epoch index; each decay point applies from then on."""
-        drops = sum(1 for e in self.decay_epochs if epoch >= e)
+        points = self.decay_epochs or scaled_decay_epochs(self.epochs)
+        drops = sum(1 for e in points if epoch >= e)
         return self.lr * self.decay_factor ** drops
 
 

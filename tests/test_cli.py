@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from fairpair.cli import main
-from fairpair.store import load_dataset, save_dataset
-from fairpair.synth import format_profile, standard_biased_profile, zero_bias_profile
+from fairpair.store import EmbeddingSet, LabelTable, load_dataset, save_dataset
+from fairpair.synth import (format_profile, split_by_identity, standard_biased_profile,
+                            zero_bias_profile)
+from fairpair.train import BASE_DECAY_EPOCHS, TrainConfig, save_trace, scaled_decay_epochs, train
 
 from conftest import random_dataset
 
@@ -151,6 +153,13 @@ def test_eval_bad_fpr_exit_2(tmp_path, pop_path, capsys):
                  "--target-fpr", "0"]) == 2
 
 
+def test_eval_tile_zero_exit_2(tmp_path, pop_path, capsys):
+    assert main(["eval", "--in", str(pop_path), "--out-dir", str(tmp_path / "o"),
+                 "--tile", "0"]) == 2
+    assert "tile must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_eval_single_identity_exit_4(tmp_path, capsys):
     rng = np.random.default_rng(0)
     ds = random_dataset(rng, n=6, g=1, m=1)
@@ -172,6 +181,32 @@ def test_analyze_summary(tmp_path, pop_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0].startswith("identity,name,attribute")
     assert len(lines) == 17
+
+
+def test_analyze_clamps_k_like_eval(tmp_path, pop_path, capsys):
+    assert main(["analyze", "--in", str(pop_path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["k"] == 15
+    assert "K clamped from 50 to 15 (only 16 identities)" in captured.err
+    report = run_json(capsys, ["eval", "--in", str(pop_path), "--out-dir", str(tmp_path / "r"),
+                               "--target-fpr", "1e-2"])
+    assert "K clamped from 50 to 15 (only 16 identities)" in report["warnings"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_group_without_identities(tmp_path, capsys):
+    # the label table names a third attribute that no identity carries
+    ds = random_dataset(np.random.default_rng(3), n=30, d=6, g=6, m=2)
+    labels = LabelTable(identities=ds.labels.identities,
+                        attributes=ds.labels.attributes + ("unused",))
+    p = tmp_path / "empty_group.ffeb"
+    save_dataset(p, EmbeddingSet(vectors=ds.vectors, identity=ds.identity,
+                                 attribute=ds.attribute, labels=labels))
+    code = main(["analyze", "--in", str(p), "--k", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert '"unused":{"identities":0,"mean_s_inter":null,"mean_s_intra":null}' in out
+    assert json.loads(out)["groups"]["attr0"]["identities"] > 0
 
 
 # --- train-toy -------------------------------------------------------------------
@@ -208,12 +243,17 @@ def test_train_toy_model_loadable(train_run):
     assert params.d_k == 6 and params.d_f == 4
 
 
-def test_train_toy_summary_fields(tmp_path, capsys):
+def _toy_training_set(tmp_path):
     profile = tmp_path / "p.cfg"
     profile.write_text(PROFILE.replace("dim = 16", "dim = 8"))
     data = tmp_path / "t.ffeb"
     assert main(["synth", "--profile", str(profile), "--seed", "4",
                  "--out", str(data), "--raw-dim", "8"]) == 0
+    return data
+
+
+def test_train_toy_summary_fields(tmp_path, capsys):
+    data = _toy_training_set(tmp_path)
     capsys.readouterr()
     summary = run_json(capsys, ["train-toy", "--data", str(data),
                                 "--out-dir", str(tmp_path / "run"),
@@ -224,6 +264,44 @@ def test_train_toy_summary_fields(tmp_path, capsys):
                 "ifpr_std", "afpr_std"):
         assert key in summary, key
     assert summary["mode"] == "cosface"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tile", "0", "tile must be at least 1"),
+    ("--bins", "1", "histogram bins must be at least 2"),
+    ("--eval-target-fpr", "0", "target FPR must lie in (0, 1]"),
+    ("--k", "0", "K must be at least 1"),
+])
+def test_train_toy_bad_eval_flag_exit_2_before_training(tmp_path, capsys, flag, value,
+                                                        message):
+    data = _toy_training_set(tmp_path)
+    out_dir = tmp_path / "run"
+    assert main(["train-toy", "--data", str(data), "--out-dir", str(out_dir),
+                 "--epochs", "1", "--batch-size", "20", flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "model.ffmp").exists()
+
+
+def test_train_toy_explicit_decay_survives_epochs(tmp_path, capsys):
+    # an explicit schedule equal to the 40-epoch default is kept under --epochs;
+    # the auto schedule for 2 epochs would decay at epoch 1 instead
+    assert scaled_decay_epochs(2) == (1,)
+    data = _toy_training_set(tmp_path)
+    capsys.readouterr()
+    config = tmp_path / "train.cfg"
+    config.write_text("decay_epochs = " + ", ".join(map(str, BASE_DECAY_EPOCHS)) + "\n")
+    out_dir = tmp_path / "run"
+    run_json(capsys, ["train-toy", "--data", str(data), "--out-dir", str(out_dir),
+                      "--config", str(config), "--epochs", "2", "--batch-size", "20",
+                      "--d-k", "6", "--d-f", "4", "--k", "4", "--bins", "8"])
+
+    ds = load_dataset(data)
+    train_idx, _ = split_by_identity(ds.identity)
+    direct = TrainConfig(d_in=ds.dim, n_id=ds.n_identities, epochs=2, batch_size=20,
+                         d_k=6, d_f=4, decay_epochs=BASE_DECAY_EPOCHS)
+    _, trace = train(direct, ds.vectors.astype(np.float64)[train_idx], ds.identity[train_idx])
+    save_trace(tmp_path / "direct.csv", trace)
+    assert (out_dir / "trace.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 # --- grad-check ---------------------------------------------------------------------

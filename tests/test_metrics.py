@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpair.errors import DomainError
+from fairpair.errors import ConfigError, DomainError
 from fairpair.metrics import (
     AttributeRates,
     EvalConfig,
@@ -212,6 +212,31 @@ def test_report_k_clamp_warning(small_set):
     rep = evaluate_dataset(small_set, EvalConfig(target_fpr=1e-2, k=500, bins=8))
     assert rep.config.k == small_set.n_identities - 1
     assert any("clamped" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("target_fpr", 0.0, "target FPR"),
+    ("target_fpr", -1e-3, "target FPR"),
+    ("target_fpr", 1.5, "target FPR"),
+    ("target_fpr", math.nan, "target FPR"),
+    ("k", 0, "K must be at least 1"),
+    ("bins", 1, "bins must be at least 2"),
+    ("tile", 0, "tile must be at least 1"),
+    ("workers", 0, "worker count must be at least 1"),
+])
+def test_eval_config_rejects_out_of_range(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        EvalConfig(**{field: value})
+
+
+def test_eval_config_accepts_range_edges():
+    EvalConfig(target_fpr=1.0, k=1, bins=2, tile=1, workers=1)
+
+
+def test_eval_config_clamped_k():
+    cfg = EvalConfig(k=20)
+    assert cfg.clamped_k(21) == (20, None)
+    assert cfg.clamped_k(16) == (15, "K clamped from 20 to 15 (only 16 identities)")
 
 
 def test_report_matches_components(small_set):

@@ -29,3 +29,18 @@ def test_concentration_sweep_clamps_k(tmp_path, capsys):
                        "afpr_swept", "afpr_fixed"]
     assert len(rows) == 3
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+def test_bias_comparison_smoke(tmp_path, capsys):
+    # --epochs 1 trains under the auto decay schedule scaled to one epoch
+    code = _script("run_bias_comparison").main(
+        ["--seeds", "1", "--epochs", "1", "--out-dir", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "compare.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["mode", "seed", "iterations", "final_loss", "tail_mean_abs_eps",
+                       "ifpr_std", "afpr_std"]
+    assert [row[0] for row in rows[1:]] == ["mixfair", "cosface"]
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[1:])
+    for mode in ("mixfair", "cosface"):
+        assert (tmp_path / f"{mode}_seed1" / "report.json").exists()
