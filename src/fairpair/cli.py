@@ -10,9 +10,11 @@ problem, 4 degenerate data (e.g. no negative pairs), 5 training divergence
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .train import TrainConfig, encode_dataset, parse_train_config, save_trace, 
 
 WORKERS_ENV = "FAIRPAIR_WORKERS"
 # train-toy flags that override the TrainConfig field of the same name when given
-TRAIN_FLAGS = ("epochs", "batch_size", "lr", "seed", "d_k", "d_f", "detach_eps")
+TRAIN_FLAGS = ("mode", "epochs", "batch_size", "lr", "seed", "d_k", "d_f", "detach_eps")
 
 
 def _progress(msg: str) -> None:
@@ -90,15 +92,35 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replaced(paths: list[Path]):
+    """Yields a temporary path beside each of `paths`; moves them all into place at the end.
+
+    Each move is an `os.replace`, so a reader sees a path's old file or its
+    whole new one. If the block raises, no path changes and the temporary
+    files are deleted.
+    """
+    temps = [p.with_name(f".{p.name}.{uuid.uuid4().hex[:12]}.tmp") for p in paths]
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+
+
 def _write_report(report, out_dir: Path, dataset) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = np.bincount(dataset.identity, minlength=dataset.n_identities)
     report.per_identity_csv_path = "per_identity.csv"
-    write_per_identity_csv(out_dir / "per_identity.csv", dataset, report.identities,
-                           report.s_intra, report.s_inter, counts)
-    write_histogram_csv(out_dir / "hist_intra.csv", report.intra_hist)
-    write_histogram_csv(out_dir / "hist_inter.csv", report.inter_hist)
-    (out_dir / "report.json").write_text(report.to_json() + "\n")
+    names = ("per_identity.csv", "hist_intra.csv", "hist_inter.csv", "report.json")
+    with _replaced([out_dir / name for name in names]) as (ident, intra, inter, doc):
+        write_per_identity_csv(ident, dataset, report.identities,
+                               report.s_intra, report.s_inter, counts)
+        write_histogram_csv(intra, report.intra_hist)
+        write_histogram_csv(inter, report.inter_hist)
+        doc.write_text(report.to_json() + "\n")
 
 
 def cmd_eval(args) -> int:
@@ -122,7 +144,8 @@ def cmd_analyze(args) -> int:
     means = mean_vectors(dataset)
     s_intra, s_inter = intra_inter_similarity(dataset, means, k)
     if args.out:
-        write_similarity_csv(args.out, dataset, s_intra, s_inter)
+        with _replaced([Path(args.out)]) as (tmp,):
+            write_similarity_csv(tmp, dataset, s_intra, s_inter)
         _progress(f"per-identity similarity written to {args.out}")
     ident_attr = dataset.identity_attribute()
     groups = {}
@@ -146,7 +169,7 @@ def cmd_train_toy(args) -> int:
     overrides = {name: getattr(args, name) for name in TRAIN_FLAGS
                  if getattr(args, name) is not None}
     config = dataclasses.replace(base, d_in=dataset.dim, n_id=dataset.n_identities,
-                                 mode=args.mode, **overrides)
+                                 **overrides)
 
     x = dataset.vectors.astype(np.float64)
     train_idx, eval_idx = split_by_identity(dataset.identity)
@@ -261,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="train the toy debias model and evaluate it")
     p.add_argument("--data", required=True, help="raw training set (.ffeb)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--mode", choices=("mixfair", "cosface"), default="mixfair")
+    p.add_argument("--mode", choices=("mixfair", "cosface"), default=None,
+                   help="training mode (default: the config's, else mixfair)")
     p.add_argument("--config", default=None, help="training config key-value file")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -437,8 +437,10 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
 
     say("sweeping confusion counts")
     acc = confusion_sweep(dataset, thresh.threshold, tile=config.tile,
-                          workers=config.workers, rows=rows)
-    del rows  # not held through the similarity analysis, which sets the peak
+                          workers=config.workers, rows=rows, fp=thresh.record_fp)
+    # neither is held through the similarity analysis, which sets the peak
+    del rows
+    thresh = replace(thresh, record_fp=None)
 
     k, note = config.clamped_k(dataset.n_identities)
     warnings = [note] if note else []

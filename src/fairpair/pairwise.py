@@ -25,9 +25,8 @@ get their exact value, from `_exact_pairs`, which groups them by tile and runs
 `_exact_grid` on each group's distinct rows and columns. One refine therefore
 costs at most one float64 GEMM per tile it touches, however many pairs tie
 there. Every bound is rounded outward, so counts are exact for any tile
-schedule and any worker count. The confusion sweep counts, per record, the
-pairs above the threshold and those of them that share its identity, tile by
-tile. Counts are 64-bit integers and merge by plain addition.
+schedule and any worker count. Counts are 64-bit integers and merge by plain
+addition.
 
 Threshold. The overall-FPR threshold is the k-th largest ordered negative
 similarity, which is the ceil(k/2)-th largest unordered one. When k fits
@@ -38,6 +37,19 @@ that lack one and keeps exactly ceil(k/2) entries. Larger ranks take an exact
 two-pass radix select over order-preserving keys of the float32 values:
 65,536 counters per pass and worker, whatever the value distribution or the
 number of ties.
+
+Confusion counts. Fewer than k negative pairs lie above the top-k threshold,
+so its final top set holds them all, and a `bincount` of their two records
+is each record's FP count: the FP witness. TP then needs only the pairs
+within identities, sum c^2 of them against n^2: `_identity_blocks` visits
+the rows in identity order through an index permutation, packs whole
+identities into blocks of at most IDENTITY_BLOCK rows (and tile rows), and
+leaves a larger identity a block of its own, half-swept slab by slab;
+`_half_tiles` gathers each tile's rows, so no sorted copy of the set is
+built. The screen and refine are the sweep's own. The radix select and the
+degenerate target carry no witness: there one full half sweep counts, per
+record, the pairs above the threshold and those of them that share its
+identity.
 
 The radix select and `sweep_histogram` need every value, so they share one
 exact count, `_exact_counts`: it computes whole tiles with `_exact_grid` (the
@@ -51,7 +63,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +73,10 @@ from .store import EmbeddingSet, MeanVectors, normalize
 
 DEFAULT_TILE = 768
 COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
+# rows of a block of whole identities in the TP pass: its GEMM screens every
+# pair of the block, most of them across identities, so the waste grows with
+# it, while below about 100 rows the per-block overhead takes over
+IDENTITY_BLOCK = 128
 
 # column order of every count quadruple
 TP, FP, TN, FN = 0, 1, 2, 3
@@ -265,26 +281,31 @@ def _row_blocks(n: int, tile: int):
 def _map_blocks(fn, blocks, workers: int) -> list:
     blocks = list(blocks)
     if workers <= 1:
-        return [fn(i0, i1) for i0, i1 in blocks]
+        return [fn(*b) for b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
-def _half_tiles(u32: np.ndarray, i0: int, i1: int, tile: int, exact: bool = False):
+def _half_tiles(u32: np.ndarray, i0: int, i1: int, tile: int, exact: bool = False,
+                idx: np.ndarray | None = None):
     """Similarity tiles of row slab [i0, i1) against the column tiles j0 >= i0.
 
-    Yields (j0, s): s[r, c] belongs to rows i0 + r and j0 + c. It is the
-    clipped float32 GEMM screen, or with `exact` the `_exact_grid` values.
-    Slabs and tiles share one grid, so the first tile is the diagonal one
-    (j0 == i0), whose pairs i < j are its entries c > r.
+    Rows and columns are positions in `idx`, the records u32[idx], or without
+    it the records themselves; a tile gathers its own rows, never the whole
+    order. Yields (j0, s): s[r, c] belongs to positions i0 + r and j0 + c. It
+    is the clipped float32 GEMM screen, or with `exact` the `_exact_grid`
+    values. Slabs and tiles share one grid, so the first tile is the diagonal
+    one (j0 == i0), whose pairs i < j are its entries c > r.
     """
-    rows = u32[i0:i1]
-    for j0 in range(i0, len(u32), tile):
-        j1 = min(j0 + tile, len(u32))
+    pos = np.arange(len(u32)) if idx is None else idx
+    gather = (lambda a, b: u32[a:b]) if idx is None else (lambda a, b: u32[idx[a:b]])
+    rows = gather(i0, i1)
+    for j0 in range(i0, len(pos), tile):
+        j1 = min(j0 + tile, len(pos))
         if exact:
-            yield j0, _exact_grid(u32, np.arange(i0, i1), np.arange(j0, j1))
+            yield j0, _exact_grid(u32, pos[i0:i1], pos[j0:j1])
         else:
-            s = rows @ u32[j0:j1].T
+            s = rows @ gather(j0, j1).T
             yield j0, np.clip(s, -1.0, 1.0, out=s)
 
 
@@ -369,8 +390,8 @@ def _drain(parts: list) -> list:
 
 
 def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
-                   tile: int, workers: int) -> tuple[np.float32, int]:
-    """(k-th largest unordered negative similarity, count above it), in one sweep.
+                   tile: int, workers: int) -> tuple[np.float32, int, np.ndarray]:
+    """(k-th largest unordered negative similarity t, count above it, FP per record).
 
     Each row slab buffers (s~, pair) entries at or above a floor and cuts
     the buffer with `_keep_top` whenever it holds 2k; the cut's exact k-th
@@ -381,6 +402,11 @@ def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
     so no pair is refined twice within a buffer. The first slab runs alone, as
     its tiles buffer all their negatives; workers doing that at once would make
     the peak memory depend on thread timing. Later slabs start from its floor.
+
+    The final cut holds every negative pair above t, as fewer than k lie
+    there: its entries with an exact value above t, and those left without
+    one, which are all sure (exact value above t). Counting both ends of
+    those pairs gives each record's ordered FP at t, in one pass.
     """
     n = len(ids)
     index_type = np.uint32 if n * n < 1 << 32 else np.int64
@@ -425,7 +451,12 @@ def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
     _map_blocks(block, rest, workers)
     if kth is None:
         raise AssertionError(f"top-k pass found fewer than {k} negative pairs")
-    return kth, above
+    vals, pairs, known = top
+    p = pairs[~known | (vals > kth)].astype(np.int64)
+    fp = np.bincount(p // n, minlength=n) + np.bincount(p % n, minlength=n)
+    if int(fp.sum()) != 2 * above:
+        raise AssertionError(f"FP witness counts {int(fp.sum())} ordered pairs, not {2 * above}")
+    return kth, above, fp
 
 
 def _radix_key(s32: np.ndarray) -> np.ndarray:
@@ -484,6 +515,9 @@ class ThresholdResult:
     realized_fp: int
     total_negatives: int
     degenerate: bool = False
+    # ordered FP per record at the threshold, when the top-k pass found them;
+    # `confusion_sweep` then counts TP alone. Never part of a report.
+    record_fp: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
@@ -495,7 +529,8 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     k = allowed + 1 with allowed = floor(target_fpr * total_negatives)
     evaluated in exact arithmetic. When k <= COLLECT_CAP one screened sweep
     over the unordered pairs keeps the exact top-ceil(k/2) (O(k) memory per
-    worker) and T is its minimum; otherwise a two-pass radix select over the
+    worker) and T is its minimum, and the result carries each record's FP
+    count at T (`record_fp`); otherwise a two-pass radix select over the
     float32 bit patterns finds T in fixed memory. `rows` passes the
     `unit_rows` of the dataset when the caller has them. A zero threshold is
     always +0.0.
@@ -515,13 +550,14 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     k = allowed + 1
     if k <= COLLECT_CAP:
         # each unordered value stands twice in the ordered ranking
-        t, above = _top_negatives(u32, dataset.identity, (k + 1) // 2, tile, workers)
+        t, above, fp = _top_negatives(u32, dataset.identity, (k + 1) // 2, tile, workers)
         threshold, realized = float(t), 2 * above
     else:
         threshold, realized = _radix_select(u32, dataset.identity, k, tile, workers)
+        fp = None
     return ThresholdResult(threshold=threshold + 0.0, target_fpr=target_fpr,
                            allowed_fp=allowed, realized_fp=realized,
-                           total_negatives=total_neg)
+                           total_negatives=total_neg, record_fp=fp)
 
 
 @dataclass
@@ -546,49 +582,103 @@ class PairStatsAccumulator:
         return self.identity_counts.sum(axis=0)
 
 
+def _identity_blocks(ids: np.ndarray, size: int) -> tuple[np.ndarray, list]:
+    """(order, blocks): the records of identities with two or more, by identity.
+
+    `order` lists them identity by identity; each block [b0, b1) of positions
+    in it holds whole identities, as many as fit in `size` rows, or one
+    identity alone that is larger.
+    """
+    sizes = np.bincount(ids)
+    kept = np.flatnonzero(sizes[ids] > 1)
+    order = kept[np.argsort(ids[kept], kind="stable")]
+    blocks, b0, cut = [], 0, 0
+    for end in np.cumsum(sizes[sizes > 1]).tolist():
+        if end - b0 > size and cut > b0:
+            blocks.append((b0, cut))
+            b0 = cut
+        cut = end
+    if cut > b0:
+        blocks.append((b0, cut))
+    return order, blocks
+
+
+def _count_above(u32: np.ndarray, ids: np.ndarray, threshold: float, tile: int,
+                 workers: int, order: np.ndarray | None = None,
+                 blocks: list | None = None) -> np.ndarray:
+    """(2, n) int64: per record, its pairs with similarity above `threshold`, and
+    how many of those share its identity.
+
+    Each block [b0, b1) of positions in `order` is swept as one upper
+    triangle, slab by slab. Without `order` there is one block, every record
+    in file order. With it, the blocks hold whole identities and only their
+    within-identity pairs are screened, refined and counted, so both rows
+    count TP.
+    """
+    n = len(ids)
+    within = order is not None
+    if not within:
+        order, blocks = np.arange(n), [(0, n)]
+    t = np.float64(threshold)  # compared exactly, never rounded to float32
+    delta = _screen_delta(u32)
+    tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
+    lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
+    counts = np.zeros((2, len(order)), dtype=np.int64)  # by position in `order`
+    lock = threading.Lock()
+
+    def slab(b0, b1, i0, i1):
+        idx = order[b0:b1]
+        mine = np.zeros((2, b1 - b0), dtype=np.int64)
+        for j0, s in _half_tiles(u32, i0, i1, tile, idx=idx if within else None):
+            w = s.shape[1]
+            ri, cj = idx[i0:i1], idx[j0:j0 + w]
+            maybe = s > lo  # every pair that may lie above T
+            if within:
+                maybe &= ids[ri, None] == ids[None, cj]
+            r, c = np.nonzero(_upper(maybe, i0, j0))
+            hit = s[r, c] > hi
+            band = np.flatnonzero(~hit)  # lo < s~ <= hi: refine
+            if band.size:
+                hit[band] = _exact_pairs(u32, ri[r[band]], cj[c[band]], tile) > t
+            r, c = r[hit], c[hit]
+            same = ids[ri[r]] == ids[cj[c]]
+            for acc, pick in ((mine[0], slice(None)), (mine[1], same)):
+                acc[i0:i1] += np.bincount(r[pick], minlength=i1 - i0)
+                acc[j0:j0 + w] += np.bincount(c[pick], minlength=w)
+        with lock:
+            counts[:, b0:b1] += mine
+
+    _map_blocks(slab, [(b0, b1, i0, i1) for b0, b1 in blocks
+                       for i0, i1 in _row_blocks(b1 - b0, tile)], workers)
+    out = np.zeros((2, n), dtype=np.int64)
+    out[:, order] = counts
+    return out
+
+
 def confusion_sweep(dataset: EmbeddingSet, threshold: float,
                     tile: int = DEFAULT_TILE, workers: int = 1, *,
-                    rows: np.ndarray | None = None) -> PairStatsAccumulator:
+                    rows: np.ndarray | None = None,
+                    fp: np.ndarray | None = None) -> PairStatsAccumulator:
     """Count TP/FP/TN/FN over all ordered pairs: predict positive iff S > threshold.
 
     Equality S == threshold counts as a negative prediction, so the four
     counts partition every ordered pair. One screened half sweep counts, per
     record, the pairs above the threshold and how many of them share its
     identity (TP); FP is the rest, and the positive and negative totals come
-    from the identity sizes. `rows` passes the `unit_rows` of the dataset
-    when the caller has them.
+    from the identity sizes. Given `fp`, each record's FP count at this
+    threshold (`ThresholdResult.record_fp`), only TP is left, and the sweep
+    visits the pairs within each identity alone (`_identity_blocks`). `rows`
+    passes the `unit_rows` of the dataset when the caller has them.
     """
     u32 = unit_rows(dataset) if rows is None else rows
     ids, n = dataset.identity, dataset.n
-    t = np.float64(threshold)  # compared exactly, never rounded to float32
-    delta = _screen_delta(u32)
-    tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
-    lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
-    above = np.zeros(n, dtype=np.int64)  # per record i: pairs j != i with s_ij > T
-    tp = np.zeros(n, dtype=np.int64)  # ... of which j shares i's identity
-    lock = threading.Lock()
-
-    def block(i0, i1):
-        mine, mine_tp = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        for j0, s in _half_tiles(u32, i0, i1, tile):
-            r, c = np.nonzero(_upper(s > lo, i0, j0))  # every pair that may lie above T
-            hit = s[r, c] > hi
-            band = np.flatnonzero(~hit)  # lo < s~ <= hi: refine
-            if band.size:
-                hit[band] = _exact_pairs(u32, i0 + r[band], j0 + c[band], tile) > t
-            r, c = r[hit], c[hit]
-            same = ids[i0 + r] == ids[j0 + c]
-            w = s.shape[1]
-            for acc, pick in ((mine, slice(None)), (mine_tp, same)):
-                acc[i0:i1] += np.bincount(r[pick], minlength=i1 - i0)
-                acc[j0:j0 + w] += np.bincount(c[pick], minlength=w)
-        with lock:
-            above[:] += mine
-            tp[:] += mine_tp
-
-    _map_blocks(block, _row_blocks(n, tile), workers)
+    if fp is None:
+        above, tp = _count_above(u32, ids, threshold, tile, workers)
+        fp = above - tp
+    else:
+        order, blocks = _identity_blocks(ids, min(tile, IDENTITY_BLOCK))
+        tp = _count_above(u32, ids, threshold, tile, workers, order, blocks)[1]
     size = np.bincount(ids, minlength=dataset.n_identities)[ids]
-    fp = above - tp
     quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)
     acc = PairStatsAccumulator.zeros(dataset.n_identities, dataset.n_attributes)
     np.add.at(acc.identity_counts, ids, quad)

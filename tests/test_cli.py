@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairpair import cli
 from fairpair.cli import main
 from fairpair.store import EmbeddingSet, LabelTable, load_dataset, save_dataset
 from fairpair.synth import (format_profile, split_by_identity, standard_biased_profile,
@@ -120,6 +121,37 @@ def test_eval_worker_env_and_flag(tmp_path, pop_path, capsys, monkeypatch):
     capsys.readouterr()
     assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
     assert (d1 / "report.json").read_bytes() == (d3 / "report.json").read_bytes()
+
+
+REPORT_FILES = ("report.json", "per_identity.csv", "hist_intra.csv", "hist_inter.csv")
+
+
+def test_eval_failed_write_keeps_earlier_report(tmp_path, pop_path, capsys, monkeypatch):
+    out_dir = tmp_path / "rep"
+    base = ["eval", "--in", str(pop_path), "--out-dir", str(out_dir), "--k", "4"]
+    assert main(base + ["--target-fpr", "1e-2"]) == 0
+    before = {name: (out_dir / name).read_bytes() for name in REPORT_FILES}
+    real = cli.write_histogram_csv
+    calls = []
+
+    def second_call_fails_halfway(path, table):
+        calls.append(path)
+        if len(calls) == 1:
+            return real(path, table)
+        with open(path, "w") as f:
+            f.write("group,bin_lo,bin_hi,density\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_histogram_csv", second_call_fails_halfway)
+    assert main(base + ["--target-fpr", "2e-1"]) == 3  # another report, had it been written
+    assert "disk full" in capsys.readouterr().err
+    assert len(calls) == 2 and all(p.parent == out_dir for p in calls)
+    assert sorted(os.listdir(out_dir)) == sorted(REPORT_FILES)  # no temporary file left
+    assert {name: (out_dir / name).read_bytes() for name in REPORT_FILES} == before
+    monkeypatch.setattr(cli, "write_histogram_csv", real)
+    assert main(base + ["--target-fpr", "2e-1"]) == 0
+    assert sorted(os.listdir(out_dir)) == sorted(REPORT_FILES)
+    assert (out_dir / "report.json").read_bytes() != before["report.json"]
 
 
 def test_eval_degenerate_target(tmp_path, pop_path, capsys):
@@ -302,6 +334,18 @@ def test_train_toy_explicit_decay_survives_epochs(tmp_path, capsys):
     _, trace = train(direct, ds.vectors.astype(np.float64)[train_idx], ds.identity[train_idx])
     save_trace(tmp_path / "direct.csv", trace)
     assert (out_dir / "trace.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_train_toy_mode_from_config(tmp_path, capsys):
+    data = _toy_training_set(tmp_path)
+    capsys.readouterr()
+    config = tmp_path / "train.cfg"
+    config.write_text("mode = cosface\n")
+    argv = ["train-toy", "--data", str(data), "--config", str(config), "--epochs", "1",
+            "--batch-size", "20", "--d-k", "6", "--d-f", "4", "--k", "4", "--bins", "8"]
+    assert run_json(capsys, argv + ["--out-dir", str(tmp_path / "a")])["mode"] == "cosface"
+    summary = run_json(capsys, argv + ["--out-dir", str(tmp_path / "b"), "--mode", "mixfair"])
+    assert summary["mode"] == "mixfair"
 
 
 # --- grad-check ---------------------------------------------------------------------

@@ -145,6 +145,105 @@ def test_equality_counts_negative(rng):
     assert acc.overall[2] == 24 and acc.overall[3] == 6
 
 
+def fused_matches_full(ds, target, cap_offset=None, tile=768, workers=1):
+    """Solve, then check the FP witness and the identity-block TP pass against the full sweep.
+
+    The top-k solve's `record_fp` must equal the full sweep's FP per record,
+    the TP pass over identity blocks its TP per record, and the accumulators
+    `confusion_sweep` builds from the two the full sweep's accumulators. The
+    radix select and the degenerate target carry no witness. Returns the
+    solve's result.
+    """
+    r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
+    if r.record_fp is None:
+        assert r.degenerate or cap_offset == -1
+        return r
+    u = unit_rows(ds)
+    above, tp = pairwise._count_above(u, ds.identity, r.threshold, tile, workers)
+    assert np.array_equal(r.record_fp, above - tp)
+    order, blocks = pairwise._identity_blocks(ds.identity, min(tile, pairwise.IDENTITY_BLOCK))
+    within = pairwise._count_above(u, ds.identity, r.threshold, tile, workers, order, blocks)
+    assert np.array_equal(within, [tp, tp])
+    full = confusion_sweep(ds, r.threshold, tile=tile, workers=workers)
+    fused = confusion_sweep(ds, r.threshold, tile=tile, workers=workers, fp=r.record_fp)
+    assert np.array_equal(fused.identity_counts, full.identity_counts)
+    assert np.array_equal(fused.attribute_counts, full.attribute_counts)
+    return r
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fused_counts_match_full_sweep(seed):
+    # identities of about 7 records: at tile 7 many exceed the block and are swept alone
+    ds = random_dataset(np.random.default_rng(seed), n=90, d=5, g=12, m=3)
+    for target in (1e-3, 2e-2, 0.3):
+        for cap_offset in CAP_OFFSETS:
+            for tile in (7, 37, 768):
+                for workers in (1, 3):
+                    fused_matches_full(ds, target, cap_offset, tile, workers)
+
+
+def _edge_set(case):
+    rng = np.random.default_rng(9)
+    if case == "n2":
+        vecs, ident = rng.normal(size=(2, 4)), np.array([0, 1])
+    elif case == "all_singletons":  # G = N: the TP pass has no block to sweep
+        vecs, ident = rng.normal(size=(40, 5)), np.arange(40)
+    elif case == "identity_over_tile":  # 25 records of identity 0, more than tile 7
+        vecs = rng.normal(size=(60, 5))
+        ident = np.concatenate([np.zeros(25, np.int64), 1 + np.arange(35) % 9])
+        rng.shuffle(ident)
+    elif case == "duplicates_across_identities":  # negatives at exactly 1.0
+        vecs = rng.normal(size=(5, 6))[rng.integers(0, 5, size=50)]
+        ident = np.arange(50) % 13
+    else:  # "ties_only": one vector, every similarity the same
+        vecs, ident = np.tile([[1.0, 2.0, 2.0]], (30, 1)), np.arange(30) // 3
+    g = int(ident.max()) + 1
+    return EmbeddingSet(vectors=vecs.astype(np.float32), identity=ident.astype(np.int64),
+                        attribute=(ident % 2).astype(np.int64),
+                        labels=LabelTable.default(g, 2))
+
+
+@pytest.mark.parametrize("case", ["n2", "all_singletons", "identity_over_tile",
+                                  "duplicates_across_identities", "ties_only"])
+def test_fused_counts_edge_cases(case):
+    ds = _edge_set(case)
+    for target in (1e-3, 0.05, 0.3, 0.7, 1.0):
+        for tile in (7, 37, 768):
+            for workers in (1, 3):
+                fused_matches_full(ds, target, None, tile, workers)
+
+
+def test_fused_counts_under_thread_switching():
+    # the slabs of the identity larger than the tile add into the same
+    # records' counts; 8 workers switching every 1 us must lose no update
+    ds = _edge_set("identity_over_tile")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for target in (0.05, 0.3):
+            fused_matches_full(ds, target, None, 7, 8)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_identity_blocks_hold_whole_identities():
+    rng = np.random.default_rng(4)
+    ids = np.concatenate([np.zeros(20, np.int64), rng.integers(1, 30, size=100)])
+    rng.shuffle(ids)
+    sizes = np.bincount(ids)
+    for size in (1, 7, 37, 768):
+        order, blocks = pairwise._identity_blocks(ids, size)
+        assert sorted(order) == list(np.flatnonzero(sizes[ids] > 1))
+        assert [b for blk in blocks for b in blk] == sorted(b for blk in blocks for b in blk)
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(order)
+        for (b0, b1), (c0, _) in zip(blocks, blocks[1:] + [(len(order), None)]):
+            assert b1 == c0  # contiguous, and every boundary falls between identities
+            assert b1 == len(order) or ids[order[b1 - 1]] != ids[order[b1]]
+            assert b1 - b0 <= size or len(set(ids[order[b0:b1]])) == 1
+    order, blocks = pairwise._identity_blocks(np.arange(12), 7)
+    assert order.size == 0 and blocks == []
+
+
 # --- threshold solver ---------------------------------------------------------
 
 @settings(max_examples=20, deadline=None)
@@ -204,9 +303,9 @@ def test_top_k_first_slab_runs_alone(monkeypatch):
     events = []
     half_tiles = pairwise._half_tiles
 
-    def tiles(u32, i0, i1, tile, exact=False):
+    def tiles(u32, i0, i1, tile, exact=False, idx=None):
         events.append(("start", i0))
-        yield from half_tiles(u32, i0, i1, tile, exact)
+        yield from half_tiles(u32, i0, i1, tile, exact, idx)
         events.append(("end", i0))
 
     monkeypatch.setattr(pairwise, "_half_tiles", tiles)
@@ -224,7 +323,7 @@ def test_threshold_massive_ties():
                       attribute=np.zeros(40, np.int64),
                       labels=LabelTable.default(20, 1))
     for cap_offset in CAP_OFFSETS:
-        r = solve_at_cap(ds, 0.5, cap_offset)
+        r = fused_matches_full(ds, 0.5, cap_offset)
         # every negative similarity is exactly 1.0: rank selection must return it
         assert r.threshold == 1.0
         assert r.realized_fp == 0  # nothing is strictly greater
@@ -538,6 +637,23 @@ def test_exact_grid_margin_holds_under_worst_case_gemm_error(monkeypatch):
     assert np.array_equal(pairwise._exact_pairs(u, i.ravel(), j.ravel(), 7), want.ravel())
 
 
+def test_round_dots_bound_covers_lost_fold_errors():
+    # the big products cancel exactly and leave twice a TwoSum error of 2^-30
+    # that cancels too, but only after 2^-84 (1 + 2^-23) has been added to the
+    # first and lost in its float64 rounding; the exact sum lies that far above
+    # 2^-60, just past the float32 midpoint 2^-60 + 2^-84, while the compensated
+    # fold returns 2^-60 exactly, half a float32 ulp from the midpoint. Only the
+    # second-stage bound, not the fold's own rounding, sends it to `_round_dot`.
+    lost = 2.0**-84 * (1 + 2.0**-23)
+    x = np.array([[2.0**23, 2.0**23, -2.0**23, -2.0**23, 2.0**-30, lost, -2.0**-30, 2.0**-60]],
+                 dtype=np.float32)
+    u = np.concatenate([x, np.ones((1, 8), dtype=np.float32)])
+    want = _fsum_round(u[0], u[1])
+    assert want == np.float32(2.0**-60 + 2.0**-83)
+    assert pairwise._exact_grid(u, np.array([0]), np.array([1]))[0, 0] == want
+    assert pairwise._exact_pairs(u, np.array([0]), np.array([1]))[0] == want
+
+
 def _midpoint_pair_set():
     """Records 0 and 1 form a d = 3 pair whose float64 GEMM rounds the wrong way.
 
@@ -575,7 +691,7 @@ def test_one_similarity_on_every_path():
         t = vals[allowed]
         for cap_offset in CAP_OFFSETS:  # the radix select (-1) and the top-k pass
             for tile, workers in ((768, 1), (5, 3)):
-                r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
+                r = fused_matches_full(ds, target, cap_offset, tile, workers)
                 assert (r.threshold, r.realized_fp) == (t, np.count_nonzero(vals > t))
                 acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers)
                 assert acc.overall[pairwise.FP] == r.realized_fp
@@ -640,7 +756,7 @@ def test_counts_exact_on_and_one_ulp_around_threshold():
         ot, oallowed, orealized = oracle_threshold(ds, target)
         for tile in (7, 37, 768):
             for workers in (1, 3):
-                r = solve_threshold(ds, target, tile=tile, workers=workers)
+                r = fused_matches_full(ds, target, None, tile, workers)
                 assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
 
 
@@ -658,8 +774,8 @@ def _adversarial_screen(monkeypatch):
         moved = exact + 0.9 * pairwise._screen_delta(u32) * noise
         return np.clip(moved.astype(np.float32), -1.0, 1.0)
 
-    def tiles(u32, i0, i1, tile, exact=False):
-        for j0, s in half_tiles(u32, i0, i1, tile, exact=True):
+    def tiles(u32, i0, i1, tile, exact=False, idx=None):
+        for j0, s in half_tiles(u32, i0, i1, tile, exact=True, idx=idx):
             yield j0, s if exact else push(u32, s)
 
     monkeypatch.setattr(pairwise, "_half_tiles", tiles)
@@ -681,7 +797,7 @@ def test_exact_under_worst_case_screen_error(monkeypatch):
         assert np.array_equal(acc.identity_counts, gid)
         assert np.array_equal(acc.attribute_counts, att)
         for target, (ot, oallowed, orealized) in zip(targets, oracle):
-            r = solve_threshold(ds, target, tile=tile, workers=workers)
+            r = fused_matches_full(ds, target, None, tile, workers)
             assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
 
 
