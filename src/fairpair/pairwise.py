@@ -69,7 +69,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .store import EmbeddingSet, MeanVectors, normalize
+from .store import EmbeddingSet, MeanVectors, budget_rows, normalize
 
 DEFAULT_TILE = 768
 COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
@@ -82,12 +82,15 @@ IDENTITY_BLOCK = 128
 TP, FP, TN, FN = 0, 1, 2, 3
 
 
-def _unit_chunks(vectors: np.ndarray, chunk: int = 4096):
+def _unit_chunks(vectors: np.ndarray):
     """Yields (i0, i1, v): rows [i0, i1) of `vectors` scaled to unit norm in float64.
 
-    v is one buffer that the next chunk overwrites, so the float64
-    intermediates never exceed O(chunk * d), even while a caller holds v.
+    v is one buffer of `budget_rows(d)` rows that the next chunk overwrites,
+    so the float64 scratch is that buffer and the norm's temporary of its
+    size, even while a caller holds v. Each row is normalized on its own, so
+    no value depends on the chunk size.
     """
+    chunk = budget_rows(vectors.shape[1])
     buf = np.empty((min(chunk, len(vectors)), vectors.shape[1]), dtype=np.float64)
     for i0, i1 in _row_blocks(len(vectors), chunk):
         v64 = buf[:i1 - i0]
@@ -96,10 +99,10 @@ def _unit_chunks(vectors: np.ndarray, chunk: int = 4096):
         yield i0, i1, v64
 
 
-def unit_rows(dataset: EmbeddingSet, chunk: int = 4096) -> np.ndarray:
+def unit_rows(dataset: EmbeddingSet) -> np.ndarray:
     """Float32 unit-norm rows; the raw vectors are normalized in float64 first."""
     out = np.empty((dataset.n, dataset.dim), dtype=np.float32)
-    for i0, i1, v64 in _unit_chunks(dataset.vectors, chunk):
+    for i0, i1, v64 in _unit_chunks(dataset.vectors):
         out[i0:i1] = v64
     return out
 
@@ -722,7 +725,10 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
     """(neighbors, mean cosine to them) of every unit mean in `mu`, one GEMM per row block.
 
     Without `neighbors` given, each identity's neighbours are the K other
-    identities with the most similar means (`_top_columns`).
+    identities with the most similar means (`_top_columns`, run on sub-blocks
+    of `budget_rows(G)` rows, so its copies and masks stay budget-sized). The
+    GEMM keeps its `block` rows: the last bits of its values follow that
+    row partition.
     """
     g = len(mu)
     pick = neighbors is None
@@ -734,8 +740,10 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
     for i0, i1 in _row_blocks(g, block):
         sims = mu[i0:i1] @ mu.T
         if pick:
-            neighbors[i0:i1] = _top_columns(sims, i0, k)
+            for a0, a1 in _row_blocks(i1 - i0, budget_rows(g)):
+                neighbors[i0 + a0:i0 + a1] = _top_columns(sims[a0:a1], i0 + a0, k)
         mean[i0:i1] = np.take_along_axis(sims, neighbors[i0:i1], axis=1).mean(axis=1)
+        del sims  # freed before the next block's GEMM, not after it
     return neighbors, mean
 
 

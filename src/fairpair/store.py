@@ -28,6 +28,16 @@ MAGIC = b"FFEB"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIII")
 
+# bytes of scratch a chunked pass over rows may hold: validation, the mean
+# sums, the unit rows, the S_intra pass and the neighbour selection all take
+# their chunk sizes from it, so the arrays the algorithm needs set the peak
+WORKING_SET = 2 << 20
+
+
+def budget_rows(width: int) -> int:
+    """Rows of `width` float64 values that fit in WORKING_SET; at least one."""
+    return max(1, WORKING_SET // (8 * width))
+
 
 @dataclass(frozen=True)
 class LabelTable:
@@ -97,12 +107,17 @@ class EmbeddingSet:
         n = self.n
         if self.identity.shape != (n,) or self.attribute.shape != (n,):
             raise ValidationError("identity/attribute arrays must have one entry per vector")
-        bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
-        if bad.size:
-            raise ValidationError(f"non-finite vector component at record {bad[0]}")
-        zero = np.flatnonzero(~np.any(self.vectors != 0.0, axis=1))
-        if zero.size:
-            raise ValidationError(f"all-zero vector at record {zero[0]}")
+        zero, chunk = None, budget_rows(self.dim)
+        for i0 in range(0, n, chunk):  # a non-finite record anywhere is reported first
+            v = self.vectors[i0:i0 + chunk]
+            bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+            if bad.size:
+                raise ValidationError(f"non-finite vector component at record {i0 + bad[0]}")
+            dead = np.flatnonzero(~v.any(axis=1))
+            if zero is None and dead.size:
+                zero = i0 + dead[0]
+        if zero is not None:
+            raise ValidationError(f"all-zero vector at record {zero}")
         g, m = self.n_identities, self.n_attributes
         if self.identity.min() < 0 or self.identity.max() >= g:
             raise ValidationError(f"identity index out of range [0, {g})")
@@ -130,9 +145,9 @@ class EmbeddingSet:
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(_HEADER.pack(MAGIC, VERSION, self.n, self.dim, self.n_identities, self.n_attributes))
-        h.update(np.ascontiguousarray(self.vectors).tobytes())
-        h.update(self.identity.astype("<u4").tobytes())
-        h.update(self.attribute.astype("<u2").tobytes())
+        h.update(self.vectors)  # contiguous: hashed in place, not copied
+        h.update(self.identity.astype("<u4"))
+        h.update(self.attribute.astype("<u2"))
         return h.hexdigest()
 
 
@@ -162,16 +177,18 @@ def normalize(v) -> np.ndarray:
 def mean_vectors(dataset: EmbeddingSet) -> MeanVectors:
     """Arithmetic mean of each identity's vectors, accumulated in float64 row order.
 
-    Rows are cast to float64 a chunk at a time, so the cast copy stays
-    O(chunk * d) while every row still adds in the order it is stored.
+    Rows are cast to float64 a budget chunk at a time (`budget_rows`), so the
+    cast copy stays within WORKING_SET while every row still adds in the
+    order it is stored; the sums become the means in place.
     """
-    g, chunk = dataset.n_identities, 4096
+    g, chunk = dataset.n_identities, budget_rows(dataset.dim)
     sums = np.zeros((g, dataset.dim), dtype=np.float64)
     for i0 in range(0, dataset.n, chunk):
         np.add.at(sums, dataset.identity[i0:i0 + chunk],
                   dataset.vectors[i0:i0 + chunk].astype(np.float64))
     counts = np.bincount(dataset.identity, minlength=g).astype(np.int64)
-    return MeanVectors(means=sums / counts[:, None], counts=counts)
+    sums /= counts[:, None]
+    return MeanVectors(means=sums, counts=counts)
 
 
 def save_dataset(path, dataset: EmbeddingSet) -> None:

@@ -214,6 +214,33 @@ def test_report_k_clamp_warning(small_set):
     assert any("clamped" in w for w in rep.warnings)
 
 
+def test_report_single_attribute():
+    # M = 1: every pair counts under the one attribute, so its rates are the
+    # overall ones and both spreads are 0
+    rng = np.random.default_rng(8)
+    ds = EmbeddingSet(vectors=rng.normal(size=(40, 6)).astype(np.float32),
+                      identity=np.repeat(np.arange(10), 4), attribute=np.zeros(40, np.int64),
+                      labels=LabelTable.default(10, 1))
+    rep = evaluate_dataset(ds, EvalConfig(target_fpr=5e-2, k=3, bins=8))
+    stats = json.loads(rep.to_json())["attribute_stats"]
+    assert stats == {"atpr_avg": rep.overall_tpr, "atpr_std": 0.0,
+                     "afpr_avg": rep.overall_fpr, "afpr_std": 0.0}
+    assert rep.warnings == []
+
+
+def test_report_all_single_image_identities():
+    # G = N: no positive pairs, so every iTPR and the overall TPR are undefined
+    ds = random_dataset(np.random.default_rng(9), n=30, d=5, g=30, m=2)
+    rep = evaluate_dataset(ds, EvalConfig(target_fpr=5e-2, k=3, bins=8))
+    text = rep.to_json()
+    doc = json.loads(text)
+    assert all(v is None for v in doc["identity_rates"]["itpr"])
+    assert doc["identities_summary"]["itpr_undefined_count"] == ds.n
+    assert "30 single-image identities have undefined iTPR (excluded from aggregates)" in rep.warnings
+    assert doc["overall"]["tpr"] is None
+    assert report_from_json(text).to_json() == text
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("target_fpr", 0.0, "target FPR"),
     ("target_fpr", -1e-3, "target FPR"),

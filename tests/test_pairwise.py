@@ -11,6 +11,7 @@ that difference use `exact_sims`, built from exact rational dot products.
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpair import metrics, pairwise
+from fairpair import metrics, pairwise, store
 from fairpair.errors import DegenerateDataError, DomainError
 from fairpair.pairwise import (
     confusion_sweep,
@@ -457,6 +458,50 @@ def test_topk_k_out_of_range(small_set):
     for bad in (0, g, g + 3):
         with pytest.raises(DomainError):
             topk_neighbors(mv, bad)
+
+
+# --- working-set budget ----------------------------------------------------------
+
+def _tied_set():
+    """One record per tied mean (small integers, exact in float32)."""
+    mv = _tied_means()
+    g = len(mv.counts)
+    return EmbeddingSet(vectors=mv.means.astype(np.float32), identity=np.arange(g),
+                        attribute=np.zeros(g, np.int64), labels=LabelTable.default(g, 1))
+
+
+def _budget_outputs(ds):
+    mv = mean_vectors(ds)
+    return (unit_rows(ds), mv.means, *metrics.intra_inter_similarity(ds, mv, 3),
+            topk_neighbors(mv, 3))
+
+
+def test_budget_does_not_change_values(small_set, monkeypatch):
+    # one-row chunks and one-row neighbour sub-blocks against one chunk for all
+    for ds in (small_set, _tied_set()):
+        want = _budget_outputs(ds)
+        with monkeypatch.context() as mp:
+            mp.setattr(store, "WORKING_SET", 1)
+            assert store.budget_rows(ds.dim) == 1
+            got = _budget_outputs(ds)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_chunked_phases_stay_within_budget():
+    # 6,000 x 256: one 4,096-row float64 chunk alone is 8 MiB
+    ds = random_dataset(np.random.default_rng(3), n=6000, d=256, g=100, m=2)
+    mv = mean_vectors(ds)
+    for call in (lambda: (unit_rows(ds),), lambda: (mean_vectors(ds).means,),
+                 lambda: metrics.intra_inter_similarity(ds, mv, 5)):
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = peak - sum(a.nbytes for a in out)
+        assert scratch < 3 * store.WORKING_SET, f"{scratch / 2**20:.2f} MiB of scratch"
 
 
 # --- float32 screen, per-pair kernel and the half sweep ------------------------

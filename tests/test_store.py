@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairpair import store
 from fairpair.errors import DomainError, FormatError, ValidationError
 from fairpair.store import (
     EmbeddingSet,
@@ -175,6 +177,24 @@ def test_rejects_zero_vector():
         EmbeddingSet(**kw)
 
 
+def test_rejects_bad_record_in_later_chunk():
+    # validation runs one budget chunk at a time: report the same first record
+    # as a whole-array check, a non-finite one anywhere before any all-zero one
+    rows = store.budget_rows(64)
+    n = 3 * rows
+    v = np.ones((n, 64), dtype=np.float32)
+    kw = dict(identity=np.arange(n) % 2, attribute=np.zeros(n, np.int64),
+              labels=LabelTable.default(2, 1))
+    v[rows + 5] = 0.0
+    v[2 * rows + 9] = 0.0
+    with pytest.raises(ValidationError, match=f"all-zero vector at record {rows + 5}$"):
+        EmbeddingSet(vectors=v.copy(), **kw)
+    v[2 * rows + 7, 3] = np.inf
+    with pytest.raises(ValidationError,
+                       match=f"non-finite vector component at record {2 * rows + 7}$"):
+        EmbeddingSet(vectors=v, **kw)
+
+
 def test_rejects_sparse_identity_indexing():
     kw = _base_kwargs()
     kw["identity"] = np.array([0, 0, 3, 3])
@@ -218,9 +238,10 @@ def test_mean_vectors_match_loop(small_set):
 
 
 def test_mean_vectors_add_in_row_order():
-    # 9,000 rows cross two chunk boundaries; the sums must equal one float64
-    # pass over all rows in their stored order, bit for bit
-    ds = random_dataset(np.random.default_rng(5), n=9000, d=3, g=7, m=2)
+    # two budget chunks and a part cross two chunk boundaries; the sums must
+    # equal one float64 pass over all rows in their stored order, bit for bit
+    ds = random_dataset(np.random.default_rng(5), n=2 * store.budget_rows(64) + 808,
+                        d=64, g=7, m=2)
     sums = np.zeros((ds.n_identities, ds.dim))
     np.add.at(sums, ds.identity, ds.vectors.astype(np.float64))
     mv = mean_vectors(ds)
@@ -247,3 +268,13 @@ def test_content_hash_tracks_payload(small_set):
         labels=small_set.labels,
     )
     assert moved.content_hash() != h1
+
+
+def test_content_hash_is_the_container_digest(small_set):
+    # the vectors are hashed in place; the digest is that of the bytes copied out
+    want = hashlib.sha256(
+        store._HEADER.pack(store.MAGIC, store.VERSION, small_set.n, small_set.dim,
+                           small_set.n_identities, small_set.n_attributes)
+        + small_set.vectors.tobytes() + small_set.identity.astype("<u4").tobytes()
+        + small_set.attribute.astype("<u2").tobytes()).hexdigest()
+    assert small_set.content_hash() == want
