@@ -10,11 +10,9 @@ problem, 4 degenerate data (e.g. no negative pairs), 5 training divergence
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
-import uuid
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +28,7 @@ from .store import load_csv, load_dataset, mean_vectors, save_csv, save_dataset
 from .synth import (gen_population, gen_training_set, parse_profile, seeded_rng,
                     split_by_identity)
 from .train import TrainConfig, encode_dataset, parse_train_config, save_trace, train
+from .util import replaced
 
 WORKERS_ENV = "FAIRPAIR_WORKERS"
 # train-toy flags that override the TrainConfig field of the same name when given
@@ -92,30 +91,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _replaced(paths: list[Path]):
-    """Yields a temporary path beside each of `paths`; moves them all into place at the end.
-
-    Each move is an `os.replace`, so a reader sees a path's old file or its
-    whole new one. If the block raises, no path changes and the temporary
-    files are deleted.
-    """
-    temps = [p.with_name(f".{p.name}.{uuid.uuid4().hex[:12]}.tmp") for p in paths]
-    try:
-        yield temps
-        for tmp, path in zip(temps, paths):
-            os.replace(tmp, path)
-    finally:
-        for tmp in temps:
-            tmp.unlink(missing_ok=True)
-
-
 def _write_report(report, out_dir: Path, dataset) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = np.bincount(dataset.identity, minlength=dataset.n_identities)
     report.per_identity_csv_path = "per_identity.csv"
     names = ("per_identity.csv", "hist_intra.csv", "hist_inter.csv", "report.json")
-    with _replaced([out_dir / name for name in names]) as (ident, intra, inter, doc):
+    with replaced([out_dir / name for name in names]) as (ident, intra, inter, doc):
         write_per_identity_csv(ident, dataset, report.identities,
                                report.s_intra, report.s_inter, counts)
         write_histogram_csv(intra, report.intra_hist)
@@ -144,7 +125,7 @@ def cmd_analyze(args) -> int:
     means = mean_vectors(dataset)
     s_intra, s_inter = intra_inter_similarity(dataset, means, k)
     if args.out:
-        with _replaced([Path(args.out)]) as (tmp,):
+        with replaced([Path(args.out)]) as (tmp,):
             write_similarity_csv(tmp, dataset, s_intra, s_inter)
         _progress(f"per-identity similarity written to {args.out}")
     ident_attr = dataset.identity_attribute()

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ValidationError
 from .pairwise import (DEFAULT_TILE, FN, FP, TP, TN, PairStatsAccumulator,
-                       ThresholdResult, _neighbor_pass, _unit_chunks, _unit_means,
-                       confusion_sweep, solve_threshold, unit_rows)
+                       ThresholdResult, UnitRows, _neighbor_pass, _unit_chunks,
+                       _unit_means, confusion_sweep, solve_threshold)
 from .store import EmbeddingSet, MeanVectors, mean_vectors
 
 STD_CONVENTION = "population"
@@ -112,7 +112,7 @@ def intra_inter_similarity(dataset: EmbeddingSet, means: MeanVectors,
     mu = _unit_means(means)
     s_inter = _neighbor_pass(mu, k)[1]
     intra_sums = np.zeros(dataset.n_identities, dtype=np.float64)
-    for i0, i1, v64 in _unit_chunks(dataset.vectors):
+    for i0, i1, v64, _ in _unit_chunks(dataset.vectors):
         ids = dataset.identity[i0:i1]
         np.add.at(intra_sums, ids, np.einsum("ij,ij->i", v64, mu[ids]))
     return intra_sums / means.counts, s_inter
@@ -428,7 +428,7 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
         if progress is not None:
             progress(msg)
 
-    rows = unit_rows(dataset)
+    rows = UnitRows(dataset.vectors)
     say(f"solving threshold for target FPR {config.target_fpr:g}")
     thresh = solve_threshold(dataset, config.target_fpr, tile=config.tile,
                              workers=config.workers, rows=rows)

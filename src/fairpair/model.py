@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, FormatError, ValidationError
+from .util import replaced
 
 FFMP_MAGIC = b"FFMP"
 FFMP_VERSION = 1
@@ -388,8 +390,11 @@ _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
 
 def save_model(path, params: ModelParams) -> None:
-    """FFMP container: header, loss scalars, then the three float64 tensors."""
-    with open(path, "wb") as f:
+    """FFMP container: header, loss scalars, then the three float64 tensors.
+
+    Written beside `path` and moved into place whole, as `save_dataset` does.
+    """
+    with replaced([Path(path)]) as (tmp,), open(tmp, "wb") as f:
         f.write(_FFMP_HEADER.pack(FFMP_MAGIC, FFMP_VERSION, params.d_in, params.d_k,
                                   params.d_f, params.n_id,
                                   _ACT_CODE[params.encoder_act],

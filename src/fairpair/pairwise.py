@@ -16,17 +16,28 @@ Half sweep. Because s_ij = s_ji, every sweep visits only the tiles J >= I of
 the upper triangle, and on a diagonal tile only the pairs i < j: each
 unordered pair once. An ordered count is twice the unordered one.
 
-Screen and refine. The threshold pass and the confusion sweep compute every
-tile with a float32 GEMM. Its clipped value s~ obeys |s~ - s| <= delta(d),
-from gamma_d for the float32 GEMM plus the float32 rounding of s: about
-3.06e-5 at d = 512 and 7.7e-6 at d = 128. A pair whose s~ lies more than
-delta from a decision boundary is decided by s~; only pairs inside that band
-get their exact value, from `_exact_pairs`, which groups them by tile and runs
-`_exact_grid` on each group's distinct rows and columns. One refine therefore
-costs at most one float64 GEMM per tile it touches, however many pairs tie
-there. Every bound is rounded outward, so counts are exact for any tile
-schedule and any worker count. Counts are 64-bit integers and merge by plain
-addition.
+Screen and refine. No N x d copy of the unit rows is kept: `UnitRows` holds
+the raw float32 vectors and their float64 norms, and each row slab gathers
+its float32 unit rows once, bitwise equal to `unit_rows`. The threshold pass
+and the confusion sweep compute every tile with a float32 GEMM. The diagonal
+tile multiplies the slab's unit rows by themselves; every other tile
+multiplies them by the raw columns and scales each column j by
+c_j = fl32(1 / norm_j). The clipped value s~ obeys |s~ - s| <= delta(d).
+For unit rows on both sides delta comes from gamma_d for the float32 GEMM
+plus the float32 rounding of s: about 3.06e-5 at d = 512 and 7.7e-6 at
+d = 128 (`_screen_delta`). The scaled columns add the rounding of c_j and of
+the scaling product, the unit rows' own rounding |u_j - v_j / norm_j|, and
+the products that underflow, about 1.8e-7 more (`_scaled_delta`). Where a
+norm lies outside [2^-64, 2^64], the raw GEMM could overflow or c_j leave
+the normal range; there the columns are gathered as unit rows and the unit
+delta applies. A pair whose s~ lies more than delta from a decision boundary
+is decided by s~; only pairs inside that band get their exact value, from
+`_exact_pairs`, which groups them by tile and runs `_exact_grid` on each
+group's distinct rows and columns, gathered as unit rows. One refine
+therefore costs at most one float64 GEMM per tile it touches, however many
+pairs tie there. Every bound is rounded outward, so counts are exact for any
+tile schedule, worker count and GEMM kernel. Counts are 64-bit integers and
+merge by plain addition.
 
 Threshold. The overall-FPR threshold is the k-th largest ordered negative
 similarity, which is the ceil(k/2)-th largest unordered one. When k fits
@@ -83,28 +94,86 @@ TP, FP, TN, FN = 0, 1, 2, 3
 
 
 def _unit_chunks(vectors: np.ndarray):
-    """Yields (i0, i1, v): rows [i0, i1) of `vectors` scaled to unit norm in float64.
+    """Yields (i0, i1, v, norm): rows [i0, i1) of `vectors` scaled to unit norm in float64.
 
     v is one buffer of `budget_rows(d)` rows that the next chunk overwrites,
     so the float64 scratch is that buffer and the norm's temporary of its
-    size, even while a caller holds v. Each row is normalized on its own, so
-    no value depends on the chunk size.
+    size, even while a caller holds v. `norm` holds the rows' float64 norms.
+    Each row is normalized on its own, so no value depends on the chunk size.
     """
     chunk = budget_rows(vectors.shape[1])
     buf = np.empty((min(chunk, len(vectors)), vectors.shape[1]), dtype=np.float64)
     for i0, i1 in _row_blocks(len(vectors), chunk):
         v64 = buf[:i1 - i0]
         v64[...] = vectors[i0:i1]
-        v64 /= np.linalg.norm(v64, axis=1, keepdims=True)
-        yield i0, i1, v64
+        norm = np.linalg.norm(v64, axis=1)
+        v64 /= norm[:, None]
+        yield i0, i1, v64, norm
 
 
 def unit_rows(dataset: EmbeddingSet) -> np.ndarray:
     """Float32 unit-norm rows; the raw vectors are normalized in float64 first."""
     out = np.empty((dataset.n, dataset.dim), dtype=np.float32)
-    for i0, i1, v64 in _unit_chunks(dataset.vectors):
+    for i0, i1, v64, _ in _unit_chunks(dataset.vectors):
         out[i0:i1] = v64
     return out
+
+
+class UnitRows:
+    """The float32 unit rows of raw vectors, made when indexed; no N x d copy is kept.
+
+    Built once per evaluation, it holds the raw float32 vectors and O(N)
+    per-row values: the float64 norms of `_unit_chunks`, `scale`, the
+    inverse norms c_j = fl32(1 / norm_j), and `delta`, the screen's error
+    bound. `rows[a:b]` and `rows[idx]` return float32 unit rows bitwise equal
+    to `unit_rows`: one `np.divide` divides in float64 and rounds each result
+    once, with only the ufunc's small buffers as scratch. `columns` screens
+    against the raw rows scaled by c. Where a norm lies outside [2^-64, 2^64]
+    (the guard) `scale` is None and `columns` gathers unit rows; so it is for
+    rows passed with `normalized=True`, which are unit rows already.
+    """
+
+    def __init__(self, vectors: np.ndarray, normalized: bool = False):
+        self.raw, self.shape = vectors, vectors.shape
+        self.norm = self.scale = None
+        if normalized:
+            self.delta = _screen_delta(vectors)
+            return
+        self.norm = np.empty(len(vectors))
+        m32 = 0.0
+        for i0, i1, v64, norm in _unit_chunks(vectors):
+            self.norm[i0:i1] = norm
+            u = v64.astype(np.float32)
+            m32 = max(m32, float(np.einsum("ij,ij->i", u, u).max()))
+        d = vectors.shape[1]
+        if 2.0**-64 <= self.norm.min() and self.norm.max() <= 2.0**64:
+            self.scale = (1.0 / self.norm).astype(np.float32)
+            self.delta = _scaled_delta(d, m32, float(self.scale.max()))
+        else:
+            self.delta = _unit_delta(d, m32)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        v = self.raw[key]
+        if self.norm is None:
+            return v
+        out = np.empty(v.shape, np.float32) if np.may_share_memory(v, self.raw) else v
+        return np.divide(v, self.norm[key, None], out=out, casting="same_kind")
+
+    def columns(self, slab: np.ndarray, key) -> np.ndarray:
+        """The float32 screen of `slab` (unit rows) against the rows `key`, unclipped."""
+        if self.scale is None:
+            return slab @ self[key].T
+        s = slab @ self.raw[key].T
+        s *= self.scale[key]
+        return s
+
+
+def _rows_of(u) -> UnitRows:
+    """`u` as a UnitRows; a plain array is taken as float32 unit rows already."""
+    return u if isinstance(u, UnitRows) else UnitRows(u, normalized=True)
 
 
 def _near_midpoint(v: np.ndarray, e) -> np.ndarray:
@@ -239,10 +308,42 @@ def _screen_delta(u32: np.ndarray) -> float:
     a float32 sum of squares). Terms: the float32 GEMM, the float32 rounding
     of s, and float32 products that underflow.
     """
-    d = u32.shape[1]
+    return _unit_delta(u32.shape[1], float(np.einsum("ij,ij->i", u32, u32).max()))
+
+
+def _unit_delta(d: int, m32: float) -> float:
+    """`_screen_delta` of unit rows whose largest float32 sum of squares is m32."""
     g32 = d * 2.0**-24 / (1 - d * 2.0**-24)
-    m = max(1.0, float(np.einsum("ij,ij->i", u32, u32).max()) / (1 - g32))
+    m = max(1.0, m32 / (1 - g32))
     return float(np.nextafter(m * (g32 + 2.0**-24) + d * 2.0**-149, np.inf))
+
+
+def _scaled_delta(d: int, m32: float, c_max: float) -> float:
+    """A bound on |s~ - s| when the screen scales raw columns: s~ = clip(fl32(g * c_j)).
+
+    Here g is the float32 GEMM of the unit row u_i and the raw row v_j,
+    n_j the float64 norm of v_j, c_j = fl32(1 / n_j) and u_j = fl32(v_j / n_j)
+    its unit row; m bounds every |u|^2 as in `_screen_delta`, a = 2^-24 (1 +
+    2^-29) the relative error of rounding a float64 result to float32, and
+    S = sum_k |u_ik v_jk| / n_j. Then (Higham, section 3.1):
+    - the GEMM: |g - u_i . v_j| / n_j <= gamma_d S + d 2^-149 / n_j;
+    - c_j and the scaling product: |fl32(g c_j) - g / n_j| <= a |g| / n_j +
+      2^-24 |g c_j| + 2^-149, with |g| / n_j <= (1 + gamma_d) S + d 2^-149 / n_j;
+    - the unit-row rounding: |u_i . v_j / n_j - u_i . u_j| <= a S + 2^-150
+      sqrt(d m), since each |u_jk - v_jk / n_j| <= a |v_jk| / n_j + 2^-150 and
+      the same computed n_j divides on both sides, so its error cancels;
+    - the float32 rounding of s: 2^-24 m + 2^-150.
+    With S <= (m + sqrt(d m) 2^-150) / (1 - a) (as |v_j| / n_j <= (|u_j| +
+    sqrt(d) 2^-150) / (1 - a)) and 1 / n_j <= 2 max c_j, the products that
+    underflow add at most d 2^-147 max c_j. The sum is rounded outward.
+    """
+    g32 = d * 2.0**-24 / (1 - d * 2.0**-24)
+    a = 2.0**-24 * (1 + 2.0**-29)
+    m = max(1.0, m32 / (1 - g32))
+    s = (m + math.sqrt(d * m) * 2.0**-150) / (1 - a)
+    e = (s * (g32 + a + (1 + g32) * (a + (1 + a) * 2.0**-24)) + m * 2.0**-24
+         + d * 2.0**-147 * c_max + 2.0**-150 * (math.sqrt(d * m) + 3))
+    return float(np.nextafter(e * (1 + 2.0**-40), np.inf))
 
 
 def _f32_out(x: float, up: bool) -> np.float32:
@@ -289,27 +390,31 @@ def _map_blocks(fn, blocks, workers: int) -> list:
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
-def _half_tiles(u32: np.ndarray, i0: int, i1: int, tile: int, exact: bool = False,
+def _half_tiles(u32, i0: int, i1: int, tile: int, exact: bool = False,
                 idx: np.ndarray | None = None):
     """Similarity tiles of row slab [i0, i1) against the column tiles j0 >= i0.
 
-    Rows and columns are positions in `idx`, the records u32[idx], or without
-    it the records themselves; a tile gathers its own rows, never the whole
-    order. Yields (j0, s): s[r, c] belongs to positions i0 + r and j0 + c. It
-    is the clipped float32 GEMM screen, or with `exact` the `_exact_grid`
-    values. Slabs and tiles share one grid, so the first tile is the diagonal
-    one (j0 == i0), whose pairs i < j are its entries c > r.
+    `u32` is a `UnitRows` or an array of float32 unit rows. Rows and columns
+    are positions in `idx`, the records u32[idx], or without it the records
+    themselves; a tile gathers its own rows, never the whole order. Yields
+    (j0, s): s[r, c] belongs to positions i0 + r and j0 + c. It is the
+    clipped float32 GEMM screen, or with `exact` the `_exact_grid` values.
+    Slabs and tiles share one grid, so the first tile is the diagonal one
+    (j0 == i0), whose pairs i < j are its entries c > r. The slab's unit rows
+    are gathered once: the diagonal tile is their product with themselves,
+    every other tile `UnitRows.columns`.
     """
-    pos = np.arange(len(u32)) if idx is None else idx
-    gather = (lambda a, b: u32[a:b]) if idx is None else (lambda a, b: u32[idx[a:b]])
-    rows = gather(i0, i1)
+    rows = _rows_of(u32)
+    pos = np.arange(len(rows)) if idx is None else idx
+    at = (lambda a, b: slice(a, b)) if idx is None else (lambda a, b: idx[a:b])
+    slab = None if exact else rows[at(i0, i1)]
     for j0 in range(i0, len(pos), tile):
         j1 = min(j0 + tile, len(pos))
         if exact:
-            yield j0, _exact_grid(u32, pos[i0:i1], pos[j0:j1])
-        else:
-            s = rows @ gather(j0, j1).T
-            yield j0, np.clip(s, -1.0, 1.0, out=s)
+            yield j0, _exact_grid(rows, pos[i0:i1], pos[j0:j1])
+            continue
+        s = slab @ slab.T if j0 == i0 else rows.columns(slab, at(j0, j1))
+        yield j0, np.clip(s, -1.0, 1.0, out=s)
 
 
 def _upper(mask: np.ndarray, i0: int, j0: int) -> np.ndarray:
@@ -352,7 +457,7 @@ def sweep_histogram(dataset: EmbeddingSet, bins: int,
     if bins < 2:
         raise DomainError(f"histogram needs at least 2 bins, got {bins}")
     edges = np.linspace(-1.0, 1.0, bins + 1)[1:-1]
-    return _exact_counts(unit_rows(dataset), dataset.identity,
+    return _exact_counts(UnitRows(dataset.vectors), dataset.identity,
                          lambda v: np.searchsorted(edges, v.astype(np.float64), side="right"),
                          bins, tile, workers)
 
@@ -392,7 +497,7 @@ def _drain(parts: list) -> list:
     return whole
 
 
-def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
+def _top_negatives(u32, ids: np.ndarray, k: int,
                    tile: int, workers: int) -> tuple[np.float32, int, np.ndarray]:
     """(k-th largest unordered negative similarity t, count above it, FP per record).
 
@@ -413,7 +518,8 @@ def _top_negatives(u32: np.ndarray, ids: np.ndarray, k: int,
     """
     n = len(ids)
     index_type = np.uint32 if n * n < 1 << 32 else np.int64
-    delta = _screen_delta(u32)
+    u32 = _rows_of(u32)
+    delta = u32.delta
     lock = threading.Lock()
     top = (np.empty(0, dtype=np.float32), np.empty(0, dtype=index_type), np.empty(0, dtype=bool))
     kth, above = None, 0
@@ -525,7 +631,7 @@ class ThresholdResult:
 
 def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
                     tile: int = DEFAULT_TILE, workers: int = 1, *,
-                    rows: np.ndarray | None = None) -> ThresholdResult:
+                    rows: UnitRows | None = None) -> ThresholdResult:
     """Find the similarity cutoff whose strict-greater FP count meets the target.
 
     The threshold T is the k-th largest ordered negative similarity,
@@ -535,7 +641,7 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     worker) and T is its minimum, and the result carries each record's FP
     count at T (`record_fp`); otherwise a two-pass radix select over the
     float32 bit patterns finds T in fixed memory. `rows` passes the
-    `unit_rows` of the dataset when the caller has them. A zero threshold is
+    dataset's `UnitRows` when the caller has them. A zero threshold is
     always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
@@ -549,7 +655,7 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
                                allowed_fp=allowed, realized_fp=total_neg,
                                total_negatives=total_neg, degenerate=True)
 
-    u32 = unit_rows(dataset) if rows is None else rows
+    u32 = UnitRows(dataset.vectors) if rows is None else rows
     k = allowed + 1
     if k <= COLLECT_CAP:
         # each unordered value stands twice in the ordered ranking
@@ -606,7 +712,7 @@ def _identity_blocks(ids: np.ndarray, size: int) -> tuple[np.ndarray, list]:
     return order, blocks
 
 
-def _count_above(u32: np.ndarray, ids: np.ndarray, threshold: float, tile: int,
+def _count_above(u32, ids: np.ndarray, threshold: float, tile: int,
                  workers: int, order: np.ndarray | None = None,
                  blocks: list | None = None) -> np.ndarray:
     """(2, n) int64: per record, its pairs with similarity above `threshold`, and
@@ -623,7 +729,8 @@ def _count_above(u32: np.ndarray, ids: np.ndarray, threshold: float, tile: int,
     if not within:
         order, blocks = np.arange(n), [(0, n)]
     t = np.float64(threshold)  # compared exactly, never rounded to float32
-    delta = _screen_delta(u32)
+    u32 = _rows_of(u32)
+    delta = u32.delta
     tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
     lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
     counts = np.zeros((2, len(order)), dtype=np.int64)  # by position in `order`
@@ -660,7 +767,7 @@ def _count_above(u32: np.ndarray, ids: np.ndarray, threshold: float, tile: int,
 
 def confusion_sweep(dataset: EmbeddingSet, threshold: float,
                     tile: int = DEFAULT_TILE, workers: int = 1, *,
-                    rows: np.ndarray | None = None,
+                    rows: UnitRows | None = None,
                     fp: np.ndarray | None = None) -> PairStatsAccumulator:
     """Count TP/FP/TN/FN over all ordered pairs: predict positive iff S > threshold.
 
@@ -671,9 +778,9 @@ def confusion_sweep(dataset: EmbeddingSet, threshold: float,
     from the identity sizes. Given `fp`, each record's FP count at this
     threshold (`ThresholdResult.record_fp`), only TP is left, and the sweep
     visits the pairs within each identity alone (`_identity_blocks`). `rows`
-    passes the `unit_rows` of the dataset when the caller has them.
+    passes the dataset's `UnitRows` when the caller has them.
     """
-    u32 = unit_rows(dataset) if rows is None else rows
+    u32 = UnitRows(dataset.vectors) if rows is None else rows
     ids, n = dataset.identity, dataset.n
     if fp is None:
         above, tp = _count_above(u32, ids, threshold, tile, workers)

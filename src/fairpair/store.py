@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, FormatError, ValidationError
+from .util import replaced
 
 MAGIC = b"FFEB"
 VERSION = 1
@@ -61,7 +62,8 @@ class LabelTable:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    """A read-only contiguous view; the caller's own array keeps its write flag."""
+    arr = np.ascontiguousarray(arr).view()
     arr.setflags(write=False)
     return arr
 
@@ -70,8 +72,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class EmbeddingSet:
     """N embedding vectors with identity and attribute labels.
 
-    Immutable after construction; arrays are read-only and safe to share
-    across threads.
+    The arrays are read-only views, safe to share across threads. An array
+    passed in with the right dtype and layout is not copied: the set shares
+    the caller's buffer, so the caller must not write into it while the set
+    is in use.
     """
 
     vectors: np.ndarray    # (N, d) float32
@@ -192,12 +196,16 @@ def mean_vectors(dataset: EmbeddingSet) -> MeanVectors:
 
 
 def save_dataset(path, dataset: EmbeddingSet) -> None:
-    """Write an FFEB container; ``load_dataset`` recovers it bit-exactly."""
+    """Write an FFEB container; ``load_dataset`` recovers it bit-exactly.
+
+    The file is written beside `path` and moved into place whole, so a failed
+    write leaves any earlier file as it was.
+    """
     trailer = json.dumps(
         {"identities": list(dataset.labels.identities), "attributes": list(dataset.labels.attributes)},
         ensure_ascii=False,
     ).encode("utf-8")
-    with open(path, "wb") as f:
+    with replaced([Path(path)]) as (tmp,), open(tmp, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, dataset.n, dataset.dim,
                              dataset.n_identities, dataset.n_attributes))
         f.write(np.ascontiguousarray(dataset.vectors, dtype="<f4").tobytes())

@@ -1,8 +1,32 @@
-"""Tiny flat key-value config format: `key = value` lines, # comments."""
+"""Small shared helpers: the flat key-value config format (`key = value`
+lines, # comments) and atomic file replacement."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import uuid
+from pathlib import Path
+
 from .errors import ConfigError
+
+
+@contextlib.contextmanager
+def replaced(paths: list[Path]):
+    """Yields a temporary path beside each of `paths`; moves them all into place at the end.
+
+    Each move is an `os.replace`, so a reader sees a path's old file or its
+    whole new one. If the block raises, no path changes and the temporary
+    files are deleted.
+    """
+    temps = [p.with_name(f".{p.name}.{uuid.uuid4().hex[:12]}.tmp") for p in paths]
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def parse_kv(text: str) -> dict:

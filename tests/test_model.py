@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -278,6 +279,24 @@ def test_model_roundtrip_bit_exact(tmp_path, rng):
     path2 = tmp_path / "m2.ffmp"
     save_model(path2, q)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_failed_save_keeps_old_model(tmp_path, rng, params, monkeypatch):
+    path = tmp_path / "m.ffmp"
+    save_model(path, params)
+    before = path.read_bytes()
+
+    def boom(*args):  # struct.pack writes the loss scalars, after the header
+        raise OSError("disk full")
+    other = tiny_params(rng, d_in=6)
+    with monkeypatch.context() as mp:
+        mp.setattr(struct, "pack", boom)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(path, other)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ffmp"]
+    save_model(path, other)
+    assert load_model(path).w_enc.tobytes() == other.w_enc.tobytes()
 
 
 def test_model_bad_magic(tmp_path, params):

@@ -504,6 +504,20 @@ def test_chunked_phases_stay_within_budget():
         assert scratch < 3 * store.WORKING_SET, f"{scratch / 2**20:.2f} MiB of scratch"
 
 
+def test_evaluation_holds_no_n_by_d_copy():
+    # 6,000 x 256: one N x d float32 array is 5.9 MiB. The rows are made from
+    # the raw vectors as tiles need them; tile 256 keeps the tile buffers,
+    # O(tile^2) whatever N and d, well below that size
+    ds = random_dataset(np.random.default_rng(3), n=6000, d=256, g=100, m=2)
+    tracemalloc.start()
+    try:
+        metrics.evaluate_dataset(ds, metrics.EvalConfig(tile=256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.n * ds.dim * 4, f"{peak / 2**20:.2f} MiB traced"
+
+
 # --- float32 screen, per-pair kernel and the half sweep ------------------------
 
 def _all_pairs(n):
@@ -523,7 +537,7 @@ def _screen_matrix(u):
     return np.where(np.isnan(s), s.T, s)
 
 
-def _adversarial_rows(rng, d):
+def _adversarial_raw(rng, d):
     """Near-duplicates (s near +-1, clipped), cancellation-heavy and wide-range vectors."""
     base = rng.normal(size=(6, d))
     near = np.concatenate([base + eps * rng.normal(size=(6, d)) for eps in (0.0, 1e-7, 1e-4)])
@@ -533,11 +547,19 @@ def _adversarial_rows(rng, d):
     flip = signs * np.where(rng.random(size=(12, d)) < 0.5, -1.0, 1.0)
     cancel = np.concatenate([signs, flip, signs + 1e-6 * rng.normal(size=(12, d))])
     wide = rng.normal(size=(8, d)) * 10.0 ** rng.integers(-30, 3, size=(8, d))
-    rows = np.concatenate([near, cancel, wide]).astype(np.float32)
-    ds = EmbeddingSet(vectors=rows, identity=np.arange(len(rows)),
-                      attribute=np.zeros(len(rows), np.int64),
-                      labels=LabelTable.default(len(rows), 1))
-    return unit_rows(ds)
+    return np.concatenate([near, cancel, wide]).astype(np.float32)
+
+
+def _row_set(raw):
+    """Every record its own identity; rows that a scaling zeroed are left out."""
+    raw = raw[raw.any(axis=1)]
+    return EmbeddingSet(vectors=raw, identity=np.arange(len(raw)),
+                        attribute=np.zeros(len(raw), np.int64),
+                        labels=LabelTable.default(len(raw), 1))
+
+
+def _adversarial_rows(rng, d):
+    return unit_rows(_row_set(_adversarial_raw(rng, d)))
 
 
 @pytest.mark.parametrize("d", [2, 64, 512])
@@ -557,6 +579,53 @@ def test_screen_delta_values():
     for d, want in ((512, 3.06e-5), (128, 7.7e-6)):
         u = np.eye(d, dtype=np.float32)
         assert abs(pairwise._screen_delta(u) - want) < 0.01 * want
+
+
+# raw scales of the adversarial rows: every norm inside [2^-64, 2^64], where the
+# screen scales raw columns, and outside it, where the guard screens unit rows
+SCALED_BY = (1.0, 1e12, 1e-12, 2.0**40, 2.0**-40)
+GUARDED_BY = (1e30, 1e-30, 2.0**70, 2.0**-70)
+
+
+def _scaled_sets(d):
+    """(scale, dataset) of the adversarial rows stored at each raw scale."""
+    raw = _adversarial_raw(np.random.default_rng(d), d).astype(np.float64)
+    for scale in SCALED_BY + GUARDED_BY:
+        yield scale, _row_set((raw * scale).astype(np.float32))
+
+
+@pytest.mark.parametrize("d", [2, 64, 512])
+def test_unit_rows_source_gathers_bitwise(small_set, d):
+    for scale, ds in [(1.0, small_set), *_scaled_sets(d)]:
+        rows, want = pairwise.UnitRows(ds.vectors), unit_rows(ds)
+        norm = np.linalg.norm(ds.vectors.astype(np.float64), axis=1)
+        inside = 2.0**-64 <= norm.min() and norm.max() <= 2.0**64
+        assert (rows.scale is not None) == inside
+        if d > 2:  # at d = 2 a wide-range row alone can leave the range
+            assert inside == (scale in SCALED_BY)
+        idx = np.random.default_rng(0).permutation(ds.n)[:ds.n // 2 + 1]
+        for key in (slice(None), slice(3, ds.n - 2), idx, np.sort(idx)):
+            got = rows[key]
+            assert got.dtype == np.float32 and got.tobytes() == want[key].tobytes()
+
+
+@pytest.mark.parametrize("d", [64, 512])
+def test_scaled_screen_error_within_delta(d):
+    moved = False
+    for scale, ds in _scaled_sets(d):
+        rows, u = pairwise.UnitRows(ds.vectors), unit_rows(ds)
+        i, j = _all_pairs(ds.n)
+        exact = pairwise._exact_pairs(rows, i, j)
+        assert np.array_equal(exact, pairwise._exact_pairs(u, i, j))
+        screen = _screen_matrix(rows)
+        assert np.all(np.abs(screen[i, j].astype(np.float64) - exact) <= rows.delta)
+        if scale in GUARDED_BY:  # unit rows on both sides: the unit screen and delta
+            assert rows.scale is None and rows.delta == pairwise._screen_delta(u)
+            assert np.array_equal(screen, _screen_matrix(u))
+        else:
+            assert pairwise._screen_delta(u) < rows.delta < pairwise._screen_delta(u) + 2.0**-21
+            moved |= bool(np.any(screen != _screen_matrix(u)))
+    assert moved  # the scaled columns round differently from the unit ones
 
 
 def _round_fraction(x):
@@ -808,20 +877,22 @@ def test_counts_exact_on_and_one_ulp_around_threshold():
 def _adversarial_screen(monkeypatch):
     """Replace every screened value by the exact one moved 0.9 delta up or down.
 
-    The engine may assume no more than |s~ - s| <= delta of its screen, so
-    counts and thresholds must stay exact under this worst-case-sized error.
-    The push is a fixed function of the value's bits, the same in any thread.
+    The engine may assume no more than |s~ - s| <= delta of its screen, the
+    `delta` of the `UnitRows` it sweeps, so counts and thresholds must stay
+    exact under this worst-case-sized error. The push is a fixed function of
+    the value's bits, the same in any thread.
     """
     half_tiles = pairwise._half_tiles
 
-    def push(u32, exact):
+    def push(delta, exact):
         noise = np.where(exact.view(np.uint32).astype(np.uint64) * 2654435761 & 1 << 20, 1.0, -1.0)
-        moved = exact + 0.9 * pairwise._screen_delta(u32) * noise
+        moved = exact + 0.9 * delta * noise
         return np.clip(moved.astype(np.float32), -1.0, 1.0)
 
     def tiles(u32, i0, i1, tile, exact=False, idx=None):
+        delta = pairwise._rows_of(u32).delta  # the bound the sweep itself uses
         for j0, s in half_tiles(u32, i0, i1, tile, exact=True, idx=idx):
-            yield j0, s if exact else push(u32, s)
+            yield j0, s if exact else push(delta, s)
 
     monkeypatch.setattr(pairwise, "_half_tiles", tiles)
 
@@ -844,6 +915,49 @@ def test_exact_under_worst_case_screen_error(monkeypatch):
         for target, (ot, oallowed, orealized) in zip(targets, oracle):
             r = fused_matches_full(ds, target, None, tile, workers)
             assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
+
+
+def _magnitude_set(powers):
+    """Five vectors stored at magnitudes 2^p across 13 identities, and which vector each is.
+
+    A power-of-two scale changes no bit of a unit row, so all copies of a
+    vector share one unit row: their pairs tie exactly, at 1.0 across
+    identities, while the raw columns the screen scales differ.
+    """
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=(5, 6))
+    pick = rng.integers(0, 5, size=60)
+    p = np.asarray(powers)[rng.integers(0, len(powers), size=60)]
+    ident = np.arange(60) % 13
+    ds = EmbeddingSet(vectors=(base[pick] * 2.0 ** p[:, None]).astype(np.float32),
+                      identity=ident, attribute=ident % 2, labels=LabelTable.default(13, 2))
+    return ds, pick
+
+
+@pytest.mark.parametrize("powers", [(-20, -3, 0, 7, 30), (-70, 0, 70)])
+def test_duplicates_at_other_magnitudes_tie_exactly(powers):
+    ds, pick = _magnitude_set(powers)
+    u = unit_rows(ds)
+    assert np.array_equal(u, u[[np.flatnonzero(pick == b)[0] for b in pick]])
+    assert (pairwise.UnitRows(ds.vectors).scale is None) == (max(map(abs, powers)) > 64)
+    s = oracle_sims(ds)
+    neg = ds.identity[:, None] != ds.identity[None, :]
+    total = int(np.count_nonzero(neg))
+    assert np.count_nonzero(s[neg] == 1.0) > 100
+    for allowed in (0, 7, 150, 900, total // 2, total - 1):
+        target = (allowed + 0.5) / total
+        ot, oallowed, orealized = oracle_threshold(ds, target)
+        ofp = np.count_nonzero(neg & (s > np.float32(ot)), axis=1)
+        gid, att = oracle_counts(ds, ot)
+        for tile in (7, 37, 768):
+            for workers in (1, 3):
+                r = fused_matches_full(ds, target, None, tile, workers)
+                assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
+                assert np.array_equal(r.record_fp, ofp)
+                acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers,
+                                      fp=r.record_fp)
+                assert np.array_equal(acc.identity_counts, gid)
+                assert np.array_equal(acc.attribute_counts, att)
 
 
 def test_threshold_ties_odd_and_even_rank():

@@ -12,6 +12,7 @@ from fairpair.errors import DomainError, FormatError, ValidationError
 from fairpair.store import (
     EmbeddingSet,
     LabelTable,
+    MeanVectors,
     load_csv,
     load_dataset,
     mean_vectors,
@@ -220,6 +221,41 @@ def test_arrays_are_read_only(small_set):
         small_set.vectors[0, 0] = 1.0
     with pytest.raises(ValueError):
         small_set.identity[0] = 1
+
+
+def test_sets_leave_the_callers_array_writeable():
+    # arrays that need no copy are shared, through a read-only view
+    vecs = np.arange(12, dtype=np.float32).reshape(4, 3) + 1
+    ident = np.array([0, 0, 1, 1], dtype=np.int64)
+    ds = EmbeddingSet(vectors=vecs, identity=ident, attribute=np.zeros(4, np.int64),
+                      labels=LabelTable.default(2, 1))
+    means, counts = np.ones((2, 3)), np.array([2, 2], dtype=np.int64)
+    mv = MeanVectors(means=means, counts=counts)
+    for mine, theirs in ((vecs, ds.vectors), (ident, ds.identity),
+                         (means, mv.means), (counts, mv.counts)):
+        assert mine.flags.writeable and not theirs.flags.writeable
+        assert np.shares_memory(mine, theirs)
+        mine.flat[0] = 7
+        assert theirs.flat[0] == 7
+
+
+def test_failed_save_keeps_old_dataset(tmp_path, small_set, monkeypatch):
+    path = tmp_path / "set.ffeb"
+    save_dataset(path, small_set)
+    before = path.read_bytes()
+
+    def boom(*args):  # struct.pack writes the label-table length, after the vectors
+        raise OSError("disk full")
+    other = random_dataset(np.random.default_rng(8), n=30, d=5, g=4, m=2)
+    with monkeypatch.context() as mp:
+        mp.setattr(struct, "pack", boom)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(path, other)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["set.ffeb"]
+    save_dataset(path, other)  # a save that completes replaces the file
+    assert load_dataset(path).vectors.tobytes() == other.vectors.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["set.ffeb"]
 
 
 def test_identity_attribute_map(small_set):
