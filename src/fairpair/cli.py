@@ -190,8 +190,7 @@ def cmd_grad_check(args) -> int:
         enc = "softplus" if i % 2 == 0 else "identity"
         deb = "identity" if i % 4 != 3 else "softplus"
         err = grad_check(d_in, d_k, d_f, n_id, batch, rng, step=args.step,
-                         use_eps=use_eps, encoder_act=enc, debias_act=deb,
-                         negate_analytic=args.negate_analytic)
+                         use_eps=use_eps, encoder_act=enc, debias_act=deb)
         worst = max(worst, err)
         _progress(f"config {i + 1}/{args.configs}: d=({d_in},{d_k},{d_f}) "
                   f"n_id={n_id} batch={batch} rel_err={err:.3g}")
@@ -289,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--negate-analytic", action="store_true",
-                   help=argparse.SUPPRESS)   # test hook: injects a sign-flip bug
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("convert", help="convert between .csv and .ffeb")

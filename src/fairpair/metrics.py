@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ValidationError
+from .errors import ConfigError, DegenerateDataError, DomainError, ValidationError
 from .pairwise import (DEFAULT_TILE, FN, FP, TP, TN, PairStatsAccumulator,
                        ThresholdResult, UnitRows, _neighbor_pass, _unit_chunks,
                        _unit_means, confusion_sweep, solve_threshold)
@@ -414,7 +414,12 @@ class EvalConfig:
             raise ConfigError("worker count must be at least 1")
 
     def clamped_k(self, n_identities: int) -> tuple[int, str | None]:
-        """K cut to the G - 1 other identities, and the note saying so if it was."""
+        """K cut to the G - 1 other identities, and the note saying so if it was.
+
+        Fewer than 2 identities leave no neighbour at all: degenerate data.
+        """
+        if n_identities < 2:
+            raise DegenerateDataError(f"neighbour analysis needs 2 identities, got {n_identities}")
         k = min(self.k, n_identities - 1)
         if k == self.k:
             return k, None

@@ -334,13 +334,8 @@ def finite_diff_grad(loss_fn, params: ModelParams, step: float = 1e-6) -> dict:
 
 def grad_check(d_in: int, d_k: int, d_f: int, n_id: int, batch: int, rng,
                step: float = 1e-6, use_eps: bool = True,
-               encoder_act: str = "softplus", debias_act: str = "identity",
-               negate_analytic: bool = False) -> float:
-    """Max relative error between analytic and finite-difference gradients.
-
-    `negate_analytic` deliberately sign-flips the analytic side; it exists so
-    the checker itself can be shown to catch a planted bug.
-    """
+               encoder_act: str = "softplus", debias_act: str = "identity") -> float:
+    """Max relative error between analytic and finite-difference gradients."""
     if n_id < 2:
         raise DomainError("gradient check needs at least two identities")
     params = xavier_init(d_in, d_k, d_f, n_id, rng,
@@ -353,8 +348,6 @@ def grad_check(d_in: int, d_k: int, d_f: int, n_id: int, batch: int, rng,
 
     cache = batch_forward(x, y, partners, params, use_eps=use_eps)
     analytic = batch_backward(cache, params)
-    if negate_analytic:
-        analytic = {name: -g for name, g in analytic.items()}
     numeric = finite_diff_grad(
         lambda q: batch_forward(x, y, partners, q, use_eps=use_eps).loss, params, step)
     worst = 0.0

@@ -49,18 +49,18 @@ two-pass radix select over order-preserving keys of the float32 values:
 65,536 counters per pass and worker, whatever the value distribution or the
 number of ties.
 
-Confusion counts. Fewer than k negative pairs lie above the top-k threshold,
+Confusion counts. Every solve returns each record's ordered FP count at T,
+the FP witness. Fewer than k negative pairs lie above the top-k threshold,
 so its final top set holds them all, and a `bincount` of their two records
-is each record's FP count: the FP witness. TP then needs only the pairs
-within identities, sum c^2 of them against n^2: `_identity_blocks` visits
-the rows in identity order through an index permutation, packs whole
-identities into blocks of at most IDENTITY_BLOCK rows (and tile rows), and
-leaves a larger identity a block of its own, half-swept slab by slab;
-`_half_tiles` gathers each tile's rows, so no sorted copy of the set is
-built. The screen and refine are the sweep's own. The radix select and the
-degenerate target carry no witness: there one full half sweep counts, per
-record, the pairs above the threshold and those of them that share its
-identity.
+gives it. After the radix select, one screened pass over the negative pairs
+counts them; for the degenerate target, FP is n - size without a sweep. TP
+then needs only the pairs within identities, sum c^2 of them against n^2:
+`_identity_blocks` visits the rows in identity order through an index
+permutation, packs whole identities into blocks of at most IDENTITY_BLOCK
+rows (and tile rows), and leaves a larger identity a block of its own,
+half-swept slab by slab; `_half_tiles` gathers each tile's rows, so no
+sorted copy of the set is built. Both passes are `_count_above`, with the
+sweep's own screen and refine.
 
 The radix select and `sweep_histogram` need every value, so they share one
 exact count, `_exact_counts`: it computes whole tiles with `_exact_grid` (the
@@ -562,10 +562,7 @@ def _top_negatives(u32, ids: np.ndarray, k: int,
         raise AssertionError(f"top-k pass found fewer than {k} negative pairs")
     vals, pairs, known = top
     p = pairs[~known | (vals > kth)].astype(np.int64)
-    fp = np.bincount(p // n, minlength=n) + np.bincount(p % n, minlength=n)
-    if int(fp.sum()) != 2 * above:
-        raise AssertionError(f"FP witness counts {int(fp.sum())} ordered pairs, not {2 * above}")
-    return kth, above, fp
+    return kth, above, np.bincount(p // n, minlength=n) + np.bincount(p % n, minlength=n)
 
 
 def _radix_key(s32: np.ndarray) -> np.ndarray:
@@ -624,8 +621,8 @@ class ThresholdResult:
     realized_fp: int
     total_negatives: int
     degenerate: bool = False
-    # ordered FP per record at the threshold, when the top-k pass found them;
-    # `confusion_sweep` then counts TP alone. Never part of a report.
+    # ordered FP per record at the threshold, which every solve returns, so
+    # `confusion_sweep` counts TP alone. Never part of a report.
     record_fp: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -638,11 +635,13 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     k = allowed + 1 with allowed = floor(target_fpr * total_negatives)
     evaluated in exact arithmetic. When k <= COLLECT_CAP one screened sweep
     over the unordered pairs keeps the exact top-ceil(k/2) (O(k) memory per
-    worker) and T is its minimum, and the result carries each record's FP
-    count at T (`record_fp`); otherwise a two-pass radix select over the
-    float32 bit patterns finds T in fixed memory. `rows` passes the
-    dataset's `UnitRows` when the caller has them. A zero threshold is
-    always +0.0.
+    worker) and T is its minimum; otherwise a two-pass radix select over the
+    float32 bit patterns finds T in fixed memory. Every result carries each
+    record's ordered FP count at T (`record_fp`): the top-k pass's own, one
+    screened pass over the negatives after the radix select, and n - size
+    without a sweep when the target admits every negative (T = -inf). `rows`
+    passes the dataset's `UnitRows` when the caller has them. A zero
+    threshold is always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
         raise DomainError(f"target FPR must lie in (0, 1], got {target_fpr}")
@@ -650,23 +649,26 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     if total_neg == 0:
         raise DegenerateDataError("dataset has no negative ordered pairs")
     allowed = int(Fraction(target_fpr) * total_neg)
-    if allowed >= total_neg:
-        return ThresholdResult(threshold=-math.inf, target_fpr=target_fpr,
-                               allowed_fp=allowed, realized_fp=total_neg,
-                               total_negatives=total_neg, degenerate=True)
-
-    u32 = UnitRows(dataset.vectors) if rows is None else rows
-    k = allowed + 1
-    if k <= COLLECT_CAP:
-        # each unordered value stands twice in the ordered ranking
-        t, above, fp = _top_negatives(u32, dataset.identity, (k + 1) // 2, tile, workers)
-        threshold, realized = float(t), 2 * above
+    ids = dataset.identity
+    degenerate = allowed >= total_neg
+    if degenerate:
+        threshold, realized = -math.inf, total_neg
+        fp = dataset.n - np.bincount(ids, minlength=dataset.n_identities)[ids]
     else:
-        threshold, realized = _radix_select(u32, dataset.identity, k, tile, workers)
-        fp = None
+        u32 = UnitRows(dataset.vectors) if rows is None else rows
+        k = allowed + 1
+        if k <= COLLECT_CAP:
+            # each unordered value stands twice in the ordered ranking
+            t, above, fp = _top_negatives(u32, ids, (k + 1) // 2, tile, workers)
+            threshold, realized = float(t), 2 * above
+        else:
+            threshold, realized = _radix_select(u32, ids, k, tile, workers)
+            fp = _count_above(u32, ids, threshold, tile, workers, same=False)
+    if int(fp.sum()) != realized:
+        raise AssertionError(f"FP witness counts {int(fp.sum())} ordered pairs, not {realized}")
     return ThresholdResult(threshold=threshold + 0.0, target_fpr=target_fpr,
                            allowed_fp=allowed, realized_fp=realized,
-                           total_negatives=total_neg, record_fp=fp)
+                           total_negatives=total_neg, degenerate=degenerate, record_fp=fp)
 
 
 @dataclass
@@ -713,55 +715,52 @@ def _identity_blocks(ids: np.ndarray, size: int) -> tuple[np.ndarray, list]:
 
 
 def _count_above(u32, ids: np.ndarray, threshold: float, tile: int,
-                 workers: int, order: np.ndarray | None = None,
-                 blocks: list | None = None) -> np.ndarray:
-    """(2, n) int64: per record, its pairs with similarity above `threshold`, and
-    how many of those share its identity.
+                 workers: int, same: bool) -> np.ndarray:
+    """(n,) int64: per record, its pairs with similarity above `threshold` whose
+    identities match (`same`, TP) or differ (FP).
 
-    Each block [b0, b1) of positions in `order` is swept as one upper
-    triangle, slab by slab. Without `order` there is one block, every record
-    in file order. With it, the blocks hold whole identities and only their
-    within-identity pairs are screened, refined and counted, so both rows
-    count TP.
+    Each block is swept as one upper triangle, slab by slab: with `same`
+    the blocks of whole identities of `_identity_blocks`, otherwise one
+    block of every record in file order. Identity is tested on the pairs
+    the screen keeps, before any refine, so only pairs of the kind counted
+    are refined.
     """
     n = len(ids)
-    within = order is not None
-    if not within:
+    if same:
+        order, blocks = _identity_blocks(ids, min(tile, IDENTITY_BLOCK))
+    else:
         order, blocks = np.arange(n), [(0, n)]
+    match = np.equal if same else np.not_equal
     t = np.float64(threshold)  # compared exactly, never rounded to float32
     u32 = _rows_of(u32)
     delta = u32.delta
     tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
     lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
-    counts = np.zeros((2, len(order)), dtype=np.int64)  # by position in `order`
+    counts = np.zeros(len(order), dtype=np.int64)  # by position in `order`
     lock = threading.Lock()
 
     def slab(b0, b1, i0, i1):
         idx = order[b0:b1]
-        mine = np.zeros((2, b1 - b0), dtype=np.int64)
-        for j0, s in _half_tiles(u32, i0, i1, tile, idx=idx if within else None):
+        mine = np.zeros(b1 - b0, dtype=np.int64)
+        for j0, s in _half_tiles(u32, i0, i1, tile, idx=idx if same else None):
             w = s.shape[1]
             ri, cj = idx[i0:i1], idx[j0:j0 + w]
-            maybe = s > lo  # every pair that may lie above T
-            if within:
-                maybe &= ids[ri, None] == ids[None, cj]
-            r, c = np.nonzero(_upper(maybe, i0, j0))
+            r, c = np.nonzero(_upper(s > lo, i0, j0))  # every pair that may lie above T
+            kind = match(ids[ri[r]], ids[cj[c]])
+            r, c = r[kind], c[kind]
             hit = s[r, c] > hi
             band = np.flatnonzero(~hit)  # lo < s~ <= hi: refine
             if band.size:
                 hit[band] = _exact_pairs(u32, ri[r[band]], cj[c[band]], tile) > t
-            r, c = r[hit], c[hit]
-            same = ids[ri[r]] == ids[cj[c]]
-            for acc, pick in ((mine[0], slice(None)), (mine[1], same)):
-                acc[i0:i1] += np.bincount(r[pick], minlength=i1 - i0)
-                acc[j0:j0 + w] += np.bincount(c[pick], minlength=w)
+            mine[i0:i1] += np.bincount(r[hit], minlength=i1 - i0)
+            mine[j0:j0 + w] += np.bincount(c[hit], minlength=w)
         with lock:
-            counts[:, b0:b1] += mine
+            counts[b0:b1] += mine
 
     _map_blocks(slab, [(b0, b1, i0, i1) for b0, b1 in blocks
                        for i0, i1 in _row_blocks(b1 - b0, tile)], workers)
-    out = np.zeros((2, n), dtype=np.int64)
-    out[:, order] = counts
+    out = np.zeros(n, dtype=np.int64)
+    out[order] = counts
     return out
 
 
@@ -772,22 +771,18 @@ def confusion_sweep(dataset: EmbeddingSet, threshold: float,
     """Count TP/FP/TN/FN over all ordered pairs: predict positive iff S > threshold.
 
     Equality S == threshold counts as a negative prediction, so the four
-    counts partition every ordered pair. One screened half sweep counts, per
-    record, the pairs above the threshold and how many of them share its
-    identity (TP); FP is the rest, and the positive and negative totals come
-    from the identity sizes. Given `fp`, each record's FP count at this
-    threshold (`ThresholdResult.record_fp`), only TP is left, and the sweep
-    visits the pairs within each identity alone (`_identity_blocks`). `rows`
-    passes the dataset's `UnitRows` when the caller has them.
+    counts partition every ordered pair. `fp` gives each record's FP count
+    at this threshold (`ThresholdResult.record_fp`); without it one screened
+    half sweep over the negative pairs counts it. TP comes from a sweep of
+    the pairs within each identity alone (`_identity_blocks`), and the
+    positive and negative totals from the identity sizes. `rows` passes the
+    dataset's `UnitRows` when the caller has them.
     """
     u32 = UnitRows(dataset.vectors) if rows is None else rows
     ids, n = dataset.identity, dataset.n
     if fp is None:
-        above, tp = _count_above(u32, ids, threshold, tile, workers)
-        fp = above - tp
-    else:
-        order, blocks = _identity_blocks(ids, min(tile, IDENTITY_BLOCK))
-        tp = _count_above(u32, ids, threshold, tile, workers, order, blocks)[1]
+        fp = _count_above(u32, ids, threshold, tile, workers, same=False)
+    tp = _count_above(u32, ids, threshold, tile, workers, same=True)
     size = np.bincount(ids, minlength=dataset.n_identities)[ids]
     quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)
     acc = PairStatsAccumulator.zeros(dataset.n_identities, dataset.n_attributes)

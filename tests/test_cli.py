@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairpair import cli
+from fairpair import cli, model
 from fairpair.cli import main
 from fairpair.store import EmbeddingSet, LabelTable, load_dataset, save_dataset
 from fairpair.synth import (format_profile, split_by_identity, standard_biased_profile,
@@ -225,6 +225,16 @@ def test_analyze_clamps_k_like_eval(tmp_path, pop_path, capsys):
     assert "K clamped from 50 to 15 (only 16 identities)" in report["warnings"]
 
 
+def test_analyze_single_identity_exit_4(tmp_path, capsys):
+    # like eval, a set with no second identity is degenerate data, not a bad K
+    ds = random_dataset(np.random.default_rng(0), n=6, g=1, m=1)
+    p = tmp_path / "one.ffeb"
+    save_dataset(p, ds)
+    assert main(["analyze", "--in", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert "degenerate data" in err and "K clamped" not in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_analyze_group_without_identities(tmp_path, capsys):
     # the label table names a third attribute that no identity carries
@@ -356,8 +366,11 @@ def test_grad_check_passes(capsys):
     assert "pass" in out
 
 
-def test_grad_check_catches_negated_gradients(capsys):
-    assert main(["grad-check", "--configs", "2", "--negate-analytic"]) == 1
+def test_grad_check_catches_negated_gradients(capsys, monkeypatch):
+    backward = model.batch_backward
+    monkeypatch.setattr(model, "batch_backward", lambda *args, **kw: {
+        name: -g for name, g in backward(*args, **kw).items()})
+    assert main(["grad-check", "--configs", "2"]) == 1
 
 
 # --- convert -------------------------------------------------------------------------

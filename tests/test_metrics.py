@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpair.errors import ConfigError, DomainError
+from fairpair.errors import ConfigError, DegenerateDataError, DomainError
 from fairpair.metrics import (
     AttributeRates,
     EvalConfig,
@@ -264,6 +264,8 @@ def test_eval_config_clamped_k():
     cfg = EvalConfig(k=20)
     assert cfg.clamped_k(21) == (20, None)
     assert cfg.clamped_k(16) == (15, "K clamped from 20 to 15 (only 16 identities)")
+    with pytest.raises(DegenerateDataError):
+        cfg.clamped_k(1)
 
 
 def test_report_matches_components(small_set):

@@ -147,28 +147,36 @@ def test_equality_counts_negative(rng):
 
 
 def fused_matches_full(ds, target, cap_offset=None, tile=768, workers=1):
-    """Solve, then check the FP witness and the identity-block TP pass against the full sweep.
+    """Solve, then check the FP witness and both counting passes against exact counts.
 
-    The top-k solve's `record_fp` must equal the full sweep's FP per record,
-    the TP pass over identity blocks its TP per record, and the accumulators
-    `confusion_sweep` builds from the two the full sweep's accumulators. The
-    radix select and the degenerate target carry no witness. Returns the
-    solve's result.
+    Every solve's `record_fp` must equal each record's FP at the threshold,
+    counted from `exact_sims` (n - size on a degenerate target), and sum to
+    `realized_fp`; `_count_above` must give each record's TP and FP; and the
+    accumulators `confusion_sweep` builds from the witness must equal the
+    exact ones. Returns the solve's result.
     """
     r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
-    if r.record_fp is None:
-        assert r.degenerate or cap_offset == -1
-        return r
+    s = exact_sims_of(ds)
+    same = ds.identity[:, None] == ds.identity[None, :]
+    pos, neg = same & ~np.eye(ds.n, dtype=bool), ~same
+    hit = s > r.threshold
+    cells = [pos & hit, neg & hit, neg & ~hit, pos & ~hit]  # TP, FP, TN, FN
+    per_record = np.stack([np.count_nonzero(c, axis=1) for c in cells], axis=1)
+    assert np.array_equal(r.record_fp, per_record[:, pairwise.FP])
+    assert int(r.record_fp.sum()) == r.realized_fp
+    if r.degenerate:
+        assert np.array_equal(r.record_fp, ds.n - np.bincount(ds.identity)[ds.identity])
     u = unit_rows(ds)
-    above, tp = pairwise._count_above(u, ds.identity, r.threshold, tile, workers)
-    assert np.array_equal(r.record_fp, above - tp)
-    order, blocks = pairwise._identity_blocks(ds.identity, min(tile, pairwise.IDENTITY_BLOCK))
-    within = pairwise._count_above(u, ds.identity, r.threshold, tile, workers, order, blocks)
-    assert np.array_equal(within, [tp, tp])
-    full = confusion_sweep(ds, r.threshold, tile=tile, workers=workers)
-    fused = confusion_sweep(ds, r.threshold, tile=tile, workers=workers, fp=r.record_fp)
-    assert np.array_equal(fused.identity_counts, full.identity_counts)
-    assert np.array_equal(fused.attribute_counts, full.attribute_counts)
+    for kind, col in ((True, pairwise.TP), (False, pairwise.FP)):
+        got = pairwise._count_above(u, ds.identity, r.threshold, tile, workers, same=kind)
+        assert np.array_equal(got, per_record[:, col])
+    gid = np.zeros((ds.n_identities, 4), dtype=np.int64)
+    att = np.zeros((ds.n_attributes, 4), dtype=np.int64)
+    np.add.at(gid, ds.identity, per_record)
+    np.add.at(att, ds.attribute, per_record)
+    acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers, fp=r.record_fp)
+    assert np.array_equal(acc.identity_counts, gid)
+    assert np.array_equal(acc.attribute_counts, att)
     return r
 
 
@@ -225,6 +233,28 @@ def test_fused_counts_under_thread_switching():
             fused_matches_full(ds, target, None, 7, 8)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_witness_leaves_only_the_tp_pass(small_set, monkeypatch):
+    # given the solve's FP witness, the confusion sweep counts TP alone, and
+    # the degenerate target needs no pass over the negatives at all
+    passes = []
+    count_above = pairwise._count_above
+
+    def spy(u32, ids, threshold, tile, workers, same):
+        passes.append(same)
+        return count_above(u32, ids, threshold, tile, workers, same)
+
+    monkeypatch.setattr(pairwise, "_count_above", spy)
+    r = solve_threshold(small_set, 0.3)
+    confusion_sweep(small_set, r.threshold, fp=r.record_fp)
+    assert passes == [True]
+    passes.clear()
+    confusion_sweep(small_set, r.threshold)
+    assert passes == [False, True]
+    passes.clear()
+    metrics.evaluate_dataset(small_set, metrics.EvalConfig(target_fpr=1.0, k=3))
+    assert passes == [True]
 
 
 def test_identity_blocks_hold_whole_identities():
@@ -643,6 +673,17 @@ def exact_sims(u):
         for b, y in enumerate(rows[a:], a):
             s[a, b] = s[b, a] = _round_fraction(sum(p * q for p, q in zip(x, y)))
     return np.clip(s, -1.0, 1.0)
+
+
+_EXACT_SIMS = {}
+
+
+def exact_sims_of(ds):
+    """`exact_sims` of the set's unit rows, computed once per set of vectors."""
+    key = (ds.vectors.shape, ds.vectors.tobytes())
+    if key not in _EXACT_SIMS:
+        _EXACT_SIMS[key] = exact_sims(unit_rows(ds))
+    return _EXACT_SIMS[key]
 
 
 def test_exact_pairs_symmetric_and_batch_free():
