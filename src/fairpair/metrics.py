@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -395,11 +396,10 @@ class EvalConfig:
     target_fpr: float = 1e-5
     k: int = 50
     bins: int = 200
-    # read only by perfbench's histogram probe; goes with that probe (ROADMAP item 1)
-    threshold_bins: int = 200
     tile: int = DEFAULT_TILE
     workers: int = 1
-    seed: int | None = None
+    # not a field: read only by perfbench's histogram probe, and goes with it
+    threshold_bins: ClassVar[int] = 200
 
     def __post_init__(self):
         if not 0 < self.target_fpr <= 1:
@@ -456,7 +456,7 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
         warnings.append("degenerate threshold: target admits every negative pair")
 
     say("assembling report")
-    rep_cfg = ReportConfig(k=k, bins=config.bins, seed=config.seed)
+    rep_cfg = ReportConfig(k=k, bins=config.bins)
     return build_report(dataset, thresh, acc, s_intra, s_inter, rep_cfg,
                         warnings=warnings)
 

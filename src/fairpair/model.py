@@ -76,8 +76,9 @@ class ModelParams:
             raise ValidationError("encoder output and debias input dimensions differ")
         if self.prototypes.shape[1] != self.w_deb.shape[1]:
             raise ValidationError("prototype and debias output dimensions differ")
-        if np.any(np.linalg.norm(self.prototypes, axis=1) == 0.0):
-            raise ValidationError("prototype rows must be nonzero")
+        with np.errstate(over="ignore"):  # a huge row's norm overflows to inf, not to 0
+            if np.any(np.linalg.norm(self.prototypes, axis=1) == 0.0):
+                raise ValidationError("prototype rows must be nonzero")
         for act in (self.encoder_act, self.debias_act):
             if act not in ACTIVATIONS:
                 raise DomainError(f"unknown activation {act!r}")
@@ -415,6 +416,10 @@ def load_model(path) -> ModelParams:
     if len(blob) != need:
         raise FormatError(f"model payload ends at byte {len(blob)}, expected {need}")
     scale, margin = struct.unpack_from("<dd", blob, off)
+    if not scale > 0:
+        raise FormatError(f"model scale {scale!r} at byte {off} must be positive")
+    if not margin >= 0:
+        raise FormatError(f"model margin {margin!r} at byte {off + 8} must be nonnegative")
     off += 16
 
     def take(r, c):

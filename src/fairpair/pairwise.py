@@ -19,10 +19,10 @@ unordered pair once. An ordered count is twice the unordered one.
 Screen and refine. No N x d copy of the unit rows is kept: `UnitRows` holds
 the raw float32 vectors and their float64 norms, and each row slab gathers
 its float32 unit rows once, bitwise equal to `unit_rows`. The threshold pass
-and the confusion sweep compute every tile with a float32 GEMM. The diagonal
-tile multiplies the slab's unit rows by themselves; every other tile
-multiplies them by the raw columns and scales each column j by
-c_j = fl32(1 / norm_j). The clipped value s~ obeys |s~ - s| <= delta(d).
+and the confusion sweep screen every tile, the diagonal one too, the same
+way (`UnitRows.columns`): a float32 GEMM of the slab's unit rows by the raw
+columns, each column j scaled by c_j = fl32(1 / norm_j). The clipped value
+s~ obeys |s~ - s| <= delta(d).
 For unit rows on both sides delta comes from gamma_d for the float32 GEMM
 plus the float32 rounding of s: about 3.06e-5 at d = 512 and 7.7e-6 at
 d = 128 (`_screen_delta`). The scaled columns add the rounding of c_j and of
@@ -60,7 +60,9 @@ permutation, packs whole identities into blocks of at most IDENTITY_BLOCK
 rows (and tile rows), and leaves a larger identity a block of its own,
 half-swept slab by slab; `_half_tiles` gathers each tile's rows, so no
 sorted copy of the set is built. Both passes are `_count_above`, with the
-sweep's own screen and refine.
+sweep's own screen and refine. Every pass picks a tile's pairs with one
+selector, `_pairs` (i < j, identities that differ or match), and counts by
+record: each pair above T adds one to both of its records.
 
 The radix select and `sweep_histogram` need every value, so they share one
 exact count, `_exact_counts`: it computes whole tiles with `_exact_grid` (the
@@ -80,7 +82,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .store import EmbeddingSet, MeanVectors, budget_rows, normalize
+from .store import EmbeddingSet, MeanVectors, budget_rows
 
 DEFAULT_TILE = 768
 COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
@@ -100,6 +102,7 @@ def _unit_chunks(vectors: np.ndarray):
     so the float64 scratch is that buffer and the norm's temporary of its
     size, even while a caller holds v. `norm` holds the rows' float64 norms.
     Each row is normalized on its own, so no value depends on the chunk size.
+    A row whose norm is zero or not finite has no direction: DomainError.
     """
     chunk = budget_rows(vectors.shape[1])
     buf = np.empty((min(chunk, len(vectors)), vectors.shape[1]), dtype=np.float64)
@@ -107,6 +110,9 @@ def _unit_chunks(vectors: np.ndarray):
         v64 = buf[:i1 - i0]
         v64[...] = vectors[i0:i1]
         norm = np.linalg.norm(v64, axis=1)
+        dead = np.flatnonzero(~np.isfinite(norm) | (norm == 0.0))
+        if dead.size:
+            raise DomainError(f"row {i0 + int(dead[0])} has a zero or non-finite norm; no direction")
         v64 /= norm[:, None]
         yield i0, i1, v64, norm
 
@@ -130,7 +136,8 @@ class UnitRows:
     once, with only the ufunc's small buffers as scratch. `columns` screens
     against the raw rows scaled by c. Where a norm lies outside [2^-64, 2^64]
     (the guard) `scale` is None and `columns` gathers unit rows; so it is for
-    rows passed with `normalized=True`, which are unit rows already.
+    rows passed with `normalized=True`, unit rows already, yet returned as
+    copies: numpy would send a GEMM of a buffer by itself to SYRK instead.
     """
 
     def __init__(self, vectors: np.ndarray, normalized: bool = False):
@@ -156,9 +163,9 @@ class UnitRows:
         return self.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
-        v = self.raw[key]
         if self.norm is None:
-            return v
+            return self.raw[key].copy()
+        v = self.raw[key]
         out = np.empty(v.shape, np.float32) if np.may_share_memory(v, self.raw) else v
         return np.divide(v, self.norm[key, None], out=out, casting="same_kind")
 
@@ -357,8 +364,10 @@ def _f32_out(x: float, up: bool) -> np.float32:
 
 
 def cosine_similarity(u, v) -> float:
-    """Cosine of two raw vectors through the engine's kernel (float32 value)."""
-    rows = np.stack([normalize(u), normalize(v)]).astype(np.float32)
+    """Cosine of two raw float32 vectors through the engine's kernel (float32 value);
+    DomainError for a zero or non-finite vector, which has no direction."""
+    with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
+        rows = UnitRows(np.array([u, v], dtype=np.float32))
     return float(_exact_pairs(rows, np.array([0]), np.array([1]))[0])
 
 
@@ -401,8 +410,8 @@ def _half_tiles(u32, i0: int, i1: int, tile: int, exact: bool = False,
     clipped float32 GEMM screen, or with `exact` the `_exact_grid` values.
     Slabs and tiles share one grid, so the first tile is the diagonal one
     (j0 == i0), whose pairs i < j are its entries c > r. The slab's unit rows
-    are gathered once: the diagonal tile is their product with themselves,
-    every other tile `UnitRows.columns`.
+    are gathered once, and every tile, the diagonal one too, is their
+    `UnitRows.columns` screen.
     """
     rows = _rows_of(u32)
     pos = np.arange(len(rows)) if idx is None else idx
@@ -413,21 +422,19 @@ def _half_tiles(u32, i0: int, i1: int, tile: int, exact: bool = False,
         if exact:
             yield j0, _exact_grid(rows, pos[i0:i1], pos[j0:j1])
             continue
-        s = slab @ slab.T if j0 == i0 else rows.columns(slab, at(j0, j1))
+        s = rows.columns(slab, at(j0, j1))
         yield j0, np.clip(s, -1.0, 1.0, out=s)
 
 
-def _upper(mask: np.ndarray, i0: int, j0: int) -> np.ndarray:
-    """mask without the entries of pairs i >= j, which only a diagonal tile holds."""
-    return np.triu(mask, 1) if i0 == j0 else mask
-
-
-def _negatives(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None) -> np.ndarray:
-    """Flat indices into tile s of its negative pairs i < j, among `where` if given."""
-    neg = ids[i0:i0 + len(s), None] != ids[None, j0:j0 + s.shape[1]]
+def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
+           same: bool = False) -> np.ndarray:
+    """Flat indices into tile s of its pairs i < j among `where`, if given, whose
+    identities differ, or match with `same`; `ids` holds each position's identity."""
+    a, b = ids[i0:i0 + len(s), None], ids[None, j0:j0 + s.shape[1]]
+    mask = a == b if same else a != b
     if where is not None:
-        neg &= where
-    return np.flatnonzero(_upper(neg, i0, j0))
+        mask &= where
+    return np.flatnonzero(np.triu(mask, 1) if i0 == j0 else mask)
 
 
 def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
@@ -441,7 +448,7 @@ def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
     def block(i0, i1):
         counts = np.zeros(size, dtype=np.int64)
         for j0, s in _half_tiles(u32, i0, i1, tile, exact=True):
-            vals = s.ravel()[_negatives(s, ids, i0, j0, None if where is None else where(s))]
+            vals = s.ravel()[_pairs(s, ids, i0, j0, None if where is None else where(s))]
             counts += np.bincount(bucket(vals), minlength=size)
         return counts
     return 2 * sum(_map_blocks(block, _row_blocks(len(ids), tile), workers))
@@ -527,7 +534,7 @@ def _top_negatives(u32, ids: np.ndarray, k: int,
 
     def candidates(i0, j0, s):
         """(s~, pair, flag) of the tile's negative pairs i < j at or above the floor."""
-        f = _negatives(s, ids, i0, j0, s >= floor).astype(index_type)
+        f = _pairs(s, ids, i0, j0, s >= floor).astype(index_type)
         w = s.shape[1]
         p = f // w  # pair (i0 + r) * n + j0 + c of the flat tile index f = r * w + c
         p *= n - w
@@ -721,47 +728,42 @@ def _count_above(u32, ids: np.ndarray, threshold: float, tile: int,
 
     Each block is swept as one upper triangle, slab by slab: with `same`
     the blocks of whole identities of `_identity_blocks`, otherwise one
-    block of every record in file order. Identity is tested on the pairs
-    the screen keeps, before any refine, so only pairs of the kind counted
-    are refined.
+    block of every record in file order. `_pairs` picks the pairs of the
+    kind counted among those the screen keeps, before any refine, so no
+    other pair is refined. Each tile adds one to both records of each of its
+    pairs above the threshold (`np.add.at`: work in proportion to those
+    pairs, where a bincount over n would cost O(n) per small identity block).
     """
     n = len(ids)
     if same:
         order, blocks = _identity_blocks(ids, min(tile, IDENTITY_BLOCK))
     else:
         order, blocks = np.arange(n), [(0, n)]
-    match = np.equal if same else np.not_equal
     t = np.float64(threshold)  # compared exactly, never rounded to float32
     u32 = _rows_of(u32)
     delta = u32.delta
     tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
     lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
-    counts = np.zeros(len(order), dtype=np.int64)  # by position in `order`
+    counts = np.zeros(n, dtype=np.int64)
     lock = threading.Lock()
 
     def slab(b0, b1, i0, i1):
         idx = order[b0:b1]
-        mine = np.zeros(b1 - b0, dtype=np.int64)
+        kinds = ids[idx]
         for j0, s in _half_tiles(u32, i0, i1, tile, idx=idx if same else None):
-            w = s.shape[1]
-            ri, cj = idx[i0:i1], idx[j0:j0 + w]
-            r, c = np.nonzero(_upper(s > lo, i0, j0))  # every pair that may lie above T
-            kind = match(ids[ri[r]], ids[cj[c]])
-            r, c = r[kind], c[kind]
-            hit = s[r, c] > hi
+            f = _pairs(s, kinds, i0, j0, s > lo, same)  # every pair that may lie above T
+            i, j = idx[i0 + f // s.shape[1]], idx[j0 + f % s.shape[1]]
+            hit = s.ravel()[f] > hi
             band = np.flatnonzero(~hit)  # lo < s~ <= hi: refine
             if band.size:
-                hit[band] = _exact_pairs(u32, ri[r[band]], cj[c[band]], tile) > t
-            mine[i0:i1] += np.bincount(r[hit], minlength=i1 - i0)
-            mine[j0:j0 + w] += np.bincount(c[hit], minlength=w)
-        with lock:
-            counts[b0:b1] += mine
+                hit[band] = _exact_pairs(u32, i[band], j[band], tile) > t
+            with lock:
+                np.add.at(counts, i[hit], 1)
+                np.add.at(counts, j[hit], 1)
 
     _map_blocks(slab, [(b0, b1, i0, i1) for b0, b1 in blocks
                        for i0, i1 in _row_blocks(b1 - b0, tile)], workers)
-    out = np.zeros(n, dtype=np.int64)
-    out[order] = counts
-    return out
+    return counts
 
 
 def confusion_sweep(dataset: EmbeddingSet, threshold: float,
@@ -796,7 +798,7 @@ def _unit_means(means: MeanVectors) -> np.ndarray:
     norms = np.linalg.norm(means.means, axis=1, keepdims=True)
     dead = np.flatnonzero(norms[:, 0] == 0.0)
     if dead.size:
-        raise DomainError(f"identity {int(dead[0])} has a zero mean vector; cosine undefined")
+        raise DegenerateDataError(f"identity {int(dead[0])} has a zero mean vector; cosine undefined")
     return means.means / norms
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ValidationError
+from .errors import FormatError, ValidationError
 from .util import replaced
 
 MAGIC = b"FFEB"
@@ -167,17 +167,6 @@ class MeanVectors:
         object.__setattr__(self, "counts", _frozen(np.asarray(self.counts, dtype=np.int64)))
 
 
-def normalize(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm (float64)."""
-    arr = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(arr))
-    if n == 0.0:
-        raise DomainError("cannot normalize a zero-norm vector")
-    if not np.isfinite(n):
-        raise DomainError("cannot normalize a vector with non-finite components")
-    return arr / n
-
-
 def mean_vectors(dataset: EmbeddingSet) -> MeanVectors:
     """Arithmetic mean of each identity's vectors, accumulated in float64 row order.
 
@@ -237,7 +226,7 @@ def load_dataset(path) -> EmbeddingSet:
         if version != VERSION:
             raise FormatError(f"unsupported version {version} at byte 4 (supported: {VERSION})")
         if n < 1 or d < 1 or g < 1 or m < 1:
-            raise FormatError(f"degenerate dimensions in header: N={n} d={d} G={g} M={m}")
+            raise FormatError(f"degenerate dimensions in header at byte 8: N={n} d={d} G={g} M={m}")
         offset = _HEADER.size
         vec_bytes = _read_exact(f, 4 * n * d, offset, "vector payload")
         offset += 4 * n * d
@@ -262,10 +251,12 @@ def load_dataset(path) -> EmbeddingSet:
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"unreadable label table at byte {offset}: {exc}") from exc
     if len(id_names) != g or len(attr_names) != m:
-        raise FormatError(f"label table sizes {len(id_names)}/{len(attr_names)} disagree with header G={g} M={m}")
+        raise FormatError(f"label table sizes {len(id_names)}/{len(attr_names)} at byte {offset - tlen} disagree with header G={g} M={m}")
 
-    if identity.size and identity.max() >= g:
-        raise FormatError(f"identity index {int(identity.max())} out of header range G={g}")
+    if identity.max() >= g:
+        at = int(np.argmax(identity >= g))
+        raise FormatError(f"identity index {int(identity[at])} at byte "
+                          f"{_HEADER.size + 4 * (n * d + at)} out of header range G={g}")
     used = np.unique(identity)
     if used.size != g:
         # sparse file: remap to a dense range, keeping only the used names

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DegenerateDataError, DomainError
 from .store import EmbeddingSet, LabelTable
 from .util import kv_get, parse_kv
 
@@ -220,18 +220,19 @@ def split_by_identity(identity: np.ndarray, eval_fraction: float = EVAL_FRACTION
     """Per identity, the trailing images (in record order) become the eval split.
 
     Deterministic from record order alone, so a saved file re-splits the same
-    way.  Every identity keeps at least one image on each side.
+    way.  Every identity keeps at least one image on each side.  Both index
+    arrays list the identities in increasing order, each in record order.
     """
     identity = np.asarray(identity)
-    train, evals = [], []
-    for k in np.unique(identity):
-        where = np.flatnonzero(identity == k)
-        if where.size < 2:
-            raise DomainError(f"identity {int(k)} has fewer than 2 images; cannot split")
-        n_eval = min(where.size - 1, max(1, round(where.size * eval_fraction)))
-        train.append(where[:where.size - n_eval])
-        evals.append(where[where.size - n_eval:])
-    return np.concatenate(train), np.concatenate(evals)
+    order = np.argsort(identity, kind="stable")
+    keys, start, sizes = np.unique(identity[order], return_index=True, return_counts=True)
+    small = np.flatnonzero(sizes < 2)
+    if small.size:
+        raise DegenerateDataError(f"identity {keys[small[0]]} has fewer than 2 images; cannot split")
+    n_eval = np.minimum(sizes - 1, np.maximum(1, np.round(sizes * eval_fraction).astype(np.int64)))
+    rank = np.arange(len(order)) - np.repeat(start, sizes)  # place within its identity
+    held = rank >= np.repeat(sizes - n_eval, sizes)
+    return order[~held], order[held]
 
 
 def gen_training_set(profile: BiasProfile, d_in: int, seed: int) -> TrainingSet:

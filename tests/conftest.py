@@ -2,9 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fairpair import pairwise
 from fairpair.store import EmbeddingSet, LabelTable
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run, so a
+# property test cannot fail on an example no earlier run drew
+settings.register_profile("ci", derandomize=True, deadline=None, database=None)
 
 
 def random_dataset(rng, n=None, d=None, g=None, m=None):

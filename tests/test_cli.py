@@ -235,6 +235,35 @@ def test_analyze_single_identity_exit_4(tmp_path, capsys):
     assert "degenerate data" in err and "K clamped" not in err
 
 
+def _zero_mean_set(tmp_path):
+    # identity 0 holds v and -v, so its mean vector is zero and has no cosine
+    v = np.array([[1, 2, 0], [-1, -2, 0], [0, 1, 1], [1, 0, 2], [2, 1, 0], [0, 2, 1]],
+                 dtype=np.float32)
+    p = tmp_path / "zero_mean.ffeb"
+    save_dataset(p, EmbeddingSet(vectors=v, identity=np.array([0, 0, 1, 1, 2, 2]),
+                                 attribute=np.zeros(6, np.int64),
+                                 labels=LabelTable.default(3, 1)))
+    return p
+
+
+def test_eval_zero_mean_exit_4(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["eval", "--in", str(_zero_mean_set(tmp_path)), "--out-dir", str(out),
+                 "--target-fpr", "0.5"]) == 4
+    captured = capsys.readouterr()
+    assert "degenerate data: identity 0 has a zero mean vector" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_analyze_zero_mean_exit_4(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(["analyze", "--in", str(_zero_mean_set(tmp_path)), "--k", "1",
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "degenerate data: identity 0 has a zero mean vector" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_analyze_group_without_identities(tmp_path, capsys):
     # the label table names a third attribute that no identity carries
@@ -322,6 +351,22 @@ def test_train_toy_bad_eval_flag_exit_2_before_training(tmp_path, capsys, flag, 
                  "--epochs", "1", "--batch-size", "20", flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not (out_dir / "model.ffmp").exists()
+
+
+def test_train_toy_single_image_identity_exit_4(tmp_path, capsys):
+    # identity 2 has one image, which cannot go to both the train and the eval split
+    ds = random_dataset(np.random.default_rng(5), n=9, d=4, g=2, m=1)
+    data = tmp_path / "raw.ffeb"
+    save_dataset(data, EmbeddingSet(vectors=np.vstack([ds.vectors, np.ones((1, 4))]),
+                                    identity=np.append(ds.identity, 2),
+                                    attribute=np.zeros(10, np.int64),
+                                    labels=LabelTable.default(3, 1)))
+    out_dir = tmp_path / "run"
+    assert main(["train-toy", "--data", str(data), "--out-dir", str(out_dir),
+                 "--epochs", "1", "--batch-size", "4"]) == 4
+    captured = capsys.readouterr()
+    assert "degenerate data: identity 2 has fewer than 2 images; cannot split" in captured.err
+    assert captured.out == "" and not out_dir.exists()
 
 
 def test_train_toy_explicit_decay_survives_epochs(tmp_path, capsys):

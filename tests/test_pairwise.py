@@ -94,6 +94,15 @@ def test_cosine_similarity_range(rng):
     assert cosine_similarity([1.0, 0.0], [-3.0, 0.0]) == -1.0
 
 
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [np.inf, 1.0, 0.0],
+                                 [1e300, 1.0, 0.0]])
+def test_cosine_similarity_rejects_vectors_without_direction(bad):
+    # zero, NaN, infinite, and beyond float32's range: no unit row, on either side
+    for u, v in ((bad, [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], bad)):
+        with pytest.raises(DomainError, match="zero or non-finite norm"):
+            cosine_similarity(u, v)
+
+
 def test_pair_label(small_set):
     i = 0
     same = np.flatnonzero(small_set.identity == small_set.identity[i])
@@ -255,6 +264,34 @@ def test_witness_leaves_only_the_tp_pass(small_set, monkeypatch):
     passes.clear()
     metrics.evaluate_dataset(small_set, metrics.EvalConfig(target_fpr=1.0, k=3))
     assert passes == [True]
+
+
+def test_every_screened_tile_is_one_columns_call(monkeypatch):
+    # the top-k solve, the FP pass and the TP pass screen each tile, the
+    # diagonal one too, through UnitRows.columns and nothing else
+    ds = random_dataset(np.random.default_rng(6), n=90, d=6, g=9, m=2)
+    tile, calls = 8, []  # identities of about 10 records span two slabs
+    columns = pairwise.UnitRows.columns
+
+    def spy(self, slab, key):
+        calls.append(len(slab))
+        return columns(self, slab, key)
+
+    def triangle(rows):  # the tiles j0 >= i0 of a half sweep over `rows` positions
+        b = -(-rows // tile)
+        return b * (b + 1) // 2
+
+    monkeypatch.setattr(pairwise.UnitRows, "columns", spy)
+    rows = pairwise.UnitRows(ds.vectors)
+    r = solve_threshold(ds, 0.05, tile=tile, rows=rows)
+    assert len(calls) == triangle(ds.n)
+    calls.clear()
+    pairwise._count_above(rows, ds.identity, r.threshold, tile, 1, same=False)
+    assert len(calls) == triangle(ds.n)
+    calls.clear()
+    pairwise._count_above(rows, ds.identity, r.threshold, tile, 1, same=True)
+    _, blocks = pairwise._identity_blocks(ds.identity, min(tile, pairwise.IDENTITY_BLOCK))
+    assert len(calls) == sum(triangle(b1 - b0) for b0, b1 in blocks) > len(blocks)
 
 
 def test_identity_blocks_hold_whole_identities():
@@ -478,7 +515,7 @@ def test_zero_mean_rejected():
     for call in (lambda: topk_neighbors(mv, 1),
                  lambda: neighbor_mean_similarity(mv, np.array([[1], [2], [1]])),
                  lambda: metrics.intra_inter_similarity(ds, mv, 1)):
-        with pytest.raises(DomainError, match="identity 0 has a zero mean"):
+        with pytest.raises(DegenerateDataError, match="identity 0 has a zero mean"):
             call()
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairpair import store
-from fairpair.errors import DomainError, FormatError, ValidationError
+from fairpair.errors import FormatError, ValidationError
 from fairpair.store import (
     EmbeddingSet,
     LabelTable,
@@ -16,7 +16,6 @@ from fairpair.store import (
     load_csv,
     load_dataset,
     mean_vectors,
-    normalize,
     save_csv,
     save_dataset,
 )
@@ -282,17 +281,6 @@ def test_mean_vectors_add_in_row_order():
     np.add.at(sums, ds.identity, ds.vectors.astype(np.float64))
     mv = mean_vectors(ds)
     assert np.array_equal(mv.means, sums / mv.counts[:, None])
-
-
-def test_normalize_unit_norm(rng):
-    v = rng.normal(size=17)
-    u = normalize(v)
-    assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-
-
-def test_normalize_zero_rejected():
-    with pytest.raises(DomainError):
-        normalize(np.zeros(4))
 
 
 def test_content_hash_tracks_payload(small_set):

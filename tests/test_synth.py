@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpair.errors import ConfigError, DomainError
+from fairpair.errors import ConfigError, DegenerateDataError, DomainError
 from fairpair.metrics import intra_inter_similarity
 from fairpair.pairwise import confusion_sweep, solve_threshold
 from fairpair.store import mean_vectors
 from fairpair.synth import (
+    EVAL_FRACTION,
     BiasProfile,
     GroupSpec,
     format_profile,
@@ -196,8 +197,33 @@ def test_split_by_identity_handles_tiny_groups():
     train_idx, eval_idx = split_by_identity(y)
     assert np.isin(eval_idx, [1, 3, 7]).all()  # trailing images go to eval
     assert (np.bincount(y[train_idx], minlength=3) >= 1).all()
-    with pytest.raises(DomainError, match="fewer than 2"):
+    with pytest.raises(DegenerateDataError, match="identity 1 has fewer than 2"):
         split_by_identity(np.array([0, 0, 1]))
+
+
+def _split_by_loop(identity, eval_fraction):
+    """The per-identity loop split_by_identity once ran: the reference split."""
+    train, evals = [], []
+    for k in np.unique(identity):
+        where = np.flatnonzero(identity == k)
+        n_eval = min(where.size - 1, max(1, round(where.size * eval_fraction)))
+        train.append(where[:where.size - n_eval])
+        evals.append(where[where.size - n_eval:])
+    return np.concatenate(train), np.concatenate(evals)
+
+
+@pytest.mark.parametrize("eval_fraction", [EVAL_FRACTION, 0.1, 0.5, 0.9])
+def test_split_by_identity_matches_loop(eval_fraction):
+    # shuffled labels of uneven sizes, sparse label values, and halves that round to even
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        g = int(rng.integers(1, 25))
+        sizes = rng.integers(2, 23, size=g)
+        y = np.repeat(rng.choice(4 * g, size=g, replace=False), sizes)
+        rng.shuffle(y)
+        got, want = split_by_identity(y, eval_fraction), _split_by_loop(y, eval_fraction)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # --- profiles -----------------------------------------------------------------------
