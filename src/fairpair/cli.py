@@ -39,8 +39,9 @@ def _progress(msg: str) -> None:
     print(f"[fairpair] {msg}", file=sys.stderr, flush=True)
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(dumps_stable(doc) + "\n")
+def _emit(doc: dict | str) -> None:
+    """Write one JSON document to stdout; a str is one already serialized, newline included."""
+    sys.stdout.write(doc if isinstance(doc, str) else dumps_stable(doc) + "\n")
 
 
 def _resolve_workers(args) -> int:
@@ -91,7 +92,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _write_report(report, out_dir: Path, dataset) -> None:
+def _write_report(report, out_dir: Path, dataset) -> str:
+    """Write the report files; returns the text of report.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = np.bincount(dataset.identity, minlength=dataset.n_identities)
     report.per_identity_csv_path = "per_identity.csv"
@@ -101,7 +103,9 @@ def _write_report(report, out_dir: Path, dataset) -> None:
                                report.s_intra, report.s_inter, counts)
         write_histogram_csv(intra, report.intra_hist)
         write_histogram_csv(inter, report.inter_hist)
-        doc.write_text(report.to_json() + "\n")
+        text = report.to_json() + "\n"
+        doc.write_text(text)
+    return text
 
 
 def cmd_eval(args) -> int:
@@ -110,9 +114,9 @@ def cmd_eval(args) -> int:
     _progress(f"loaded {dataset.n} x {dataset.dim} "
               f"({dataset.n_identities} identities, {dataset.n_attributes} attributes)")
     report = evaluate_dataset(dataset, config, progress=_progress)
-    _write_report(report, Path(args.out_dir), dataset)
+    text = _write_report(report, Path(args.out_dir), dataset)
     _progress(f"report written to {args.out_dir}")
-    _emit(report.to_json_dict())
+    _emit(text)
     return 0
 
 

@@ -32,12 +32,15 @@ norm lies outside [2^-64, 2^64], the raw GEMM could overflow or c_j leave
 the normal range; there the columns are gathered as unit rows and the unit
 delta applies. A pair whose s~ lies more than delta from a decision boundary
 is decided by s~; only pairs inside that band get their exact value, from
-`_exact_pairs`, which groups them by tile and runs `_exact_grid` on each
-group's distinct rows and columns, gathered as unit rows. One refine
-therefore costs at most one float64 GEMM per tile it touches, however many
-pairs tie there. Every bound is rounded outward, so counts are exact for any
-tile schedule, worker count and GEMM kernel. Counts are 64-bit integers and
-merge by plain addition.
+`_exact_pairs`, which groups them by tile. A group of more than `tile` pairs
+(a band of ties) runs `_exact_grid` on its distinct rows and columns,
+gathered as unit rows; the pairs of all other groups are pooled into
+row-wise float64 dot products (`_exact_dots`), whose error obeys the same
+bound and so rounds to the same values. One refine therefore costs work in
+proportion to its pairs, and at most one float64 GEMM per tile however many
+pairs tie there. Every bound is rounded outward, so counts are exact for
+any tile schedule, worker count and GEMM kernel. Counts are 64-bit integers
+and merge by plain addition.
 
 Threshold. The overall-FPR threshold is the k-th largest ordered negative
 similarity, which is the ceil(k/2)-th largest unordered one. When k fits
@@ -266,44 +269,68 @@ def _rounded(s64: np.ndarray, e: float, u32: np.ndarray, i: np.ndarray,
     return np.clip(s, -1.0, 1.0, out=s)
 
 
+def _float64_error(a: np.ndarray, b: np.ndarray) -> float:
+    """e = 2 * gamma_d * m: a float64 dot product of a row of `a` and a row of `b`,
+    summed in any order, lies within e of the exact one; m is the largest
+    squared norm of those rows, at least 1 (twice: covers the rounding of m)."""
+    d = a.shape[1]
+    g = d * 2.0**-53 / (1 - d * 2.0**-53)
+    m = max(np.einsum("ij,ij->i", a, a).max(initial=0.0),
+            np.einsum("ij,ij->i", b, b).max(initial=0.0), 1.0)
+    return 2 * g * float(m)
+
+
 def _exact_grid(u32: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                 pick: tuple | None = None) -> np.ndarray:
     """Similarities of the pairs in rows x cols, or of the grid entries `pick` only.
 
-    One float64 GEMM, whose value lies within e = gamma_d * m of the exact dot
-    product in whatever order it was summed, m the largest squared norm of
-    the rows involved; `_rounded` rounds it correctly.
+    One float64 GEMM, within `_float64_error` of the exact dot products;
+    `_rounded` rounds it correctly.
     """
     a, b = u32[rows].astype(np.float64), u32[cols].astype(np.float64)
     s64 = a @ b.T
-    d = u32.shape[1]
-    g = d * 2.0**-53 / (1 - d * 2.0**-53)
-    m = max(np.einsum("ij,ij->i", a, a).max(initial=0.0),
-            np.einsum("ij,ij->i", b, b).max(initial=0.0), 1.0)
-    e = 2 * g * float(m)  # twice: covers the rounding of m
+    e = _float64_error(a, b)
     if pick is None:
         return _rounded(s64, e, u32, rows[:, None], cols[None, :])
     r, c = pick
     return _rounded(s64[r, c], e, u32, rows[r], cols[c])
 
 
+def _exact_dots(u32: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Similarities of the pairs (i[p], j[p]), one float64 dot product per pair.
+
+    The same bound as `_exact_grid`'s holds for a row-wise sum in any order,
+    so `_rounded` gives bit for bit the grid's values.
+    """
+    a, b = u32[i].astype(np.float64), u32[j].astype(np.float64)
+    return _rounded(np.einsum("ij,ij->i", a, b), _float64_error(a, b), u32, i, j)
+
+
 def _exact_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray,
                  tile: int = DEFAULT_TILE) -> np.ndarray:
-    """Similarities of the pairs (i[p], j[p]), by `_exact_grid` on each tile's group.
+    """Similarities of the pairs (i[p], j[p]), in proportion to their number.
 
-    Pairs are grouped by the (i // tile, j // tile) tile they fall in; each
-    group computes the GEMM of its distinct rows and columns. A dense group
-    (many pairs of few rows, as under ties) thus costs one small GEMM, and no
-    group costs more than a whole tile.
+    Pairs are grouped by the (i // tile, j // tile) tile they fall in. A
+    group of more than `tile` pairs (a band of ties) computes the GEMM of its
+    distinct rows and columns with `_exact_grid`, so it never costs more than
+    a whole tile. The pairs of all other groups are pooled into row-wise
+    dot products (`_exact_dots`), `budget_rows(d)` pairs at a time.
     """
     out = np.empty(len(i), dtype=np.float32)
     key = i // tile * -(-len(u32) // tile) + j // tile
     order = np.argsort(key, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        if group.size:
-            r, ri = np.unique(i[group], return_inverse=True)
-            c, ci = np.unique(j[group], return_inverse=True)
-            out[group] = _exact_grid(u32, r, c, (ri, ci))
+    ends = np.append(np.flatnonzero(np.diff(key[order])) + 1, len(i))
+    size = np.diff(ends, prepend=0)
+    for g in np.flatnonzero(size > tile):
+        group = order[ends[g] - size[g]:ends[g]]
+        r, ri = np.unique(i[group], return_inverse=True)
+        c, ci = np.unique(j[group], return_inverse=True)
+        out[group] = _exact_grid(u32, r, c, (ri, ci))
+    rest = order[np.repeat(size <= tile, size)]
+    chunk = budget_rows(u32.shape[1])
+    for p0 in range(0, rest.size, chunk):
+        p = rest[p0:p0 + chunk]
+        out[p] = _exact_dots(u32, i[p], j[p])
     return out
 
 
@@ -806,20 +833,27 @@ def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
     """Columns of each row's K largest entries, largest first, ties to the lower column.
 
     Row r of `sims` belongs to identity i0 + r, whose own column is set to
-    -inf. The K-th largest value v of a row comes from `np.partition`; the
-    row takes every entry above v, then its lowest-index entries equal to v
-    until it holds K.
+    -inf. `np.argpartition` picks K columns per row, and their smallest
+    value is the row's K-th largest v. Only a row holding more than K entries
+    >= v has a choice to make: it takes every entry above v, then its
+    lowest-index entries equal to v until it holds K. The K columns are then
+    ordered by value, ties by column.
     """
     b, g = sims.shape
     own = np.arange(b)
     sims[own, i0 + own] = -np.inf
-    # copied, so no view keeps the partitioned block alive
-    kth = np.partition(sims, g - k, axis=1)[:, g - k].copy()
-    take = sims > kth[:, None]
-    r, c = np.nonzero(sims == kth[:, None])  # row-major: each row's ties by column
-    fill = np.arange(r.size) - np.searchsorted(r, r) < (k - np.count_nonzero(take, axis=1))[r]
-    take[r[fill], c[fill]] = True
-    cols = np.nonzero(take)[1].reshape(b, k)
+    # copied, so the full index array is freed at once
+    cols = np.argpartition(sims, g - k, axis=1)[:, g - k:].copy()
+    kth = np.take_along_axis(sims, cols, axis=1).min(axis=1)
+    tied = np.flatnonzero(np.count_nonzero(sims >= kth[:, None], axis=1) > k)
+    if tied.size:
+        t, v = sims[tied], kth[tied, None]
+        take = t > v
+        r, c = np.nonzero(t == v)  # row-major: each row's ties by column
+        fill = np.arange(r.size) - np.searchsorted(r, r) < (k - np.count_nonzero(take, axis=1))[r]
+        take[r[fill], c[fill]] = True
+        cols[tied] = np.nonzero(take)[1].reshape(tied.size, k)
+    cols.sort(axis=1)
     order = np.argsort(-np.take_along_axis(sims, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
 
@@ -830,9 +864,9 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
 
     Without `neighbors` given, each identity's neighbours are the K other
     identities with the most similar means (`_top_columns`, run on sub-blocks
-    of `budget_rows(G)` rows, so its copies and masks stay budget-sized). The
-    GEMM keeps its `block` rows: the last bits of its values follow that
-    row partition.
+    of `budget_rows(G + K)` rows, so its G-wide index array and K-wide copy
+    stay budget-sized). The GEMM keeps its `block` rows: the last bits of its
+    values follow that row partition.
     """
     g = len(mu)
     pick = neighbors is None
@@ -844,7 +878,7 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
     for i0, i1 in _row_blocks(g, block):
         sims = mu[i0:i1] @ mu.T
         if pick:
-            for a0, a1 in _row_blocks(i1 - i0, budget_rows(g)):
+            for a0, a1 in _row_blocks(i1 - i0, budget_rows(g + k)):
                 neighbors[i0 + a0:i0 + a1] = _top_columns(sims[a0:a1], i0 + a0, k)
         mean[i0:i1] = np.take_along_axis(sims, neighbors[i0:i1], axis=1).mean(axis=1)
         del sims  # freed before the next block's GEMM, not after it

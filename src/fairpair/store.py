@@ -170,16 +170,40 @@ class MeanVectors:
 def mean_vectors(dataset: EmbeddingSet) -> MeanVectors:
     """Arithmetic mean of each identity's vectors, accumulated in float64 row order.
 
-    Rows are cast to float64 a budget chunk at a time (`budget_rows`), so the
-    cast copy stays within WORKING_SET while every row still adds in the
-    order it is stored; the sums become the means in place.
+    Each identity adds its rows one by one in the order they are stored, as a
+    row-by-row loop would, bit for bit. An identity's r-th stored row has
+    rank r. Sorted by (rank, position), the rows of one rank form one slice
+    in which no identity repeats, so `sums[ids] += rows` adds them all at
+    once. Ranks from `cut` on belong to the identities larger than cut; each
+    of those adds its remaining rows as a running sum (`np.add.accumulate`).
+    `cut` minimizes the steps (ranks below it plus identities above it), so
+    neither many identities nor one huge one costs a step per row. Rows are
+    cast to float64 a budget chunk at a time (`budget_rows`), and the sums
+    become the means in place.
     """
+    ids, v = dataset.identity, dataset.vectors
     g, chunk = dataset.n_identities, budget_rows(dataset.dim)
+    counts = np.bincount(ids, minlength=g).astype(np.int64)
+    by_id = np.argsort(ids, kind="stable")  # identity by identity, in stored order
+    start = np.cumsum(counts) - counts
+    rank = np.empty(dataset.n, dtype=np.int64)
+    rank[by_id] = np.arange(dataset.n) - np.repeat(start, counts)
+    width = np.bincount(rank)  # rows of rank r: the identities larger than r
+    cut = int(np.argmin(np.arange(len(width) + 1) + np.append(width, 0)))
     sums = np.zeros((g, dataset.dim), dtype=np.float64)
-    for i0 in range(0, dataset.n, chunk):
-        np.add.at(sums, dataset.identity[i0:i0 + chunk],
-                  dataset.vectors[i0:i0 + chunk].astype(np.float64))
-    counts = np.bincount(dataset.identity, minlength=g).astype(np.int64)
+    order = np.argsort(rank, kind="stable")
+    r0 = 0
+    for r1 in np.cumsum(width[:cut]).tolist():
+        for p0 in range(r0, r1, chunk):
+            rows = order[p0:min(p0 + chunk, r1)]
+            sums[ids[rows]] += v[rows].astype(np.float64)
+        r0 = r1
+    for i in np.flatnonzero(counts > cut).tolist():
+        rows = by_id[start[i] + cut:start[i] + counts[i]]
+        for p0 in range(0, rows.size, chunk):
+            run = v[rows[p0:p0 + chunk]].astype(np.float64)
+            run[0] += sums[i]
+            sums[i] = np.add.accumulate(run, axis=0, out=run)[-1]
     sums /= counts[:, None]
     return MeanVectors(means=sums, counts=counts)
 

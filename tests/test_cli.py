@@ -101,6 +101,19 @@ def test_eval_outputs(tmp_path, pop_path, capsys):
     assert len(csv_lines) == 1 + report["dataset"]["g"]
 
 
+def test_eval_stdout_is_the_saved_report(tmp_path, pop_path, capsys, monkeypatch):
+    # the report is serialized once: stdout carries report.json's bytes, through _emit
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc: emitted.append(doc) or emit(doc))
+    out_dir = tmp_path / "rep"
+    assert main(["eval", "--in", str(pop_path), "--out-dir", str(out_dir),
+                 "--target-fpr", "1e-2", "--k", "5"]) == 0
+    out = capsys.readouterr().out
+    assert len(emitted) == 1
+    assert out.encode() == (out_dir / "report.json").read_bytes()
+
+
 def test_eval_byte_stable(tmp_path, pop_path, capsys):
     args = ["eval", "--in", str(pop_path), "--target-fpr", "2e-2", "--k", "4"]
     d1, d2 = tmp_path / "r1", tmp_path / "r2"

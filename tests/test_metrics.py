@@ -164,6 +164,30 @@ def test_dumps_stable_numpy_scalars():
     assert parsed["x"] == 1 / 3 and parsed["n"] == 7 and parsed["f"] is False
 
 
+def _dumps_item_by_item(items) -> str:
+    """The reference: a list written by the generic element loop, item by item."""
+    return "[" + ",".join(dumps_stable(x) for x in items) + "]"
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS), max_size=40))
+def test_dumps_stable_float_lists_as_item_by_item(values):
+    assert dumps_stable(values) == _dumps_item_by_item(values)
+    assert dumps_stable({"v": values}) == '{"v":' + _dumps_item_by_item(values) + "}"
+
+
+def test_dumps_stable_mixed_lists_keep_their_types():
+    mixed = [1.5, 2, True, np.float64(0.25), None, -0.0, math.nan]
+    assert dumps_stable(mixed) == '[1.5,2,true,0.25,null,-0,null]'
+    assert dumps_stable(mixed) == _dumps_item_by_item(mixed)
+    assert dumps_stable([]) == "[]"
+    assert dumps_stable((0.5, -0.0)) == "[0.5,-0]"
+
+
 # --- full report -----------------------------------------------------------------
 
 @pytest.fixture

@@ -519,6 +519,42 @@ def test_zero_mean_rejected():
             call()
 
 
+def _top_columns_by_mask(sims, i0, k):
+    """The reference: the K-th value from `np.partition`, every entry above it,
+    then each row's lowest-index ties until it holds K; largest first."""
+    b, g = sims.shape
+    own = np.arange(b)
+    sims[own, i0 + own] = -np.inf
+    kth = np.partition(sims, g - k, axis=1)[:, g - k].copy()
+    take = sims > kth[:, None]
+    r, c = np.nonzero(sims == kth[:, None])
+    fill = np.arange(r.size) - np.searchsorted(r, r) < (k - np.count_nonzero(take, axis=1))[r]
+    take[r[fill], c[fill]] = True
+    cols = np.nonzero(take)[1].reshape(b, k)
+    order = np.argsort(-np.take_along_axis(sims, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def test_top_columns_match_mask_procedure():
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(300):
+        g = int(rng.integers(2, 40))
+        b = int(rng.integers(1, g + 1))
+        levels = int(rng.integers(1, 5))  # few values: ties straddle the K-th one
+        sims = rng.integers(-levels, levels + 1, size=(b, g)) / levels
+        sims[rng.random(sims.shape) < 0.1] = -0.0
+        cases.append((sims, int(rng.integers(0, g - b + 1)), int(rng.integers(1, g))))
+    g = 12
+    for k in (1, g - 1):
+        cases += [(np.ones((5, g)), 7, k),  # all-equal rows
+                  (rng.normal(size=(g, g)), 0, k),
+                  (np.repeat(rng.normal(size=(1, g)), 4, axis=0), 3, k)]
+    for sims, i0, k in cases:
+        want = _top_columns_by_mask(sims.copy(), i0, k)
+        assert np.array_equal(pairwise._top_columns(sims.copy(), i0, k), want)
+
+
 def test_topk_k_out_of_range(small_set):
     mv = mean_vectors(small_set)
     g = len(mv.counts)
@@ -739,6 +775,42 @@ def test_exact_pairs_symmetric_and_batch_free():
     assert np.array_equal(full[i, j], ref)
     few = rng.choice(len(u), size=12, replace=False)
     assert np.array_equal(full[np.ix_(few, few)], exact_sims(u[few]))
+
+
+def test_sparse_refine_pools_pairs_and_ties_keep_one_grid_per_tile(monkeypatch):
+    calls, grid = [], pairwise._exact_grid  # pairs each grid call computes
+
+    def spy(u32, rows, cols, pick=None):
+        calls.append(len(rows) * len(cols) if pick is None else len(pick[0]))
+        return grid(u32, rows, cols, pick)
+    monkeypatch.setattr(pairwise, "_exact_grid", spy)
+    refined, exact = [], pairwise._exact_pairs
+    monkeypatch.setattr(pairwise, "_exact_pairs",
+                        lambda u, i, j, tile: refined.append(len(i)) or exact(u, i, j, tile))
+    # a set without ties: the top-k band refines a few pairs in many tiles
+    ds = random_dataset(np.random.default_rng(4), n=600, d=32, g=60, m=2)
+    r = solve_threshold(ds, 1e-2, tile=64)
+    assert (r.threshold, r.allowed_fp, r.realized_fp) == oracle_threshold(ds, 1e-2)
+    assert sum(refined) > 0 and calls == []
+    # a band of ties: 300 records on four directions refine only in grids,
+    # each of a tile group holding more than a tile's worth of pairs
+    rng = np.random.default_rng(6)
+    tied = EmbeddingSet(vectors=rng.normal(size=(4, 16)).astype(np.float32)[np.arange(300) % 4],
+                        identity=np.arange(300) // 3, attribute=np.zeros(300, np.int64),
+                        labels=LabelTable.default(100, 1))
+    r = solve_threshold(tied, 1e-3, tile=64)
+    assert (r.threshold, r.allowed_fp, r.realized_fp) == oracle_threshold(tied, 1e-3)
+    assert calls and min(calls) > 64
+    # rows 0..99 x 0..99 fall in four tiles of 64, each with more than 64
+    # pairs: one grid each; 30 scattered pairs elsewhere are pooled
+    calls.clear()
+    u = unit_rows(ds)
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(100), np.arange(100), indexing="ij"))
+    i = np.concatenate([i, rng.integers(128, 600, 30)])
+    j = np.concatenate([j, rng.integers(128, 600, 30)])
+    got = exact(u, i, j, 64)
+    assert sorted(calls) == [36 * 36, 64 * 36, 64 * 36, 64 * 64]
+    assert np.array_equal(got, grid(u, np.arange(600), np.arange(600))[i, j])
 
 
 def test_near_midpoint_flags_exactly_the_margin():

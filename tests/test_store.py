@@ -283,6 +283,34 @@ def test_mean_vectors_add_in_row_order():
     assert np.array_equal(mv.means, sums / mv.counts[:, None])
 
 
+def _means_by_add_at(ds):
+    """The reference: every row added by `np.add.at` in stored order."""
+    sums = np.zeros((ds.n_identities, ds.dim))
+    np.add.at(sums, ds.identity, ds.vectors.astype(np.float64))
+    return sums / np.bincount(ds.identity)[:, None]
+
+
+@pytest.mark.parametrize("labels", ["shuffled_uneven", "one_huge_identity"])
+def test_mean_vectors_bitwise_as_add_at(labels, monkeypatch):
+    rng = np.random.default_rng(11)
+    if labels == "shuffled_uneven":
+        ids = np.repeat(np.arange(60), rng.integers(1, 30, 60))
+        rng.shuffle(ids)
+    else:  # rows of one identity, 25 singletons scattered among them
+        ids = np.zeros(5000, dtype=np.int64)
+        ids[rng.choice(len(ids), 25, replace=False)] = np.arange(1, 26)
+    n, d = len(ids), 24
+    # magnitudes over ten decades, so the order of addition shows in the bits
+    v = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-5, 5, size=(n, 1))
+    v[rng.random(v.shape) < 0.05] = -0.0
+    ds = EmbeddingSet(vectors=v.astype(np.float32), identity=ids,
+                      attribute=np.zeros(n, np.int64), labels=LabelTable.default(ids.max() + 1, 1))
+    want = _means_by_add_at(ds)
+    assert mean_vectors(ds).means.tobytes() == want.tobytes()
+    monkeypatch.setattr(store, "WORKING_SET", 8 * d * 7)  # 7-row chunks
+    assert mean_vectors(ds).means.tobytes() == want.tobytes()
+
+
 def test_content_hash_tracks_payload(small_set):
     h1 = small_set.content_hash()
     moved = EmbeddingSet(
