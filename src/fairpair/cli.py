@@ -126,8 +126,7 @@ def cmd_analyze(args) -> int:
     k, note = config.clamped_k(dataset.n_identities)
     if note:
         _progress(note)
-    means = mean_vectors(dataset)
-    s_intra, s_inter = intra_inter_similarity(dataset, means, k)
+    s_intra, s_inter = intra_inter_similarity(dataset, mean_vectors(dataset), k)
     if args.out:
         with replaced([Path(args.out)]) as (tmp,):
             write_similarity_csv(tmp, dataset, s_intra, s_inter)

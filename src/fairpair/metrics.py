@@ -109,14 +109,19 @@ def identity_rates(acc: PairStatsAccumulator) -> IdentityRates:
 
 def intra_inter_similarity(dataset: EmbeddingSet, means: MeanVectors,
                            k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-identity mean cosine to the own mean, and to the K closest other means."""
-    mu = _unit_means(means)
+    """Per-identity mean cosine to the own mean, and to the K closest other means.
+
+    Only the counts of `means` are kept past its unit rows, so the G x d
+    means are freed before the neighbour pass when the caller holds none.
+    """
+    mu, counts = _unit_means(means), means.counts
+    del means
     s_inter = _neighbor_pass(mu, k)[1]
     intra_sums = np.zeros(dataset.n_identities, dtype=np.float64)
     for i0, i1, v64, _ in _unit_chunks(dataset.vectors):
         ids = dataset.identity[i0:i1]
         np.add.at(intra_sums, ids, np.einsum("ij,ij->i", v64, mu[ids]))
-    return intra_sums / means.counts, s_inter
+    return intra_sums / counts, s_inter
 
 
 @dataclass(frozen=True)
@@ -450,8 +455,7 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
     k, note = config.clamped_k(dataset.n_identities)
     warnings = [note] if note else []
     say(f"similarity analysis with K={k}")
-    means = mean_vectors(dataset)
-    s_intra, s_inter = intra_inter_similarity(dataset, means, k)
+    s_intra, s_inter = intra_inter_similarity(dataset, mean_vectors(dataset), k)
     if thresh.degenerate:
         warnings.append("degenerate threshold: target admits every negative pair")
 

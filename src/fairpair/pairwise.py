@@ -21,8 +21,10 @@ the raw float32 vectors and their float64 norms, and each row slab gathers
 its float32 unit rows once, bitwise equal to `unit_rows`. The threshold pass
 and the confusion sweep screen every tile, the diagonal one too, the same
 way (`UnitRows.columns`): a float32 GEMM of the slab's unit rows by the raw
-columns, each column j scaled by c_j = fl32(1 / norm_j). The clipped value
-s~ obeys |s~ - s| <= delta(d).
+columns, each column j scaled by c_j = fl32(1 / norm_j). The screened value
+s~ obeys |s~ - s| <= delta(d), clipped or not, so tiles stay unclipped: a
+pass compares them with its edges as they come and clips only the values it
+gathers.
 For unit rows on both sides delta comes from gamma_d for the float32 GEMM
 plus the float32 rounding of s: about 3.06e-5 at d = 512 and 7.7e-6 at
 d = 128 (`_screen_delta`). The scaled columns add the rounding of c_j and of
@@ -47,10 +49,13 @@ similarity, which is the ceil(k/2)-th largest unordered one. When k fits
 under COLLECT_CAP one sweep keeps a running top set of (s~, pair) entries
 behind a floor that rises as slabs cut their buffers (blocked k-selection);
 each cut gives exact values to the entries within 2*delta of its k-th value
-that lack one and keeps exactly ceil(k/2) entries. Larger ranks take an exact
-two-pass radix select over order-preserving keys of the float32 values:
-65,536 counters per pass and worker, whatever the value distribution or the
-number of ties.
+that lack one and keeps exactly ceil(k/2) entries. The floor starts from a
+guess g taken from a uniform sample of SAMPLE_PAIRS pairs (Floyd and Rivest's
+sampled selection), so the sweep buffers about the pairs it keeps; a result
+below g is not certified and the sweep runs again from -inf. Larger ranks
+take an exact two-pass radix select over order-preserving keys of the
+float32 values: 65,536 counters per pass and worker, whatever the value
+distribution or the number of ties.
 
 Confusion counts. Every solve returns each record's ordered FP count at T,
 the FP witness. Fewer than k negative pairs lie above the top-k threshold,
@@ -64,8 +69,9 @@ rows (and tile rows), and leaves a larger identity a block of its own,
 half-swept slab by slab; `_half_tiles` gathers each tile's rows, so no
 sorted copy of the set is built. Both passes are `_count_above`, with the
 sweep's own screen and refine. Every pass picks a tile's pairs with one
-selector, `_pairs` (i < j, identities that differ or match), and counts by
-record: each pair above T adds one to both of its records.
+selector, `_pairs` (i < j, identities that differ or match, compared as
+int32), and counts by record: each pair above T adds one to both of its
+records.
 
 The radix select and `sweep_histogram` need every value, so they share one
 exact count, `_exact_counts`: it computes whole tiles with `_exact_grid` (the
@@ -93,6 +99,8 @@ COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
 # pair of the block, most of them across identities, so the waste grows with
 # it, while below about 100 rows the per-block overhead takes over
 IDENTITY_BLOCK = 128
+# ordered pairs drawn to guess the top-k solve's starting floor (`_sample_guess`)
+SAMPLE_PAIRS = 8192
 
 # column order of every count quadruple
 TP, FP, TN, FN = 0, 1, 2, 3
@@ -434,11 +442,15 @@ def _half_tiles(u32, i0: int, i1: int, tile: int, exact: bool = False,
     are positions in `idx`, the records u32[idx], or without it the records
     themselves; a tile gathers its own rows, never the whole order. Yields
     (j0, s): s[r, c] belongs to positions i0 + r and j0 + c. It is the
-    clipped float32 GEMM screen, or with `exact` the `_exact_grid` values.
+    float32 GEMM screen, unclipped, or with `exact` the `_exact_grid` values.
     Slabs and tiles share one grid, so the first tile is the diagonal one
     (j0 == i0), whose pairs i < j are its entries c > r. The slab's unit rows
     are gathered once, and every tile, the diagonal one too, is their
-    `UnitRows.columns` screen.
+    `UnitRows.columns` screen. delta bounds the screen's error before
+    clipping too, so a caller compares the tile as it comes and clips only
+    the values it gathers (`_clipped`): s~ > f exactly when clip(s~) > f for
+    an edge f in [-1, 1), and s~ >= f exactly when clip(s~) >= f for f in
+    (-1, 1]. Below those ranges every entry passes the clipped test.
     """
     rows = _rows_of(u32)
     pos = np.arange(len(rows)) if idx is None else idx
@@ -449,19 +461,48 @@ def _half_tiles(u32, i0: int, i1: int, tile: int, exact: bool = False,
         if exact:
             yield j0, _exact_grid(rows, pos[i0:i1], pos[j0:j1])
             continue
-        s = rows.columns(slab, at(j0, j1))
-        yield j0, np.clip(s, -1.0, 1.0, out=s)
+        yield j0, rows.columns(slab, at(j0, j1))
+
+
+def _clipped(s: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The screened values of tile s at the flat indices f, clipped to [-1, 1]."""
+    v = s.ravel()[f]
+    return np.clip(v, -1.0, 1.0, out=v)
+
+
+def _narrow(ids: np.ndarray) -> np.ndarray:
+    """The identities as int32 when they fit, made once per pass for `_pairs`."""
+    return ids.astype(np.int32) if ids.max(initial=0) < 1 << 31 else ids
 
 
 def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
            same: bool = False) -> np.ndarray:
     """Flat indices into tile s of its pairs i < j among `where`, if given, whose
-    identities differ, or match with `same`; `ids` holds each position's identity."""
-    a, b = ids[i0:i0 + len(s), None], ids[None, j0:j0 + s.shape[1]]
+    identities differ, or match with `same`; `ids` holds each position's identity.
+
+    When `where` keeps under 1/16 of the tile, only the identities of its
+    entries are compared, so the tile costs one count plus work in
+    proportion to those entries. Otherwise whole-tile masks are cheaper than
+    index arrays: the identity compare, `where` and, on the diagonal tile
+    (i0 == j0), the entries c > r.
+    """
+    h, w = s.shape
+    if where is not None and np.count_nonzero(where) * 16 < where.size:
+        f = np.flatnonzero(where)
+        r = f // w
+        keep = ids[i0 + r] == ids[j0 + f - r * w]
+        if not same:
+            np.logical_not(keep, out=keep)
+        if i0 == j0:
+            keep &= f > r * (w + 1)  # f = r * w + c with c > r
+        return f[keep]
+    a, b = ids[i0:i0 + h, None], ids[None, j0:j0 + w]
     mask = a == b if same else a != b
     if where is not None:
         mask &= where
-    return np.flatnonzero(np.triu(mask, 1) if i0 == j0 else mask)
+    if i0 == j0:
+        mask &= np.arange(w) > np.arange(h)[:, None]
+    return np.flatnonzero(mask)
 
 
 def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
@@ -472,6 +513,8 @@ def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
     to the bucket of each one it counts, in [0, size); it may drop values.
     `where`, given a tile, masks the entries to consider at all.
     """
+    ids = _narrow(ids)
+
     def block(i0, i1):
         counts = np.zeros(size, dtype=np.int64)
         for j0, s in _half_tiles(u32, i0, i1, tile, exact=True):
@@ -531,43 +574,68 @@ def _drain(parts: list) -> list:
     return whole
 
 
-def _top_negatives(u32, ids: np.ndarray, k: int,
-                   tile: int, workers: int) -> tuple[np.float32, int, np.ndarray]:
-    """(k-th largest unordered negative similarity t, count above it, FP per record).
+def _sample_guess(u32: UnitRows, ids: np.ndarray, k: int) -> float:
+    """g, a value the k-th largest unordered negative similarity t most likely
+    reaches, from a sample of pairs; -inf when the sample cannot tell.
 
-    Each row slab buffers (s~, pair) entries at or above a floor and cuts
-    the buffer with `_keep_top` whenever it holds 2k; the cut's exact k-th
-    value t then raises the floor shared by all slabs to t - delta, below
-    which no screened value can reach the global top-k. A finished slab
-    merges into the global top-k at once, so memory stays O(k) per worker,
-    whatever the ties. Entries carry a flag once they hold their exact value,
-    so no pair is refined twice within a buffer. The first slab runs alone, as
-    its tiles buffer all their negatives; workers doing that at once would make
-    the peak memory depend on thread timing. Later slabs start from its floor.
-
-    The final cut holds every negative pair above t, as fewer than k lie
-    there: its entries with an exact value above t, and those left without
-    one, which are all sure (exact value above t). Counting both ends of
-    those pairs gives each record's ordered FP at t, in one pass.
+    SAMPLE_PAIRS ordered pairs are drawn uniformly with a fixed seed, and the
+    m negatives among them are uniform draws from the P unordered negative
+    pairs (Floyd and Rivest, "Expected time bounds for selection", CACM 18(3),
+    1975). About lambda = m k / P of them lie in the top k, and more than
+    r = ceil(lambda + 6 sqrt(lambda) + 6) only with a chance that a Chernoff
+    bound keeps negligible whatever the data. g is the r-th largest sample
+    value, estimated from the raw rows times their inverse norms c (unit
+    rows where `scale` is None) and clipped, minus delta. Nothing rests on
+    g: `_top_negatives` checks t >= g.
     """
     n = len(ids)
+    sizes = np.bincount(ids)
+    total = (n * (n - 1) - int(sizes @ (sizes - 1))) // 2
+    rng = np.random.default_rng(0)
+    i = np.sort(rng.integers(0, n, SAMPLE_PAIRS))  # sorted, so one gather streams
+    j = (i + rng.integers(1, n, SAMPLE_PAIRS)) % n
+    neg = ids[i] != ids[j]
+    i, j = i[neg], j[neg]
+    lam = i.size * k / total
+    r = math.ceil(lam + 6 * math.sqrt(lam) + 6)
+    if r > i.size:
+        return -math.inf
+    est = np.empty(i.size, dtype=np.float32)
+    chunk = budget_rows(2 * u32.shape[1])
+    for p0 in range(0, i.size, chunk):
+        a, b = i[p0:p0 + chunk], j[p0:p0 + chunk]
+        if u32.scale is None:
+            est[p0:p0 + chunk] = np.einsum("ij,ij->i", u32[a], u32[b])
+            continue
+        # |v_i . v_j| <= norm_i * norm_j <= 2^128 may round to inf, which only
+        # raises g; the sum of |products| bounds both signs, so no nan
+        with np.errstate(over="ignore"):
+            dots = np.einsum("ij,ij->i", u32.raw[a], u32.raw[b])
+        est[p0:p0 + chunk] = dots * u32.scale[a] * u32.scale[b]
+    v = np.partition(est, est.size - r)[est.size - r]
+    return min(max(float(v), -1.0), 1.0) - u32.delta
+
+
+def _top_sweep(u32: UnitRows, ids: np.ndarray, k: int, tile: int, workers: int,
+               floor: np.float32) -> tuple[np.float32, int, np.ndarray] | None:
+    """`_top_negatives` of the negative pairs whose screened value reaches `floor`;
+    None when fewer than k of them do."""
+    n = len(ids)
     index_type = np.uint32 if n * n < 1 << 32 else np.int64
-    u32 = _rows_of(u32)
     delta = u32.delta
     lock = threading.Lock()
     top = (np.empty(0, dtype=np.float32), np.empty(0, dtype=index_type), np.empty(0, dtype=bool))
     kth, above = None, 0
-    floor = np.float32(-np.inf)  # raised under the lock; a stale read keeps extra entries
 
     def candidates(i0, j0, s):
         """(s~, pair, flag) of the tile's negative pairs i < j at or above the floor."""
-        f = _pairs(s, ids, i0, j0, s >= floor).astype(index_type)
+        f = _pairs(s, ids, i0, j0, s >= floor if floor > -1 else None).astype(index_type)
         w = s.shape[1]
         p = f // w  # pair (i0 + r) * n + j0 + c of the flat tile index f = r * w + c
         p *= n - w
         p += f
         p += i0 * n + j0
-        return s.ravel()[f], p, np.zeros(f.size, dtype=bool)
+        return _clipped(s, f), p, np.zeros(f.size, dtype=bool)
 
     def block(i0, i1):
         nonlocal top, kth, above, floor
@@ -593,10 +661,49 @@ def _top_negatives(u32, ids: np.ndarray, k: int,
     block(*first)
     _map_blocks(block, rest, workers)
     if kth is None:
-        raise AssertionError(f"top-k pass found fewer than {k} negative pairs")
+        return None
     vals, pairs, known = top
     p = pairs[~known | (vals > kth)].astype(np.int64)
     return kth, above, np.bincount(p // n, minlength=n) + np.bincount(p % n, minlength=n)
+
+
+def _top_negatives(u32, ids: np.ndarray, k: int,
+                   tile: int, workers: int) -> tuple[np.float32, int, np.ndarray]:
+    """(k-th largest unordered negative similarity t, count above it, FP per record).
+
+    One sweep (`_top_sweep`) keeps a running top set. Each row slab buffers
+    (s~, pair) entries at or above a floor and cuts the buffer with
+    `_keep_top` whenever it holds 2k; the cut's exact k-th value t then
+    raises the floor shared by all slabs to t - delta, below which no
+    screened value can reach the global top-k. A finished slab merges into
+    the global top-k at once, so memory stays O(k) per worker, whatever the
+    ties. Entries carry a flag once they hold their exact value, so no pair
+    is refined twice within a buffer. The first slab runs alone, as with no
+    floor yet its tiles may buffer all their negatives; workers doing that at
+    once would make the peak memory depend on thread timing. Later slabs
+    start from its floor.
+
+    The floor starts at g - delta for the guess g of `_sample_guess`, and the
+    sweep's t is accepted when t >= g: a pair that floor dropped has s~ <
+    g - delta, so s < g <= t, and it is not in the top-k. Otherwise (t < g,
+    or fewer than k pairs kept) the sweep runs again from -inf, as it does
+    when the sample gives no guess. So the sample only decides the cost.
+
+    The final cut holds every negative pair above t, as fewer than k lie
+    there: its entries with an exact value above t, and those left without
+    one, which are all sure (exact value above t). Counting both ends of
+    those pairs gives each record's ordered FP at t, in one pass.
+    """
+    u32, ids = _rows_of(u32), _narrow(ids)
+    g = _sample_guess(u32, ids, k)
+    if g > -math.inf:
+        found = _top_sweep(u32, ids, k, tile, workers, _f32_out(g - u32.delta, up=False))
+        if found is not None and float(found[0]) >= g:
+            return found
+    found = _top_sweep(u32, ids, k, tile, workers, np.float32(-np.inf))
+    if found is None:
+        raise AssertionError(f"top-k pass found fewer than {k} negative pairs")
+    return found
 
 
 def _radix_key(s32: np.ndarray) -> np.ndarray:
@@ -773,14 +880,16 @@ def _count_above(u32, ids: np.ndarray, threshold: float, tile: int,
     lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
     counts = np.zeros(n, dtype=np.int64)
     lock = threading.Lock()
+    narrow = _narrow(ids)
 
     def slab(b0, b1, i0, i1):
         idx = order[b0:b1]
-        kinds = ids[idx]
+        kinds = narrow[idx]
         for j0, s in _half_tiles(u32, i0, i1, tile, idx=idx if same else None):
-            f = _pairs(s, kinds, i0, j0, s > lo, same)  # every pair that may lie above T
+            # every pair that may lie above T
+            f = _pairs(s, kinds, i0, j0, s > lo if lo >= -1 else None, same)
             i, j = idx[i0 + f // s.shape[1]], idx[j0 + f % s.shape[1]]
-            hit = s.ravel()[f] > hi
+            hit = _clipped(s, f) > hi
             band = np.flatnonzero(~hit)  # lo < s~ <= hi: refine
             if band.size:
                 hit[band] = _exact_pairs(u32, i[band], j[band], tile) > t

@@ -1,11 +1,14 @@
 import json
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairpair import metrics
 from fairpair.errors import ConfigError, DegenerateDataError, DomainError
 from fairpair.metrics import (
     AttributeRates,
@@ -304,6 +307,30 @@ def test_report_matches_components(small_set):
                                idr.ifpr[idr.ifpr_defined], rtol=0)
     tpr, fpr = overall_rates(acc)
     assert rep.overall_tpr == tpr and rep.overall_fpr == fpr
+
+
+# a Python 3.10 caller holds its call's arguments until the call returns, so
+# there the means live on under the neighbour pass whatever the callee drops
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="callee cannot free its caller's argument")
+def test_means_freed_before_neighbor_pass(small_set, monkeypatch):
+    made, neighbor_pass = metrics.mean_vectors, metrics._neighbor_pass
+    refs, alive = [], []
+
+    def means(dataset):
+        mv = made(dataset)
+        refs.append(weakref.ref(mv.means))
+        return mv
+
+    def spy(*args, **kwargs):
+        alive.append(refs[-1]() is not None)
+        return neighbor_pass(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "mean_vectors", means)
+    monkeypatch.setattr(metrics, "_neighbor_pass", spy)
+    want = evaluate_dataset(small_set, EvalConfig(target_fpr=2e-2, k=5))
+    assert alive == [False]
+    monkeypatch.undo()
+    assert evaluate_dataset(small_set, EvalConfig(target_fpr=2e-2, k=5)).to_json() == want.to_json()
 
 
 # --- CSV writers ------------------------------------------------------------------

@@ -384,6 +384,108 @@ def test_top_k_first_slab_runs_alone(monkeypatch):
     assert sorted(i0 for what, i0 in events if what == "start") == list(range(0, 400, 7))
 
 
+def _spy_sweeps(monkeypatch, guess=None):
+    """Record each `_top_sweep` call's (floor, whether it kept k pairs); `guess`,
+    if given, replaces the sampled guess."""
+    sweeps, top_sweep = [], pairwise._top_sweep
+
+    def sweep(u32, ids, k, tile, workers, floor):
+        found = top_sweep(u32, ids, k, tile, workers, floor)
+        sweeps.append((float(floor), found is not None))
+        return found
+
+    monkeypatch.setattr(pairwise, "_top_sweep", sweep)
+    if guess is not None:
+        monkeypatch.setattr(pairwise, "_sample_guess", lambda u32, ids, k: guess)
+    return sweeps
+
+
+def _full_sweep(ds, target, **kw):
+    """solve_threshold with no sampled guess: one sweep from -inf."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairwise, "_sample_guess", lambda u32, ids, k: -math.inf)
+        return solve_threshold(ds, target, **kw)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_wrong_guess_runs_the_sweep_again(workers, monkeypatch):
+    ds = random_dataset(np.random.default_rng(11), n=300, d=6, g=60, m=2)
+    want = _full_sweep(ds, 1e-2, tile=16, workers=workers)
+    t = want.threshold
+    # just above t: the floor g - delta keeps k pairs, but their k-th value
+    # t < g cannot be certified; and at 1.0, fewer than k pairs pass the floor
+    for guess, kept in ((float(np.nextafter(np.float32(t), np.float32(2))), True), (1.0, False)):
+        with monkeypatch.context() as mp:
+            sweeps = _spy_sweeps(mp, guess)
+            r = solve_threshold(ds, 1e-2, tile=16, workers=workers)
+        assert r == want and np.array_equal(r.record_fp, want.record_fp)
+        assert [found for _, found in sweeps] == [kept, True]
+        floor = pairwise._f32_out(guess - pairwise.UnitRows(ds.vectors).delta, up=False)
+        assert sweeps[0][0] == floor and sweeps[1][0] == -math.inf
+
+
+def test_sampled_floor_buffers_under_twice_k(monkeypatch):
+    # from -inf the floor rises only as pairs certify it, and at FPR 1e-2 the
+    # sweep buffers several times k candidates; from the sampled floor, under 2k
+    ds = random_dataset(np.random.default_rng(12), n=1500, d=24, g=500, m=2)
+    k = (int(Fraction(1e-2) * ordered_pair_totals(ds)[1]) + 2) // 2
+    buffered, pairs = [], pairwise._pairs
+
+    def spy(*args, **kwargs):
+        f = pairs(*args, **kwargs)
+        buffered.append(f.size)
+        return f
+
+    monkeypatch.setattr(pairwise, "_pairs", spy)
+    r = solve_threshold(ds, 1e-2, tile=128)
+    assert sum(buffered) < 2 * k  # a second sweep, from -inf, would buffer more
+    monkeypatch.undo()
+    want = _full_sweep(ds, 1e-2, tile=128)
+    assert r == want and np.array_equal(r.record_fp, want.record_fp)
+
+
+def _mask_pairs(s, ids, i0, j0, where=None, same=False):
+    """The pair selector as a whole-tile mask: identities compared everywhere, np.triu."""
+    a, b = ids[i0:i0 + len(s), None], ids[None, j0:j0 + s.shape[1]]
+    mask = a == b if same else a != b
+    if where is not None:
+        mask &= where
+    return np.flatnonzero(np.triu(mask, 1) if i0 == j0 else mask)
+
+
+def test_pairs_match_mask_procedure():
+    # unclipped tiles compared with an edge f: s >= f for f > -1 and s > f for
+    # f >= -1, every entry otherwise, must pick what the clipped tile picks
+    rng = np.random.default_rng(13)
+    ids = rng.integers(0, 6, size=60)
+    for i0, j0, h, w in ((0, 0, 20, 20), (20, 20, 20, 25), (0, 20, 20, 40), (40, 45, 13, 15)):
+        s = rng.uniform(-1.0003, 1.0003, size=(h, w)).astype(np.float32)
+        ends = rng.random(size=s.shape) < 0.04
+        s[ends] = rng.choice(np.float32([-1, 1, -1.0001, 1.0001]), size=int(ends.sum()))
+        c = np.clip(s, -1.0, 1.0)
+        for kinds in (ids, pairwise._narrow(ids)):
+            for same in (False, True):
+                want = _mask_pairs(c, ids, i0, j0, None, same)
+                assert np.array_equal(pairwise._pairs(s, kinds, i0, j0, None, same), want)
+                for share in (0.01, 0.4):
+                    where = rng.random(size=s.shape) < share
+                    want = _mask_pairs(c, ids, i0, j0, where, same)
+                    assert np.array_equal(pairwise._pairs(s, kinds, i0, j0, where, same), want)
+                # dense and sparse selections, and the clipped ends
+                for f in (-1.5, np.nextafter(np.float32(-1), np.float32(-2)), -1.0, -0.999,
+                          0.0, 0.5, 0.95, 1.0):
+                    f = np.float32(f)
+                    want = _mask_pairs(c, ids, i0, j0, c >= f, same)
+                    got = pairwise._pairs(s, kinds, i0, j0, s >= f if f > -1 else None, same)
+                    assert np.array_equal(got, want)
+                    want = _mask_pairs(c, ids, i0, j0, c > f, same)
+                    got = pairwise._pairs(s, kinds, i0, j0, s > f if f >= -1 else None, same)
+                    if f < 1:
+                        assert np.array_equal(got, want)
+                    else:  # more than the clipped tile: callers clip what they gather
+                        assert np.isin(want, got).all()
+
+
 def test_threshold_massive_ties():
     # one similarity value repeated far beyond any bin's capacity to split
     vecs = np.tile(np.array([[1.0, 2.0, 2.0]], dtype=np.float32), (40, 1))
