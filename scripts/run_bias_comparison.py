@@ -22,6 +22,7 @@ from fairpair.metrics import EvalConfig, evaluate_dataset
 from fairpair.model import save_model
 from fairpair.synth import gen_training_set, standard_biased_profile
 from fairpair.train import TrainConfig, encode_dataset, save_trace, train
+from fairpair.util import replaced
 
 
 def parse_args(argv):
@@ -49,7 +50,8 @@ def run_one(ts, mode, seed, epochs, out_dir, eval_target, k):
     encoded = encode_dataset(params, ts.x[ts.eval_idx], ts.y[ts.eval_idx],
                              ts.attribute[ts.eval_idx], ts.labels)
     report = evaluate_dataset(encoded, EvalConfig(target_fpr=eval_target, k=k))
-    (out_dir / "report.json").write_text(report.to_json() + "\n")
+    with replaced([out_dir / "report.json"]) as (tmp,):
+        tmp.write_text(report.to_json() + "\n")
 
     window = min(500, trace.iterations)
     return {

@@ -116,7 +116,7 @@ def intra_inter_similarity(dataset: EmbeddingSet, means: MeanVectors,
     """
     mu, counts = _unit_means(means), means.counts
     del means
-    s_inter = _neighbor_pass(mu, k)[1]
+    s_inter = _neighbor_pass(mu, k, table=False)[1]
     intra_sums = np.zeros(dataset.n_identities, dtype=np.float64)
     for i0, i1, v64, _ in _unit_chunks(dataset.vectors):
         ids = dataset.identity[i0:i1]
@@ -352,37 +352,43 @@ def _ordered_totals_from_acc(acc: PairStatsAccumulator) -> tuple[int, int]:
     return int(quad[TP] + quad[FN]), int(quad[FP] + quad[TN])
 
 
+def _g9(values: np.ndarray, defined: np.ndarray | None = None) -> list[str]:
+    """Each value with 9 significant digits, blank where not `defined`."""
+    if defined is None:
+        return [f"{x:.9g}" for x in values.tolist()]
+    return [f"{x:.9g}" if ok else "" for x, ok in zip(values.tolist(), defined.tolist())]
+
+
+def _identity_columns(dataset: EmbeddingSet) -> tuple[list, list]:
+    """(attribute, attribute name) of each identity, as Python lists."""
+    attr = dataset.identity_attribute().tolist()
+    return attr, [dataset.labels.attributes[a] for a in attr]
+
+
 def write_per_identity_csv(path, dataset: EmbeddingSet, idr: IdentityRates,
                            s_intra: np.ndarray, s_inter: np.ndarray,
                            counts: np.ndarray) -> None:
     """One row per identity: rates (blank when undefined) and Eq-style similarities."""
-    ident_attr = dataset.identity_attribute()
+    attr, attr_name = _identity_columns(dataset)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["identity", "name", "attribute", "attribute_name", "n_images",
                     "itpr", "ifpr", "s_intra", "s_inter"])
-        for k in range(dataset.n_identities):
-            w.writerow([
-                k, dataset.labels.identities[k], int(ident_attr[k]),
-                dataset.labels.attributes[ident_attr[k]], int(counts[k]),
-                f"{idr.itpr[k]:.9g}" if idr.itpr_defined[k] else "",
-                f"{idr.ifpr[k]:.9g}" if idr.ifpr_defined[k] else "",
-                f"{s_intra[k]:.9g}", f"{s_inter[k]:.9g}",
-            ])
+        w.writerows(zip(range(dataset.n_identities), dataset.labels.identities, attr,
+                        attr_name, counts.tolist(), _g9(idr.itpr, idr.itpr_defined),
+                        _g9(idr.ifpr, idr.ifpr_defined), _g9(s_intra), _g9(s_inter)))
 
 
 def write_similarity_csv(path, dataset: EmbeddingSet, s_intra: np.ndarray,
                          s_inter: np.ndarray) -> None:
     """One row per identity: its attribute and Eq-style similarities."""
-    ident_attr = dataset.identity_attribute()
+    attr, attr_name = _identity_columns(dataset)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["identity", "name", "attribute", "attribute_name",
                     "s_intra", "s_inter"])
-        for k in range(dataset.n_identities):
-            w.writerow([k, dataset.labels.identities[k], int(ident_attr[k]),
-                        dataset.labels.attributes[ident_attr[k]],
-                        f"{s_intra[k]:.9g}", f"{s_inter[k]:.9g}"])
+        w.writerows(zip(range(dataset.n_identities), dataset.labels.identities, attr,
+                        attr_name, _g9(s_intra), _g9(s_inter)))
 
 
 def write_histogram_csv(path, table: HistogramTable) -> None:
@@ -445,12 +451,12 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
     say(f"threshold {thresh.threshold:.9g} (allowed {thresh.allowed_fp}, "
         f"realized {thresh.realized_fp} of {thresh.total_negatives})")
 
-    say("sweeping confusion counts")
-    acc = confusion_sweep(dataset, thresh.threshold, tile=config.tile,
-                          workers=config.workers, rows=rows, fp=thresh.record_fp)
-    # neither is held through the similarity analysis, which sets the peak
+    say("confusion counts")
+    acc = confusion_sweep(dataset, thresh.threshold, tile=config.tile, workers=config.workers,
+                          rows=rows, fp=thresh.record_fp, tp=thresh.record_tp)
+    # none is held through the similarity analysis, which sets the peak
     del rows
-    thresh = replace(thresh, record_fp=None)
+    thresh = replace(thresh, record_fp=None, record_tp=None)
 
     k, note = config.clamped_k(dataset.n_identities)
     warnings = [note] if note else []

@@ -18,12 +18,14 @@ unordered pair once. An ordered count is twice the unordered one.
 
 Screen and refine. No N x d copy of the unit rows is kept: `UnitRows` holds
 the raw float32 vectors and their float64 norms, and each row slab gathers
-its float32 unit rows once, bitwise equal to `unit_rows`. The threshold pass
-and the confusion sweep screen every tile, the diagonal one too, the same
-way (`UnitRows.columns`): a float32 GEMM of the slab's unit rows by the raw
-columns, each column j scaled by c_j = fl32(1 / norm_j). The screened value
-s~ obeys |s~ - s| <= delta(d), clipped or not, so tiles stay unclipped: a
-pass compares them with its edges as they come and clips only the values it
+its float32 unit rows once, bitwise equal to `unit_rows`. Every screened
+pass treats every tile, the diagonal one too, the same way
+(`UnitRows.columns`): a float32 GEMM g of the slab's unit rows by the raw
+columns, whose screened value is s~ = fl32(g * c_j) with c_j =
+fl32(1 / norm_j). The pass compares the raw tile with one float32 edge per
+column, the least g whose s~ reaches its own edge (`UnitRows.edges`), and
+scales only the entries that pass. s~ obeys |s~ - s| <= delta(d), clipped
+or not, so tiles stay unclipped and a pass clips only the values it
 gathers.
 For unit rows on both sides delta comes from gamma_d for the float32 GEMM
 plus the float32 rounding of s: about 3.06e-5 at d = 512 and 7.7e-6 at
@@ -44,34 +46,26 @@ pairs tie there. Every bound is rounded outward, so counts are exact for
 any tile schedule, worker count and GEMM kernel. Counts are 64-bit integers
 and merge by plain addition.
 
-Threshold. The overall-FPR threshold is the k-th largest ordered negative
-similarity, which is the ceil(k/2)-th largest unordered one. When k fits
-under COLLECT_CAP one sweep keeps a running top set of (s~, pair) entries
-behind a floor that rises as slabs cut their buffers (blocked k-selection);
-each cut gives exact values to the entries within 2*delta of its k-th value
-that lack one and keeps exactly ceil(k/2) entries. The floor starts from a
-guess g taken from a uniform sample of SAMPLE_PAIRS pairs (Floyd and Rivest's
-sampled selection), so the sweep buffers about the pairs it keeps; a result
-below g is not certified and the sweep runs again from -inf. Larger ranks
-take an exact two-pass radix select over order-preserving keys of the
-float32 values: 65,536 counters per pass and worker, whatever the value
-distribution or the number of ties.
-
-Confusion counts. Every solve returns each record's ordered FP count at T,
-the FP witness. Fewer than k negative pairs lie above the top-k threshold,
-so its final top set holds them all, and a `bincount` of their two records
-gives it. After the radix select, one screened pass over the negative pairs
-counts them; for the degenerate target, FP is n - size without a sweep. TP
-then needs only the pairs within identities, sum c^2 of them against n^2:
-`_identity_blocks` visits the rows in identity order through an index
-permutation, packs whole identities into blocks of at most IDENTITY_BLOCK
-rows (and tile rows), and leaves a larger identity a block of its own,
-half-swept slab by slab; `_half_tiles` gathers each tile's rows, so no
-sorted copy of the set is built. Both passes are `_count_above`, with the
-sweep's own screen and refine. Every pass picks a tile's pairs with one
-selector, `_pairs` (i < j, identities that differ or match, compared as
-int32), and counts by record: each pair above T adds one to both of its
-records.
+Threshold and confusion counts. The overall-FPR threshold T is the k-th
+largest ordered negative similarity, which is the ceil(k/2)-th largest
+unordered one. When k fits under COLLECT_CAP, two pivots g_lo <= T <= g_hi
+are read off a uniform sample of pairs (Floyd and Rivest's sampled
+selection), and one screened half sweep (`_bracket`) drops the pairs below
+g_lo - delta, counts those above g_hi + delta per record as sure FP or TP,
+and collects the rest, negatives and positives, in a band of at most
+COLLECT_CAP entries. T is the rank still needed among the band's negatives;
+only the entries within 2 delta of its screened value are refined, each
+once. Certified (g_lo <= T <= g_hi, the rank inside the band), the band
+entries above T complete each record's FP and TP, so the evaluation makes
+no pass after the solve. Larger ranks, a band over the cap and a failed
+certificate take an exact two-pass radix select over order-preserving keys
+of the float32 values (65,536 counters per pass and worker, whatever the
+value distribution or the number of ties), then one screened pass that
+counts FP and TP per record (`_count_above`); the degenerate target has
+FP = n - size and TP = size - 1 without a sweep. Every screened pass picks
+a tile's pairs with one selector, `_pairs` (i < j, compared as int32
+identities where a kind is asked for), and counts by record: each pair
+above T adds one to both of its records.
 
 The radix select and `sweep_histogram` need every value, so they share one
 exact count, `_exact_counts`: it computes whole tiles with `_exact_grid` (the
@@ -94,12 +88,9 @@ from .errors import DegenerateDataError, DomainError
 from .store import EmbeddingSet, MeanVectors, budget_rows
 
 DEFAULT_TILE = 768
-COLLECT_CAP = 1 << 21  # largest rank held in memory; beyond it, radix select
-# rows of a block of whole identities in the TP pass: its GEMM screens every
-# pair of the block, most of them across identities, so the waste grows with
-# it, while below about 100 rows the per-block overhead takes over
-IDENTITY_BLOCK = 128
-# ordered pairs drawn to guess the top-k solve's starting floor (`_sample_guess`)
+# largest rank, and largest band, held in memory; beyond it, radix select
+COLLECT_CAP = 1 << 21
+# fewest ordered pairs drawn to read the bracket's pivots off (`_pivots`)
 SAMPLE_PAIRS = 8192
 
 # column order of every count quadruple
@@ -145,10 +136,12 @@ class UnitRows:
     bound. `rows[a:b]` and `rows[idx]` return float32 unit rows bitwise equal
     to `unit_rows`: one `np.divide` divides in float64 and rounds each result
     once, with only the ufunc's small buffers as scratch. `columns` screens
-    against the raw rows scaled by c. Where a norm lies outside [2^-64, 2^64]
-    (the guard) `scale` is None and `columns` gathers unit rows; so it is for
-    rows passed with `normalized=True`, unit rows already, yet returned as
-    copies: numpy would send a GEMM of a buffer by itself to SYRK instead.
+    against the raw rows, to be scaled by c, and `edges` turns an edge on the
+    screened value into one per raw column. Where a norm lies outside
+    [2^-64, 2^64] (the guard) `scale` is None and `columns` gathers unit
+    rows; so it is for rows passed with `normalized=True`, unit rows already,
+    yet returned as copies: numpy would send a GEMM of a buffer by itself to
+    SYRK instead.
     """
 
     def __init__(self, vectors: np.ndarray, normalized: bool = False):
@@ -180,13 +173,40 @@ class UnitRows:
         out = np.empty(v.shape, np.float32) if np.may_share_memory(v, self.raw) else v
         return np.divide(v, self.norm[key, None], out=out, casting="same_kind")
 
-    def columns(self, slab: np.ndarray, key) -> np.ndarray:
-        """The float32 screen of `slab` (unit rows) against the rows `key`, unclipped."""
+    def columns(self, slab: np.ndarray, key) -> tuple[np.ndarray, np.ndarray | None]:
+        """(g, c): the float32 GEMM of `slab` (unit rows) by the raw rows `key`, and
+        their inverse norms. Entry [r, q]'s screened value, unclipped, is the
+        float32 product s~ = fl32(g[r, q] * c[q]); under the guard g is the
+        screen of the unit rows itself and c is None."""
         if self.scale is None:
-            return slab @ self[key].T
-        s = slab @ self.raw[key].T
-        s *= self.scale[key]
-        return s
+            return slab @ self[key].T, None
+        return slab @ self.raw[key].T, self.scale[key]
+
+    def edges(self, lo: np.float32) -> np.ndarray:
+        """(n,) float32 theta: for each column j the least float32 g with fl32(g * c_j) >= lo.
+
+        The float32 product is monotone in g, so a raw GEMM entry reaches
+        theta_j exactly when its screened value reaches lo: one compare of
+        the raw tile picks what scaling the whole tile first would. Each
+        theta_j is bisected over order-preserving keys, inside the five keys
+        around fl32(lo / c_j) when they bracket it, else over every value
+        (where the product underflows, near lo = 0). Under the guard, lo.
+        """
+        if self.scale is None:
+            return np.full(len(self), lo, dtype=np.float32)
+        c = self.scale
+
+        def reaches(key):
+            return _key_value(key) * c >= lo
+        key = _radix_key((np.float64(lo) / c).astype(np.float32)).astype(np.int64)
+        a, b = key - 2, key + 2
+        wide = reaches(a) | ~reaches(b)
+        a[wide], b[wide] = _radix_key(np.float32([-np.inf, np.inf])).astype(np.int64)
+        while np.any(b - a > 1):  # reaches(b) holds and reaches(a) does not
+            mid = (a + b) // 2
+            up = reaches(mid)
+            a, b = np.where(up, a, mid), np.where(up, mid, b)
+        return _key_value(b)
 
 
 def _rows_of(u) -> UnitRows:
@@ -434,40 +454,28 @@ def _map_blocks(fn, blocks, workers: int) -> list:
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
-def _half_tiles(u32, i0: int, i1: int, tile: int, exact: bool = False,
-                idx: np.ndarray | None = None):
-    """Similarity tiles of row slab [i0, i1) against the column tiles j0 >= i0.
+def _half_tiles(u32, i0: int, i1: int, tile: int, exact: bool = False):
+    """Tiles of row slab [i0, i1) against the column tiles j0 >= i0.
 
-    `u32` is a `UnitRows` or an array of float32 unit rows. Rows and columns
-    are positions in `idx`, the records u32[idx], or without it the records
-    themselves; a tile gathers its own rows, never the whole order. Yields
-    (j0, s): s[r, c] belongs to positions i0 + r and j0 + c. It is the
-    float32 GEMM screen, unclipped, or with `exact` the `_exact_grid` values.
-    Slabs and tiles share one grid, so the first tile is the diagonal one
-    (j0 == i0), whose pairs i < j are its entries c > r. The slab's unit rows
-    are gathered once, and every tile, the diagonal one too, is their
-    `UnitRows.columns` screen. delta bounds the screen's error before
-    clipping too, so a caller compares the tile as it comes and clips only
-    the values it gathers (`_clipped`): s~ > f exactly when clip(s~) > f for
-    an edge f in [-1, 1), and s~ >= f exactly when clip(s~) >= f for f in
-    (-1, 1]. Below those ranges every entry passes the clipped test.
+    `u32` is a `UnitRows` or an array of float32 unit rows. Yields (j0, g, c):
+    entry [r, q] belongs to records i0 + r and j0 + q. Screened, g and c are
+    `UnitRows.columns` of the slab's unit rows, gathered once, so every tile,
+    the diagonal one too, is one float32 GEMM; with `exact`, g holds the
+    `_exact_grid` values and c is None. Slabs and tiles share one grid, so
+    the first tile is the diagonal one (j0 == i0), whose pairs i < j are its
+    entries q > r. delta bounds the screen's error before clipping too, so
+    a caller compares the tile as it comes and clips only the values it
+    gathers: s~ >= f exactly when clip(s~) >= f for an edge f in (-1, 1],
+    and below that range every entry passes the clipped test.
     """
     rows = _rows_of(u32)
-    pos = np.arange(len(rows)) if idx is None else idx
-    at = (lambda a, b: slice(a, b)) if idx is None else (lambda a, b: idx[a:b])
-    slab = None if exact else rows[at(i0, i1)]
-    for j0 in range(i0, len(pos), tile):
-        j1 = min(j0 + tile, len(pos))
+    slab = None if exact else rows[i0:i1]
+    for j0 in range(i0, len(rows), tile):
+        j1 = min(j0 + tile, len(rows))
         if exact:
-            yield j0, _exact_grid(rows, pos[i0:i1], pos[j0:j1])
-            continue
-        yield j0, rows.columns(slab, at(j0, j1))
-
-
-def _clipped(s: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The screened values of tile s at the flat indices f, clipped to [-1, 1]."""
-    v = s.ravel()[f]
-    return np.clip(v, -1.0, 1.0, out=v)
+            yield j0, _exact_grid(rows, np.arange(i0, i1), np.arange(j0, j1)), None
+        else:
+            yield j0, *rows.columns(slab, slice(j0, j1))
 
 
 def _narrow(ids: np.ndarray) -> np.ndarray:
@@ -476,9 +484,10 @@ def _narrow(ids: np.ndarray) -> np.ndarray:
 
 
 def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
-           same: bool = False) -> np.ndarray:
+           same: bool | None = False) -> np.ndarray:
     """Flat indices into tile s of its pairs i < j among `where`, if given, whose
-    identities differ, or match with `same`; `ids` holds each position's identity.
+    identities differ, or match with `same`, or either with `same` None; `ids`
+    holds each record's identity.
 
     When `where` keeps under 1/16 of the tile, only the identities of its
     entries are compared, so the tile costs one count plus work in
@@ -490,16 +499,16 @@ def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
     if where is not None and np.count_nonzero(where) * 16 < where.size:
         f = np.flatnonzero(where)
         r = f // w
-        keep = ids[i0 + r] == ids[j0 + f - r * w]
-        if not same:
-            np.logical_not(keep, out=keep)
+        keep = np.ones(f.size, dtype=bool)
+        if same is not None:
+            keep = (ids[i0 + r] == ids[j0 + f - r * w]) == same
         if i0 == j0:
             keep &= f > r * (w + 1)  # f = r * w + c with c > r
         return f[keep]
-    a, b = ids[i0:i0 + h, None], ids[None, j0:j0 + w]
-    mask = a == b if same else a != b
-    if where is not None:
-        mask &= where
+    mask = np.ones((h, w), dtype=bool) if where is None else where.copy()
+    if same is not None:
+        a, b = ids[i0:i0 + h, None], ids[None, j0:j0 + w]
+        mask &= a == b if same else a != b
     if i0 == j0:
         mask &= np.arange(w) > np.arange(h)[:, None]
     return np.flatnonzero(mask)
@@ -517,7 +526,7 @@ def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
 
     def block(i0, i1):
         counts = np.zeros(size, dtype=np.int64)
-        for j0, s in _half_tiles(u32, i0, i1, tile, exact=True):
+        for j0, s, _ in _half_tiles(u32, i0, i1, tile, exact=True):
             vals = s.ravel()[_pairs(s, ids, i0, j0, None if where is None else where(s))]
             counts += np.bincount(bucket(vals), minlength=size)
         return counts
@@ -539,171 +548,173 @@ def sweep_histogram(dataset: EmbeddingSet, bins: int,
                          bins, tile, workers)
 
 
-def _keep_top(u32: np.ndarray, vals: np.ndarray, pairs: np.ndarray, known: np.ndarray,
-              k: int, delta: float, tile: int):
-    """Cut a buffer of at least k entries to the k holding its exact top-k.
+def _tally(counts: np.ndarray, i: np.ndarray, j: np.ndarray, same: np.ndarray) -> None:
+    """Add one to both records of each pair (i, j): of the (2n,) counts, record r's
+    pairs across identities are counts[r] and those within counts[n + r]."""
+    at = same * (len(counts) // 2)
+    np.add.at(counts, i + at, 1)
+    np.add.at(counts, j + at, 1)
 
-    Each entry of `vals` lies within delta of the exact similarity of its pair
-    (pair index i*n + j), and equals it where `known` is set. With v_k the
-    buffer's k-th largest value, an entry above v_k + 2*delta is surely in the
-    exact top-k and one below v_k - 2*delta surely is not; the entries between
-    get their exact values, unless they have them already. Returns the k kept
-    entries with their flags, the exact k-th largest similarity t, and how
-    many buffered pairs exceed t. Writes exact values into `vals` and `known`.
+
+def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, tile: int, workers: int,
+           visit) -> None:
+    """One screened half sweep over the pairs i < j whose s~ reaches lo.
+
+    Each tile is compared with the per-column edges of lo (`UnitRows.edges`),
+    or with lo where it comes without column scales, and only the entries
+    that pass are scaled and clipped: a tile costs its GEMM, one compare and
+    work in proportion to those pairs.
+    visit(i, j, v, same) gets their records, clipped s~ and whether their
+    identities match; a visit that returns True ends the sweep, and every
+    slab stops at its next tile.
     """
-    n = len(u32)
-    kth = float(np.partition(vals, vals.size - k)[vals.size - k])
-    sure = vals > _f32_out(kth + 2 * delta, up=True)
-    band = np.flatnonzero(~sure & (vals >= _f32_out(kth - 2 * delta, up=False)))
-    todo = band[~known[band]]
-    p = pairs[todo].astype(np.int64)
-    vals[todo] = _exact_pairs(u32, p // n, p % n, tile)
-    known[todo] = True
-    need = k - int(np.count_nonzero(sure))
-    chosen = band[np.argpartition(vals[band], band.size - need)[band.size - need:]]
-    t = vals[chosen].min()
-    above = k - need + int(np.count_nonzero(vals[band] > t))
-    keep = np.concatenate([np.flatnonzero(sure), chosen])
-    return vals[keep], pairs[keep], known[keep], t, above
+    ids = _narrow(ids)
+    edges = rows.edges(lo) if lo > -1 else None
+    ended = False
+
+    def slab(i0, i1):
+        nonlocal ended
+        for j0, g, c in _half_tiles(rows, i0, i1, tile):
+            if ended:
+                return
+            w = g.shape[1]
+            where = None if edges is None else g >= (lo if c is None else edges[j0:j0 + w])
+            f = _pairs(g, ids, i0, j0, where, None)
+            r = f // w
+            q = f - r * w
+            v = g.ravel()[f]
+            del g, where  # freed before the next tile's GEMM, not after it
+            if c is not None:
+                v *= c[q]
+            np.clip(v, -1.0, 1.0, out=v)
+            i, j = i0 + r, j0 + q
+            if visit(i, j, v, ids[i] == ids[j]):
+                ended = True
+
+    _map_blocks(slab, _row_blocks(len(ids), tile), workers)
 
 
-def _drain(parts: list) -> list:
-    """Concatenate the parts column by column and empty the list, freeing the pieces."""
-    whole = [np.concatenate(col) for col in zip(*parts)]
-    parts.clear()
-    return whole
+def _pivots(rows: UnitRows, ids: np.ndarray, k: int) -> tuple[float, float]:
+    """(g_lo, g_hi): values that most likely bracket t, the k-th largest unordered
+    negative similarity, read off a sample of pairs; -inf and +inf where the
+    sample cannot tell.
 
-
-def _sample_guess(u32: UnitRows, ids: np.ndarray, k: int) -> float:
-    """g, a value the k-th largest unordered negative similarity t most likely
-    reaches, from a sample of pairs; -inf when the sample cannot tell.
-
-    SAMPLE_PAIRS ordered pairs are drawn uniformly with a fixed seed, and the
-    m negatives among them are uniform draws from the P unordered negative
-    pairs (Floyd and Rivest, "Expected time bounds for selection", CACM 18(3),
-    1975). About lambda = m k / P of them lie in the top k, and more than
-    r = ceil(lambda + 6 sqrt(lambda) + 6) only with a chance that a Chernoff
-    bound keeps negligible whatever the data. g is the r-th largest sample
-    value, estimated from the raw rows times their inverse norms c (unit
-    rows where `scale` is None) and clipped, minus delta. Nothing rests on
-    g: `_top_negatives` checks t >= g.
+    max(SAMPLE_PAIRS, 64 P / COLLECT_CAP) ordered pairs are drawn uniformly
+    with a fixed seed, and the m negatives among them are uniform draws from
+    the P unordered negative pairs (Floyd and Rivest, "Expected time bounds
+    for selection", CACM 18(3), 1975). About lambda = m k / P of them lie in
+    the top k; more than r_lo = ceil(lambda + 6 sqrt(lambda) + 6), or fewer
+    than r_hi = floor(lambda - 6 sqrt(lambda) - 6), only with a chance that
+    a Chernoff bound keeps negligible whatever the data. g_lo is the r_lo-th
+    largest sample value minus delta, g_hi the r_hi-th largest plus delta,
+    +inf when r_hi < 1. Values are estimated from the raw rows times their
+    inverse norms c (unit rows where `scale` is None) and clipped. At small
+    lambda the band between the pivots holds about 6 P / m pairs, so m grows
+    with P to keep it far below COLLECT_CAP. Nothing rests on the pivots:
+    `_bracket` certifies g_lo <= t <= g_hi.
     """
     n = len(ids)
     sizes = np.bincount(ids)
     total = (n * (n - 1) - int(sizes @ (sizes - 1))) // 2
+    draws = max(SAMPLE_PAIRS, 64 * total // COLLECT_CAP)
     rng = np.random.default_rng(0)
-    i = np.sort(rng.integers(0, n, SAMPLE_PAIRS))  # sorted, so one gather streams
-    j = (i + rng.integers(1, n, SAMPLE_PAIRS)) % n
+    i = np.sort(rng.integers(0, n, draws))  # sorted, so one gather streams
+    j = (i + rng.integers(1, n, draws)) % n
     neg = ids[i] != ids[j]
     i, j = i[neg], j[neg]
     lam = i.size * k / total
-    r = math.ceil(lam + 6 * math.sqrt(lam) + 6)
-    if r > i.size:
-        return -math.inf
+    r_lo = math.ceil(lam + 6 * math.sqrt(lam) + 6)
+    r_hi = math.floor(lam - 6 * math.sqrt(lam) - 6)
+    if r_lo > i.size:
+        return -math.inf, math.inf
     est = np.empty(i.size, dtype=np.float32)
-    chunk = budget_rows(2 * u32.shape[1])
+    chunk = budget_rows(2 * rows.shape[1])
     for p0 in range(0, i.size, chunk):
         a, b = i[p0:p0 + chunk], j[p0:p0 + chunk]
-        if u32.scale is None:
-            est[p0:p0 + chunk] = np.einsum("ij,ij->i", u32[a], u32[b])
+        if rows.scale is None:
+            est[p0:p0 + chunk] = np.einsum("ij,ij->i", rows[a], rows[b])
             continue
-        # |v_i . v_j| <= norm_i * norm_j <= 2^128 may round to inf, which only
-        # raises g; the sum of |products| bounds both signs, so no nan
+        # |v_i . v_j| <= norm_i * norm_j <= 2^128 may round to inf, which
+        # clips to 1; the sum of |products| bounds both signs, so no nan
         with np.errstate(over="ignore"):
-            dots = np.einsum("ij,ij->i", u32.raw[a], u32.raw[b])
-        est[p0:p0 + chunk] = dots * u32.scale[a] * u32.scale[b]
-    v = np.partition(est, est.size - r)[est.size - r]
-    return min(max(float(v), -1.0), 1.0) - u32.delta
+            dots = np.einsum("ij,ij->i", rows.raw[a], rows.raw[b])
+        est[p0:p0 + chunk] = dots * rows.scale[a] * rows.scale[b]
+    ranks = [est.size - r_lo] + ([est.size - r_hi] if r_hi >= 1 else [])
+    est = np.clip(np.partition(est, ranks)[ranks], -1.0, 1.0).tolist()
+    return est[0] - rows.delta, est[1] + rows.delta if r_hi >= 1 else math.inf
 
 
-def _top_sweep(u32: UnitRows, ids: np.ndarray, k: int, tile: int, workers: int,
-               floor: np.float32) -> tuple[np.float32, int, np.ndarray] | None:
-    """`_top_negatives` of the negative pairs whose screened value reaches `floor`;
-    None when fewer than k of them do."""
-    n = len(ids)
-    index_type = np.uint32 if n * n < 1 << 32 else np.int64
-    delta = u32.delta
-    lock = threading.Lock()
-    top = (np.empty(0, dtype=np.float32), np.empty(0, dtype=index_type), np.empty(0, dtype=bool))
-    kth, above = None, 0
+def _bracket(u32, ids: np.ndarray, k: int, tile: int,
+             workers: int) -> tuple[np.float32, int, np.ndarray, np.ndarray] | None:
+    """(t, count above t, FP per record, TP per record) for the k-th largest
+    unordered negative similarity t, in one screened half sweep between two
+    pivots; None when the bracket fails.
 
-    def candidates(i0, j0, s):
-        """(s~, pair, flag) of the tile's negative pairs i < j at or above the floor."""
-        f = _pairs(s, ids, i0, j0, s >= floor if floor > -1 else None).astype(index_type)
-        w = s.shape[1]
-        p = f // w  # pair (i0 + r) * n + j0 + c of the flat tile index f = r * w + c
-        p *= n - w
-        p += f
-        p += i0 * n + j0
-        return _clipped(s, f), p, np.zeros(f.size, dtype=bool)
-
-    def block(i0, i1):
-        nonlocal top, kth, above, floor
-        parts, held = [], 0
-        for j0, s in _half_tiles(u32, i0, i1, tile):
-            parts.append(candidates(i0, j0, s))
-            held += parts[-1][0].size
-            if held >= 2 * k:
-                *buf, cut, _ = _keep_top(u32, *_drain(parts), k, delta, tile)
-                parts, held = [buf], k
-                with lock:
-                    floor = max(floor, _f32_out(float(cut) - delta, up=False))
-        buf = _drain(parts)
-        if held >= k:
-            *buf, _, _ = _keep_top(u32, *buf, k, delta, tile)
-        with lock:
-            top = tuple(np.concatenate([a, b]) for a, b in zip(top, buf))
-            if top[0].size >= k:
-                *top, kth, above = _keep_top(u32, *top, k, delta, tile)
-                floor = max(floor, _f32_out(float(kth) - delta, up=False))
-
-    first, *rest = _row_blocks(n, tile)
-    block(*first)
-    _map_blocks(block, rest, workers)
-    if kth is None:
-        return None
-    vals, pairs, known = top
-    p = pairs[~known | (vals > kth)].astype(np.int64)
-    return kth, above, np.bincount(p // n, minlength=n) + np.bincount(p % n, minlength=n)
-
-
-def _top_negatives(u32, ids: np.ndarray, k: int,
-                   tile: int, workers: int) -> tuple[np.float32, int, np.ndarray]:
-    """(k-th largest unordered negative similarity t, count above it, FP per record).
-
-    One sweep (`_top_sweep`) keeps a running top set. Each row slab buffers
-    (s~, pair) entries at or above a floor and cuts the buffer with
-    `_keep_top` whenever it holds 2k; the cut's exact k-th value t then
-    raises the floor shared by all slabs to t - delta, below which no
-    screened value can reach the global top-k. A finished slab merges into
-    the global top-k at once, so memory stays O(k) per worker, whatever the
-    ties. Entries carry a flag once they hold their exact value, so no pair
-    is refined twice within a buffer. The first slab runs alone, as with no
-    floor yet its tiles may buffer all their negatives; workers doing that at
-    once would make the peak memory depend on thread timing. Later slabs
-    start from its floor.
-
-    The floor starts at g - delta for the guess g of `_sample_guess`, and the
-    sweep's t is accepted when t >= g: a pair that floor dropped has s~ <
-    g - delta, so s < g <= t, and it is not in the top-k. Otherwise (t < g,
-    or fewer than k pairs kept) the sweep runs again from -inf, as it does
-    when the sample gives no guess. So the sample only decides the cost.
-
-    The final cut holds every negative pair above t, as fewer than k lie
-    there: its entries with an exact value above t, and those left without
-    one, which are all sure (exact value above t). Counting both ends of
-    those pairs gives each record's ordered FP at t, in one pass.
+    With the pivots g_lo and g_hi of `_pivots`, a pair with s~ below
+    lo = g_lo - delta is dropped, since s < g_lo; one above hi = g_hi + delta
+    is sure, s > g_hi, and counts at once toward its records' FP or TP; every
+    other pair, negative or positive, goes to the band as (s~, pair, kind).
+    With `sure` negatives sure and need = k - sure, t is the need-th largest
+    exact value among the band's negatives. Only the band entries within
+    2 delta of the screened need-th value v get their exact value, each
+    once: t lies within delta of v, so every other entry lies more than
+    delta from t and is decided by s~. When 1 <= need <= the band's
+    negatives and g_lo <= t <= g_hi, every sure pair lies above t and every
+    dropped one below it, so t is certified and the band entries above t
+    complete each record's FP and TP. A sample that gives no g_lo puts every
+    pair that is not sure in the band. A band over COLLECT_CAP entries ends
+    the sweep; it and a failed certificate return None, and the caller
+    falls back to the radix select.
     """
-    u32, ids = _rows_of(u32), _narrow(ids)
-    g = _sample_guess(u32, ids, k)
-    if g > -math.inf:
-        found = _top_sweep(u32, ids, k, tile, workers, _f32_out(g - u32.delta, up=False))
-        if found is not None and float(found[0]) >= g:
-            return found
-    found = _top_sweep(u32, ids, k, tile, workers, np.float32(-np.inf))
-    if found is None:
-        raise AssertionError(f"top-k pass found fewer than {k} negative pairs")
-    return found
+    rows, n = _rows_of(u32), len(ids)
+    delta = rows.delta
+    g_lo, g_hi = _pivots(rows, ids, k)
+    lo, hi = _f32_out(g_lo - delta, up=False), _f32_out(g_hi + delta, up=True)
+    index_type = np.uint32 if n * n < 1 << 32 else np.int64
+    counts = np.zeros(2 * n, dtype=np.int64)
+    parts = [(np.empty(0, np.float32), np.empty(0, index_type), np.empty(0, bool))]
+    held = 0
+    lock = threading.Lock()
+
+    def visit(i, j, v, same):
+        nonlocal held
+        sure = v > hi
+        band = ~sure
+        with lock:
+            _tally(counts, i[sure], j[sure], same[sure])
+            held += int(np.count_nonzero(band))
+            if held > COLLECT_CAP:
+                parts.clear()
+                return True
+            parts.append((v[band], (i[band] * n + j[band]).astype(index_type), same[band]))
+        return False
+
+    _sweep(rows, ids, lo, tile, workers, visit)
+    if held > COLLECT_CAP:
+        return None
+    vals, pairs, same = (np.concatenate(col) for col in zip(*parts))
+    parts.clear()
+    sure = int(counts[:n].sum()) // 2
+    neg = vals[~same]
+    need = k - sure
+    if not 1 <= need <= neg.size:
+        return None
+    neg.partition(neg.size - need)
+    v = float(neg[neg.size - need])
+    top, bottom = _f32_out(v + 2 * delta, up=True), _f32_out(v - 2 * delta, up=False)
+    need -= int(np.count_nonzero(neg > top))  # above v + 2 delta: above t
+    del neg
+    near = np.flatnonzero((vals >= bottom) & (vals <= top))
+    p = pairs[near].astype(np.int64)
+    vals[near] = _exact_pairs(rows, p // n, p % n, tile)
+    near = near[~same[near]]
+    t = np.partition(vals[near], near.size - need)[near.size - need]
+    if not g_lo <= float(t) <= g_hi:
+        return None
+    hit = vals > t
+    p = pairs[hit]
+    _tally(counts, p // n, p % n, same[hit])
+    return t, int(counts[:n].sum()) // 2, counts[:n], counts[n:]
 
 
 def _radix_key(s32: np.ndarray) -> np.ndarray:
@@ -712,9 +723,10 @@ def _radix_key(s32: np.ndarray) -> np.ndarray:
     return np.where(bits >> 31, ~bits, bits | 0x80000000)
 
 
-def _key_value(key: int) -> np.float32:
-    bits = key & 0x7FFFFFFF if key >> 31 else ~key & 0xFFFFFFFF
-    return np.uint32(bits).view(np.float32)
+def _key_value(key) -> np.ndarray:
+    """The float32 values of `_radix_key` keys, a scalar or an array of them."""
+    key = np.asarray(key, dtype=np.uint32)
+    return np.where(key >> 31, key & 0x7FFFFFFF, ~key).astype(np.uint32).view(np.float32)
 
 
 def _rank_bucket(counts: np.ndarray, k: int) -> tuple[int, int]:
@@ -762,9 +774,10 @@ class ThresholdResult:
     realized_fp: int
     total_negatives: int
     degenerate: bool = False
-    # ordered FP per record at the threshold, which every solve returns, so
-    # `confusion_sweep` counts TP alone. Never part of a report.
+    # ordered FP and TP per record at the threshold, which every solve
+    # returns, so `confusion_sweep` makes no pass. Never part of a report.
     record_fp: np.ndarray | None = field(default=None, compare=False, repr=False)
+    record_tp: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
@@ -775,14 +788,15 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     The threshold T is the k-th largest ordered negative similarity,
     k = allowed + 1 with allowed = floor(target_fpr * total_negatives)
     evaluated in exact arithmetic. When k <= COLLECT_CAP one screened sweep
-    over the unordered pairs keeps the exact top-ceil(k/2) (O(k) memory per
-    worker) and T is its minimum; otherwise a two-pass radix select over the
-    float32 bit patterns finds T in fixed memory. Every result carries each
-    record's ordered FP count at T (`record_fp`): the top-k pass's own, one
-    screened pass over the negatives after the radix select, and n - size
-    without a sweep when the target admits every negative (T = -inf). `rows`
-    passes the dataset's `UnitRows` when the caller has them. A zero
-    threshold is always +0.0.
+    over the unordered pairs between two sampled pivots (`_bracket`) finds
+    the ceil(k/2)-th largest unordered value; otherwise, or when its bracket
+    fails, a two-pass radix select over the float32 bit patterns finds T in
+    fixed memory. Every result carries each record's ordered FP and TP
+    counts at T (`record_fp`, `record_tp`): the bracket's own, one screened
+    pass after the radix select, and n - size and size - 1 without a sweep
+    when the target admits every negative (T = -inf). `rows` passes the
+    dataset's `UnitRows` when the caller has them. A zero threshold is
+    always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
         raise DomainError(f"target FPR must lie in (0, 1], got {target_fpr}")
@@ -794,22 +808,24 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     degenerate = allowed >= total_neg
     if degenerate:
         threshold, realized = -math.inf, total_neg
-        fp = dataset.n - np.bincount(ids, minlength=dataset.n_identities)[ids]
+        size = np.bincount(ids, minlength=dataset.n_identities)[ids]
+        fp, tp = dataset.n - size, size - 1
     else:
         u32 = UnitRows(dataset.vectors) if rows is None else rows
         k = allowed + 1
-        if k <= COLLECT_CAP:
-            # each unordered value stands twice in the ordered ranking
-            t, above, fp = _top_negatives(u32, ids, (k + 1) // 2, tile, workers)
+        # each unordered value stands twice in the ordered ranking
+        found = _bracket(u32, ids, (k + 1) // 2, tile, workers) if k <= COLLECT_CAP else None
+        if found is not None:
+            t, above, fp, tp = found
             threshold, realized = float(t), 2 * above
         else:
             threshold, realized = _radix_select(u32, ids, k, tile, workers)
-            fp = _count_above(u32, ids, threshold, tile, workers, same=False)
+            fp, tp = _count_above(u32, ids, threshold, tile, workers)
     if int(fp.sum()) != realized:
         raise AssertionError(f"FP witness counts {int(fp.sum())} ordered pairs, not {realized}")
     return ThresholdResult(threshold=threshold + 0.0, target_fpr=target_fpr,
-                           allowed_fp=allowed, realized_fp=realized,
-                           total_negatives=total_neg, degenerate=degenerate, record_fp=fp)
+                           allowed_fp=allowed, realized_fp=realized, total_negatives=total_neg,
+                           degenerate=degenerate, record_fp=fp, record_tp=tp)
 
 
 @dataclass
@@ -834,93 +850,52 @@ class PairStatsAccumulator:
         return self.identity_counts.sum(axis=0)
 
 
-def _identity_blocks(ids: np.ndarray, size: int) -> tuple[np.ndarray, list]:
-    """(order, blocks): the records of identities with two or more, by identity.
-
-    `order` lists them identity by identity; each block [b0, b1) of positions
-    in it holds whole identities, as many as fit in `size` rows, or one
-    identity alone that is larger.
-    """
-    sizes = np.bincount(ids)
-    kept = np.flatnonzero(sizes[ids] > 1)
-    order = kept[np.argsort(ids[kept], kind="stable")]
-    blocks, b0, cut = [], 0, 0
-    for end in np.cumsum(sizes[sizes > 1]).tolist():
-        if end - b0 > size and cut > b0:
-            blocks.append((b0, cut))
-            b0 = cut
-        cut = end
-    if cut > b0:
-        blocks.append((b0, cut))
-    return order, blocks
-
-
 def _count_above(u32, ids: np.ndarray, threshold: float, tile: int,
-                 workers: int, same: bool) -> np.ndarray:
-    """(n,) int64: per record, its pairs with similarity above `threshold` whose
-    identities match (`same`, TP) or differ (FP).
+                 workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fp, tp), (n,) int64 each: per record, its pairs with similarity above
+    `threshold` whose identities differ (FP) or match (TP), in one screened
+    half sweep.
 
-    Each block is swept as one upper triangle, slab by slab: with `same`
-    the blocks of whole identities of `_identity_blocks`, otherwise one
-    block of every record in file order. `_pairs` picks the pairs of the
-    kind counted among those the screen keeps, before any refine, so no
-    other pair is refined. Each tile adds one to both records of each of its
-    pairs above the threshold (`np.add.at`: work in proportion to those
-    pairs, where a bincount over n would cost O(n) per small identity block).
+    A pair whose s~ lies more than delta from the threshold is decided by
+    s~; each tile refines the pairs between at once, so memory stays per
+    tile whatever the ties.
     """
-    n = len(ids)
-    if same:
-        order, blocks = _identity_blocks(ids, min(tile, IDENTITY_BLOCK))
-    else:
-        order, blocks = np.arange(n), [(0, n)]
+    rows, n = _rows_of(u32), len(ids)
     t = np.float64(threshold)  # compared exactly, never rounded to float32
-    u32 = _rows_of(u32)
-    delta = u32.delta
     tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
-    lo, hi = _f32_out(tb - delta, up=False), _f32_out(tb + delta, up=True)
-    counts = np.zeros(n, dtype=np.int64)
+    lo, hi = _f32_out(tb - rows.delta, up=False), _f32_out(tb + rows.delta, up=True)
+    counts = np.zeros(2 * n, dtype=np.int64)
     lock = threading.Lock()
-    narrow = _narrow(ids)
 
-    def slab(b0, b1, i0, i1):
-        idx = order[b0:b1]
-        kinds = narrow[idx]
-        for j0, s in _half_tiles(u32, i0, i1, tile, idx=idx if same else None):
-            # every pair that may lie above T
-            f = _pairs(s, kinds, i0, j0, s > lo if lo >= -1 else None, same)
-            i, j = idx[i0 + f // s.shape[1]], idx[j0 + f % s.shape[1]]
-            hit = _clipped(s, f) > hi
-            band = np.flatnonzero(~hit)  # lo < s~ <= hi: refine
-            if band.size:
-                hit[band] = _exact_pairs(u32, i[band], j[band], tile) > t
-            with lock:
-                np.add.at(counts, i[hit], 1)
-                np.add.at(counts, j[hit], 1)
+    def visit(i, j, v, same):
+        hit = v > hi
+        band = np.flatnonzero(~hit)  # lo <= s~ <= hi: refine
+        if band.size:
+            hit[band] = _exact_pairs(rows, i[band], j[band], tile) > t
+        with lock:
+            _tally(counts, i[hit], j[hit], same[hit])
 
-    _map_blocks(slab, [(b0, b1, i0, i1) for b0, b1 in blocks
-                       for i0, i1 in _row_blocks(b1 - b0, tile)], workers)
-    return counts
+    _sweep(rows, ids, lo, tile, workers, visit)
+    return counts[:n], counts[n:]
 
 
 def confusion_sweep(dataset: EmbeddingSet, threshold: float,
                     tile: int = DEFAULT_TILE, workers: int = 1, *,
-                    rows: UnitRows | None = None,
-                    fp: np.ndarray | None = None) -> PairStatsAccumulator:
+                    rows: UnitRows | None = None, fp: np.ndarray | None = None,
+                    tp: np.ndarray | None = None) -> PairStatsAccumulator:
     """Count TP/FP/TN/FN over all ordered pairs: predict positive iff S > threshold.
 
     Equality S == threshold counts as a negative prediction, so the four
-    counts partition every ordered pair. `fp` gives each record's FP count
-    at this threshold (`ThresholdResult.record_fp`); without it one screened
-    half sweep over the negative pairs counts it. TP comes from a sweep of
-    the pairs within each identity alone (`_identity_blocks`), and the
-    positive and negative totals from the identity sizes. `rows` passes the
-    dataset's `UnitRows` when the caller has them.
+    counts partition every ordered pair. `fp` and `tp` give each record's
+    FP and TP counts at this threshold (`ThresholdResult.record_fp` and
+    `record_tp`); without both, one screened half sweep counts them. The
+    positive and negative totals come from the identity sizes. `rows`
+    passes the dataset's `UnitRows` when the caller has them.
     """
-    u32 = UnitRows(dataset.vectors) if rows is None else rows
     ids, n = dataset.identity, dataset.n
-    if fp is None:
-        fp = _count_above(u32, ids, threshold, tile, workers, same=False)
-    tp = _count_above(u32, ids, threshold, tile, workers, same=True)
+    if fp is None or tp is None:
+        u32 = UnitRows(dataset.vectors) if rows is None else rows
+        fp, tp = _count_above(u32, ids, threshold, tile, workers)
     size = np.bincount(ids, minlength=dataset.n_identities)[ids]
     quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)
     acc = PairStatsAccumulator.zeros(dataset.n_identities, dataset.n_attributes)
@@ -942,55 +917,65 @@ def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
     """Columns of each row's K largest entries, largest first, ties to the lower column.
 
     Row r of `sims` belongs to identity i0 + r, whose own column is set to
-    -inf. `np.argpartition` picks K columns per row, and their smallest
-    value is the row's K-th largest v. Only a row holding more than K entries
-    >= v has a choice to make: it takes every entry above v, then its
-    lowest-index entries equal to v until it holds K. The K columns are then
-    ordered by value, ties by column.
+    -inf. A per-row floor comes first: with the columns cut into at least 4K
+    disjoint groups of strided columns, one `max` reduction gives each
+    group's maximum, and the K-th largest of those is the floor. Each group
+    maximum is a distinct entry of the row, so the floor never exceeds the
+    row's K-th largest value. Only the entries at or above it are ordered:
+    packed row by row in column order, padded with -inf, and sorted by value
+    descending with a stable sort, so ties keep the lower column first; each
+    row keeps its first K.
     """
     b, g = sims.shape
     own = np.arange(b)
     sims[own, i0 + own] = -np.inf
-    # copied, so the full index array is freed at once
-    cols = np.argpartition(sims, g - k, axis=1)[:, g - k:].copy()
-    kth = np.take_along_axis(sims, cols, axis=1).min(axis=1)
-    tied = np.flatnonzero(np.count_nonzero(sims >= kth[:, None], axis=1) > k)
-    if tied.size:
-        t, v = sims[tied], kth[tied, None]
-        take = t > v
-        r, c = np.nonzero(t == v)  # row-major: each row's ties by column
-        fill = np.arange(r.size) - np.searchsorted(r, r) < (k - np.count_nonzero(take, axis=1))[r]
-        take[r[fill], c[fill]] = True
-        cols[tied] = np.nonzero(take)[1].reshape(tied.size, k)
-    cols.sort(axis=1)
-    order = np.argsort(-np.take_along_axis(sims, cols, axis=1), axis=1, kind="stable")
+    per = g // (4 * k)  # columns per group
+    groups = sims[:, :g // per * per].reshape(b, per, -1).max(axis=1) if per > 1 else sims
+    m = groups.shape[1]
+    floor = np.partition(groups, m - k, axis=1)[:, m - k, None]
+    del groups
+    f = np.flatnonzero(sims >= floor)  # row-major: each row's entries by column
+    r = f // g
+    at = r, np.arange(f.size) - np.searchsorted(r, own)[r]
+    vals = np.full((b, int(at[1].max()) + 1), np.inf)
+    vals[at] = -sims.ravel()[f]
+    cols = np.zeros(vals.shape, dtype=np.int64)
+    cols[at] = f - r * g
+    order = np.argsort(vals, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cols, order, axis=1)
 
 
 def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = None,
-                   block: int = 512) -> tuple[np.ndarray, np.ndarray]:
+                   block: int = 512, table: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """(neighbors, mean cosine to them) of every unit mean in `mu`, one GEMM per row block.
 
     Without `neighbors` given, each identity's neighbours are the K other
-    identities with the most similar means (`_top_columns`, run on sub-blocks
-    of `budget_rows(G + K)` rows, so its G-wide index array and K-wide copy
-    stay budget-sized). The GEMM keeps its `block` rows: the last bits of its
-    values follow that row partition.
+    identities with the most similar means (`_top_columns`); with `table`
+    False they are not kept, and only the means are returned. The GEMM keeps
+    its `block` rows: the last bits of its values follow that row partition.
+    Each block is read in sub-blocks of `budget_rows(4 G)` rows. The pick's
+    scratch is then a G-byte mask and the few entries above the floor per
+    row, a small share of the working set; only when every entry of a row
+    ties at its floor does it reach seven G-wide 8-byte arrays per row,
+    under twice the working set.
     """
     g = len(mu)
     pick = neighbors is None
     if pick:
         if not 1 <= k <= g - 1:
             raise DomainError(f"K must lie in [1, G-1] = [1, {g - 1}], got {k}")
-        neighbors = np.empty((g, k), dtype=np.int64)
+        if table:
+            neighbors = np.empty((g, k), dtype=np.int64)
     mean = np.empty(g, dtype=np.float64)
     for i0, i1 in _row_blocks(g, block):
         sims = mu[i0:i1] @ mu.T
-        if pick:
-            for a0, a1 in _row_blocks(i1 - i0, budget_rows(g + k)):
-                neighbors[i0 + a0:i0 + a1] = _top_columns(sims[a0:a1], i0 + a0, k)
-        mean[i0:i1] = np.take_along_axis(sims, neighbors[i0:i1], axis=1).mean(axis=1)
-        del sims  # freed before the next block's GEMM, not after it
+        for a0, a1 in _row_blocks(i1 - i0, budget_rows(4 * g)):
+            s, rows = sims[a0:a1], slice(i0 + a0, i0 + a1)
+            cols = _top_columns(s, rows.start, k) if pick else neighbors[rows]
+            if pick and table:
+                neighbors[rows] = cols
+            mean[rows] = np.take_along_axis(s, cols, axis=1).mean(axis=1)
+        del sims, s  # freed before the next block's GEMM, not after it
     return neighbors, mean
 
 

@@ -178,11 +178,13 @@ def mean_vectors(dataset: EmbeddingSet) -> MeanVectors:
     of those adds its remaining rows as a running sum (`np.add.accumulate`).
     `cut` minimizes the steps (ranks below it plus identities above it), so
     neither many identities nor one huge one costs a step per row. Rows are
-    cast to float64 a budget chunk at a time (`budget_rows`), and the sums
-    become the means in place.
+    cast to float64 a chunk at a time. A step holds the float32 gather, the
+    cast rows, the gathered sums and their total, under four float64 chunks
+    at once, so the chunk is `budget_rows(4 d)`. The sums become the means
+    in place.
     """
     ids, v = dataset.identity, dataset.vectors
-    g, chunk = dataset.n_identities, budget_rows(dataset.dim)
+    g, chunk = dataset.n_identities, budget_rows(4 * dataset.dim)
     counts = np.bincount(ids, minlength=g).astype(np.int64)
     by_id = np.argsort(ids, kind="stable")  # identity by identity, in stored order
     start = np.cumsum(counts) - counts

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import sys
@@ -13,6 +14,7 @@ from fairpair.errors import ConfigError, DegenerateDataError, DomainError
 from fairpair.metrics import (
     AttributeRates,
     EvalConfig,
+    IdentityRates,
     attribute_rates,
     build_histograms,
     dumps_stable,
@@ -24,6 +26,7 @@ from fairpair.metrics import (
     report_from_json,
     write_histogram_csv,
     write_per_identity_csv,
+    write_similarity_csv,
 )
 from fairpair.pairwise import (PairStatsAccumulator, confusion_sweep, neighbor_mean_similarity,
                               solve_threshold, topk_neighbors)
@@ -351,6 +354,60 @@ def test_per_identity_csv(tmp_path, small_set, report):
             assert float(fields[5]) == pytest.approx(idr.itpr[k], rel=1e-8)
         else:
             assert fields[5] == ""
+
+
+def _per_identity_rows(path, dataset, idr, s_intra, s_inter, counts):
+    """The per-identity CSV written row by row, each value formatted on its own."""
+    ident_attr = dataset.identity_attribute()
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["identity", "name", "attribute", "attribute_name", "n_images",
+                    "itpr", "ifpr", "s_intra", "s_inter"])
+        for k in range(dataset.n_identities):
+            w.writerow([
+                k, dataset.labels.identities[k], int(ident_attr[k]),
+                dataset.labels.attributes[ident_attr[k]], int(counts[k]),
+                f"{idr.itpr[k]:.9g}" if idr.itpr_defined[k] else "",
+                f"{idr.ifpr[k]:.9g}" if idr.ifpr_defined[k] else "",
+                f"{s_intra[k]:.9g}", f"{s_inter[k]:.9g}",
+            ])
+
+
+def _similarity_rows(path, dataset, s_intra, s_inter):
+    """The similarity CSV written row by row."""
+    ident_attr = dataset.identity_attribute()
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["identity", "name", "attribute", "attribute_name", "s_intra", "s_inter"])
+        for k in range(dataset.n_identities):
+            w.writerow([k, dataset.labels.identities[k], int(ident_attr[k]),
+                        dataset.labels.attributes[ident_attr[k]],
+                        f"{s_intra[k]:.9g}", f"{s_inter[k]:.9g}"])
+
+
+@pytest.mark.parametrize("g", [2, 9])
+def test_csv_writers_match_row_by_row(tmp_path, g):
+    # the writers convert their arrays once and write all rows in one call;
+    # the bytes must be those of formatting each numpy value on its own
+    rng = np.random.default_rng(g)
+    names = ['say "hi"', "comma, inside", "plain", "Zoë", "名前", "tab\there", "x,\"y\"",
+             "naïve", "ok"]
+    ident = np.arange(3 * g) % g
+    ds = EmbeddingSet(vectors=rng.normal(size=(3 * g, 4)).astype(np.float32),
+                      identity=ident, attribute=ident % 2,
+                      labels=LabelTable(identities=tuple(names[:g]),
+                                        attributes=("group, one", 'grüppe "2"')))
+    idr = IdentityRates(itpr=rng.random(g), ifpr=np.r_[1 / 3, 0.0, rng.random(g - 2)],
+                        itpr_defined=np.arange(g) % 3 != 0, ifpr_defined=np.arange(g) % 2 == 0)
+    s_intra, counts = rng.normal(size=g), np.bincount(ident)
+    for s_inter in (rng.normal(size=g), rng.normal(size=g).astype(np.float32)):
+        write_per_identity_csv(tmp_path / "new.csv", ds, idr, s_intra, s_inter, counts)
+        _per_identity_rows(tmp_path / "old.csv", ds, idr, s_intra, s_inter, counts)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        write_similarity_csv(tmp_path / "new.csv", ds, s_intra, s_inter)
+        _similarity_rows(tmp_path / "old.csv", ds, s_intra, s_inter)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert '"say ""hi"""' in (tmp_path / "new.csv").read_text()
 
 
 def test_histogram_csv(tmp_path, report):

@@ -156,13 +156,14 @@ def test_equality_counts_negative(rng):
 
 
 def fused_matches_full(ds, target, cap_offset=None, tile=768, workers=1):
-    """Solve, then check the FP witness and both counting passes against exact counts.
+    """Solve, then check the per-record counts and the counting pass against exact counts.
 
-    Every solve's `record_fp` must equal each record's FP at the threshold,
-    counted from `exact_sims` (n - size on a degenerate target), and sum to
+    Every solve's `record_fp` and `record_tp` must equal each record's FP
+    and TP at the threshold, counted from `exact_sims` (n - size and
+    size - 1 on a degenerate target), and `record_fp` must sum to
     `realized_fp`; `_count_above` must give each record's TP and FP; and the
-    accumulators `confusion_sweep` builds from the witness must equal the
-    exact ones. Returns the solve's result.
+    accumulators `confusion_sweep` builds from the solve's counts must equal
+    the exact ones. Returns the solve's result.
     """
     r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
     s = exact_sims_of(ds)
@@ -172,18 +173,21 @@ def fused_matches_full(ds, target, cap_offset=None, tile=768, workers=1):
     cells = [pos & hit, neg & hit, neg & ~hit, pos & ~hit]  # TP, FP, TN, FN
     per_record = np.stack([np.count_nonzero(c, axis=1) for c in cells], axis=1)
     assert np.array_equal(r.record_fp, per_record[:, pairwise.FP])
+    assert np.array_equal(r.record_tp, per_record[:, pairwise.TP])
     assert int(r.record_fp.sum()) == r.realized_fp
     if r.degenerate:
-        assert np.array_equal(r.record_fp, ds.n - np.bincount(ds.identity)[ds.identity])
-    u = unit_rows(ds)
-    for kind, col in ((True, pairwise.TP), (False, pairwise.FP)):
-        got = pairwise._count_above(u, ds.identity, r.threshold, tile, workers, same=kind)
-        assert np.array_equal(got, per_record[:, col])
+        size = np.bincount(ds.identity)[ds.identity]
+        assert np.array_equal(r.record_fp, ds.n - size)
+        assert np.array_equal(r.record_tp, size - 1)
+    fp, tp = pairwise._count_above(unit_rows(ds), ds.identity, r.threshold, tile, workers)
+    assert np.array_equal(tp, per_record[:, pairwise.TP])
+    assert np.array_equal(fp, per_record[:, pairwise.FP])
     gid = np.zeros((ds.n_identities, 4), dtype=np.int64)
     att = np.zeros((ds.n_attributes, 4), dtype=np.int64)
     np.add.at(gid, ds.identity, per_record)
     np.add.at(att, ds.attribute, per_record)
-    acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers, fp=r.record_fp)
+    acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers, fp=r.record_fp,
+                          tp=r.record_tp)
     assert np.array_equal(acc.identity_counts, gid)
     assert np.array_equal(acc.attribute_counts, att)
     return r
@@ -244,33 +248,33 @@ def test_fused_counts_under_thread_switching():
         sys.setswitchinterval(interval)
 
 
-def test_witness_leaves_only_the_tp_pass(small_set, monkeypatch):
-    # given the solve's FP witness, the confusion sweep counts TP alone, and
-    # the degenerate target needs no pass over the negatives at all
+def test_evaluation_makes_no_pass_after_the_solve(small_set, monkeypatch):
+    # every solve returns each record's FP and TP, so the confusion sweep given
+    # both makes no pass, and without them one pass counts both
     passes = []
     count_above = pairwise._count_above
 
-    def spy(u32, ids, threshold, tile, workers, same):
-        passes.append(same)
-        return count_above(u32, ids, threshold, tile, workers, same)
+    def spy(u32, ids, threshold, tile, workers):
+        passes.append(threshold)
+        return count_above(u32, ids, threshold, tile, workers)
 
     monkeypatch.setattr(pairwise, "_count_above", spy)
     r = solve_threshold(small_set, 0.3)
+    confusion_sweep(small_set, r.threshold, fp=r.record_fp, tp=r.record_tp)
+    assert passes == []
     confusion_sweep(small_set, r.threshold, fp=r.record_fp)
-    assert passes == [True]
+    assert passes == [r.threshold]
     passes.clear()
-    confusion_sweep(small_set, r.threshold)
-    assert passes == [False, True]
-    passes.clear()
-    metrics.evaluate_dataset(small_set, metrics.EvalConfig(target_fpr=1.0, k=3))
-    assert passes == [True]
+    for target in (0.3, 1.0):
+        metrics.evaluate_dataset(small_set, metrics.EvalConfig(target_fpr=target, k=3))
+    assert passes == []
 
 
 def test_every_screened_tile_is_one_columns_call(monkeypatch):
-    # the top-k solve, the FP pass and the TP pass screen each tile, the
+    # the bracketed solve and the counting pass screen each tile, the
     # diagonal one too, through UnitRows.columns and nothing else
     ds = random_dataset(np.random.default_rng(6), n=90, d=6, g=9, m=2)
-    tile, calls = 8, []  # identities of about 10 records span two slabs
+    tile, calls = 8, []
     columns = pairwise.UnitRows.columns
 
     def spy(self, slab, key):
@@ -286,30 +290,8 @@ def test_every_screened_tile_is_one_columns_call(monkeypatch):
     r = solve_threshold(ds, 0.05, tile=tile, rows=rows)
     assert len(calls) == triangle(ds.n)
     calls.clear()
-    pairwise._count_above(rows, ds.identity, r.threshold, tile, 1, same=False)
+    pairwise._count_above(rows, ds.identity, r.threshold, tile, 1)
     assert len(calls) == triangle(ds.n)
-    calls.clear()
-    pairwise._count_above(rows, ds.identity, r.threshold, tile, 1, same=True)
-    _, blocks = pairwise._identity_blocks(ds.identity, min(tile, pairwise.IDENTITY_BLOCK))
-    assert len(calls) == sum(triangle(b1 - b0) for b0, b1 in blocks) > len(blocks)
-
-
-def test_identity_blocks_hold_whole_identities():
-    rng = np.random.default_rng(4)
-    ids = np.concatenate([np.zeros(20, np.int64), rng.integers(1, 30, size=100)])
-    rng.shuffle(ids)
-    sizes = np.bincount(ids)
-    for size in (1, 7, 37, 768):
-        order, blocks = pairwise._identity_blocks(ids, size)
-        assert sorted(order) == list(np.flatnonzero(sizes[ids] > 1))
-        assert [b for blk in blocks for b in blk] == sorted(b for blk in blocks for b in blk)
-        assert blocks[0][0] == 0 and blocks[-1][1] == len(order)
-        for (b0, b1), (c0, _) in zip(blocks, blocks[1:] + [(len(order), None)]):
-            assert b1 == c0  # contiguous, and every boundary falls between identities
-            assert b1 == len(order) or ids[order[b1 - 1]] != ids[order[b1]]
-            assert b1 - b0 <= size or len(set(ids[order[b0:b1]])) == 1
-    order, blocks = pairwise._identity_blocks(np.arange(12), 7)
-    assert order.size == 0 and blocks == []
 
 
 # --- threshold solver ---------------------------------------------------------
@@ -320,9 +302,12 @@ def test_identity_blocks_hold_whole_identities():
 def test_threshold_matches_oracle(seed, tfpr):
     ds = random_dataset(np.random.default_rng(seed), n=50, d=5, g=8, m=2)
     ot, oallowed, orealized = oracle_threshold(ds, tfpr)
+    pos = (ds.identity[:, None] == ds.identity[None, :]) & ~np.eye(ds.n, dtype=bool)
+    otp = np.count_nonzero(pos & (oracle_sims(ds) > np.float32(ot)), axis=1)
     for cap_offset in CAP_OFFSETS:
         r = solve_at_cap(ds, tfpr, cap_offset)
         assert r.allowed_fp == oallowed
+        assert np.array_equal(r.record_tp, otp)
         if np.isinf(ot):
             assert r.degenerate and np.isneginf(r.threshold)
         else:
@@ -365,83 +350,86 @@ def test_threshold_worker_invariance(small_set):
         assert (r.threshold, r.realized_fp) == (ot, orealized)
 
 
-def test_top_k_first_slab_runs_alone(monkeypatch):
-    # before the first cut there is no floor and every tile buffers all of its
-    # negatives; the first slab sweeps alone, so workers never do that at once
-    events = []
-    half_tiles = pairwise._half_tiles
-
-    def tiles(u32, i0, i1, tile, exact=False, idx=None):
-        events.append(("start", i0))
-        yield from half_tiles(u32, i0, i1, tile, exact, idx)
-        events.append(("end", i0))
-
-    monkeypatch.setattr(pairwise, "_half_tiles", tiles)
-    big = random_dataset(np.random.default_rng(7), n=400, d=6, g=80, m=2)
-    r = solve_threshold(big, 2e-3, tile=7, workers=4)
-    assert (r.threshold, r.realized_fp) == oracle_threshold(big, 2e-3)[::2]
-    assert events[:2] == [("start", 0), ("end", 0)]
-    assert sorted(i0 for what, i0 in events if what == "start") == list(range(0, 400, 7))
-
-
-def _spy_sweeps(monkeypatch, guess=None):
-    """Record each `_top_sweep` call's (floor, whether it kept k pairs); `guess`,
-    if given, replaces the sampled guess."""
-    sweeps, top_sweep = [], pairwise._top_sweep
-
-    def sweep(u32, ids, k, tile, workers, floor):
-        found = top_sweep(u32, ids, k, tile, workers, floor)
-        sweeps.append((float(floor), found is not None))
-        return found
-
-    monkeypatch.setattr(pairwise, "_top_sweep", sweep)
-    if guess is not None:
-        monkeypatch.setattr(pairwise, "_sample_guess", lambda u32, ids, k: guess)
-    return sweeps
-
-
 def _full_sweep(ds, target, **kw):
-    """solve_threshold with no sampled guess: one sweep from -inf."""
+    """solve_threshold with no pivots: every pair that is not sure goes to the band."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pairwise, "_sample_guess", lambda u32, ids, k: -math.inf)
+        mp.setattr(pairwise, "_pivots", lambda rows, ids, k: (-math.inf, math.inf))
         return solve_threshold(ds, target, **kw)
+
+
+def _same_result(r, want):
+    return (r == want and np.array_equal(r.record_fp, want.record_fp)
+            and np.array_equal(r.record_tp, want.record_tp))
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_wrong_guess_runs_the_sweep_again(workers, monkeypatch):
+    # pivots that miss t and a band over COLLECT_CAP are caught: the radix
+    # select and one counting sweep then give the same result. A power-of-two
+    # scale keeps every unit row, so the guard path must agree too.
     ds = random_dataset(np.random.default_rng(11), n=300, d=6, g=60, m=2)
+    guarded = EmbeddingSet(vectors=ds.vectors * np.float32(2.0**70), identity=ds.identity,
+                           attribute=ds.attribute, labels=ds.labels)
+    assert pairwise.UnitRows(guarded.vectors).scale is None
     want = _full_sweep(ds, 1e-2, tile=16, workers=workers)
-    t = want.threshold
-    # just above t: the floor g - delta keeps k pairs, but their k-th value
-    # t < g cannot be certified; and at 1.0, fewer than k pairs pass the floor
-    for guess, kept in ((float(np.nextafter(np.float32(t), np.float32(2))), True), (1.0, False)):
-        with monkeypatch.context() as mp:
-            sweeps = _spy_sweeps(mp, guess)
-            r = solve_threshold(ds, 1e-2, tile=16, workers=workers)
-        assert r == want and np.array_equal(r.record_fp, want.record_fp)
-        assert [found for _, found in sweeps] == [kept, True]
-        floor = pairwise._f32_out(guess - pairwise.UnitRows(ds.vectors).delta, up=False)
-        assert sweeps[0][0] == floor and sweeps[1][0] == -math.inf
+    t = np.float32(want.threshold)
+    above, below = (float(np.nextafter(t, np.float32(x))) for x in (2, -2))
+    radix, runs = pairwise._radix_select, []
+
+    def spy(*args):
+        runs.append(args[2])
+        return radix(*args)
+
+    monkeypatch.setattr(pairwise, "_radix_select", spy)
+    for data in (ds, guarded):
+        assert _same_result(solve_threshold(data, 1e-2, tile=16, workers=workers), want)
+        assert runs == []  # the sampled pivots hold t
+        # g_lo just above t; g_hi just below it; every pair in a band of
+        # under a tenth of them, but at least k
+        pairs = ds.n * (ds.n - 1) // 2
+        for pivots, cap in (((above, math.inf), None), ((-1.0, below), None),
+                            ((-math.inf, math.inf), pairs // 10)):
+            with monkeypatch.context() as mp:
+                mp.setattr(pairwise, "_pivots", lambda rows, ids, k: pivots)
+                if cap is not None:
+                    mp.setattr(pairwise, "COLLECT_CAP", cap)
+                calls, columns = [], pairwise.UnitRows.columns
+                mp.setattr(pairwise.UnitRows, "columns",
+                           lambda self, slab, key: calls.append(key) or columns(self, slab, key))
+                r = solve_threshold(data, 1e-2, tile=16, workers=workers)
+            assert _same_result(r, want)
+            assert runs == [want.allowed_fp + 1]
+            runs.clear()
+            if cap is not None and workers == 1:  # the full band ended the sweep early
+                b = -(-ds.n // 16)
+                assert len(calls) < 2 * (b * (b + 1) // 2)
 
 
 def test_sampled_floor_buffers_under_twice_k(monkeypatch):
-    # from -inf the floor rises only as pairs certify it, and at FPR 1e-2 the
-    # sweep buffers several times k candidates; from the sampled floor, under 2k
+    # at FPR 1e-2 the band between the sampled pivots holds under 2k pairs,
+    # where with no pivots it would hold every pair
     ds = random_dataset(np.random.default_rng(12), n=1500, d=24, g=500, m=2)
     k = (int(Fraction(1e-2) * ordered_pair_totals(ds)[1]) + 2) // 2
-    buffered, pairs = [], pairwise._pairs
+    hi, band = [], []
+    pivots, sweep = pairwise._pivots, pairwise._sweep
 
-    def spy(*args, **kwargs):
-        f = pairs(*args, **kwargs)
-        buffered.append(f.size)
-        return f
+    def spy_pivots(rows, ids, k):
+        g = pivots(rows, ids, k)
+        hi.append(pairwise._f32_out(g[1] + rows.delta, up=True))
+        return g
 
-    monkeypatch.setattr(pairwise, "_pairs", spy)
+    def spy_sweep(rows, ids, lo, tile, workers, visit):
+        def counted(i, j, v, same):
+            band.append(int(np.count_nonzero(v <= hi[0])))
+            return visit(i, j, v, same)
+        return sweep(rows, ids, lo, tile, workers, counted)
+
+    monkeypatch.setattr(pairwise, "_pivots", spy_pivots)
+    monkeypatch.setattr(pairwise, "_sweep", spy_sweep)
     r = solve_threshold(ds, 1e-2, tile=128)
-    assert sum(buffered) < 2 * k  # a second sweep, from -inf, would buffer more
+    assert hi[0] < 1 and 0 < sum(band) < 2 * k
     monkeypatch.undo()
-    want = _full_sweep(ds, 1e-2, tile=128)
-    assert r == want and np.array_equal(r.record_fp, want.record_fp)
+    assert _same_result(r, _full_sweep(ds, 1e-2, tile=128))
 
 
 def _mask_pairs(s, ids, i0, j0, where=None, same=False):
@@ -657,6 +645,36 @@ def test_top_columns_match_mask_procedure():
         assert np.array_equal(pairwise._top_columns(sims.copy(), i0, k), want)
 
 
+def test_floor_first_pick_matches_mask_procedure(monkeypatch):
+    # rows wide enough that the columns are halved before the floor is read:
+    # G not a power of two, all-equal rows, K = G - 1, +-0.0 ties across the
+    # floor, and the neighbour pass on one-row sub-blocks
+    rng = np.random.default_rng(9)
+    cases = []
+    for g in (67, 200, 1001):
+        for k in (1, 2, 5, g // 8, g - 1):
+            levels = int(rng.integers(1, 4))
+            sims = rng.integers(-levels, levels + 1, size=(9, g)) / levels
+            sims[rng.random(sims.shape) < 0.2] = -0.0
+            cases += [(sims, int(rng.integers(0, g - 8)), k),
+                      (np.full((4, g), 0.25), g - 4, k),
+                      (rng.normal(size=(3, g)), 1, k)]
+    for sims, i0, k in cases:
+        want = _top_columns_by_mask(sims.copy(), i0, k)
+        assert np.array_equal(pairwise._top_columns(sims.copy(), i0, k), want)
+    mv = _tied_means(g=300, seed=2)
+    mu = mv.means / np.linalg.norm(mv.means, axis=1, keepdims=True)
+    for k in (1, 7, 299):
+        want = _top_columns_by_mask(mu @ mu.T, 0, k)
+        for budget in (store.WORKING_SET, 1):
+            with monkeypatch.context() as mp:
+                mp.setattr(store, "WORKING_SET", budget)
+                nb, mean = pairwise._neighbor_pass(mu, k, block=64)
+                _, means_only = pairwise._neighbor_pass(mu, k, block=64, table=False)
+            assert np.array_equal(nb, want)
+            assert means_only.tobytes() == mean.tobytes()
+
+
 def test_topk_k_out_of_range(small_set):
     mv = mean_vectors(small_set)
     g = len(mv.counts)
@@ -709,6 +727,23 @@ def test_chunked_phases_stay_within_budget():
         assert scratch < 3 * store.WORKING_SET, f"{scratch / 2**20:.2f} MiB of scratch"
 
 
+def test_similarity_scratch_beyond_one_gemm_block():
+    # 1,200 identities: one 512-row float64 block of cosines is 4.7 MiB, and
+    # the neighbour pick and the S_intra chunks must fit beside it, the unit
+    # means and the outputs in under one WORKING_SET more
+    ds = random_dataset(np.random.default_rng(5), n=2400, d=64, g=1200, m=2)
+    mv = mean_vectors(ds)
+    held = mv.means.nbytes + 512 * ds.n_identities * 8  # the unit means and one block
+    tracemalloc.start()
+    try:
+        out = metrics.intra_inter_similarity(ds, mv, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = peak - held - sum(a.nbytes for a in out)
+    assert scratch < store.WORKING_SET, f"{scratch / 2**20:.2f} MiB of scratch"
+
+
 def test_evaluation_holds_no_n_by_d_copy():
     # 6,000 x 256: one N x d float32 array is 5.9 MiB. The rows are made from
     # the raw vectors as tiles need them; tile 256 keeps the tile buffers,
@@ -737,8 +772,8 @@ def _screen_matrix(u):
     """
     s = np.full((len(u), len(u)), np.nan, dtype=np.float32)
     for i0, i1 in pairwise._row_blocks(len(u), 37):
-        for j0, tile in pairwise._half_tiles(u, i0, i1, 37):
-            s[i0:i1, j0:j0 + tile.shape[1]] = tile
+        for j0, g, c in pairwise._half_tiles(u, i0, i1, 37):
+            s[i0:i1, j0:j0 + g.shape[1]] = g if c is None else g * c
     return np.where(np.isnan(s), s.T, s)
 
 
@@ -831,6 +866,25 @@ def test_scaled_screen_error_within_delta(d):
             assert pairwise._screen_delta(u) < rows.delta < pairwise._screen_delta(u) + 2.0**-21
             moved |= bool(np.any(screen != _screen_matrix(u)))
     assert moved  # the scaled columns round differently from the unit ones
+
+
+@pytest.mark.parametrize("d", [64, 512])
+def test_column_edges_pass_every_screened_entry(d):
+    # theta_j is the least raw GEMM value whose screened value fl32(g * c_j)
+    # reaches lo, so the raw compare keeps exactly what the scaled tile would
+    los = np.float32([-1.0001, -1, -0.3, -0.0, 0, 2.0**-140, 0.5, 1])
+    for scale, ds in _scaled_sets(d):
+        rows = pairwise.UnitRows(ds.vectors)
+        g, c = rows.columns(rows[:], slice(None))
+        assert (c is None) == (scale in GUARDED_BY)
+        s = g if c is None else g * c
+        for lo in los:
+            theta = rows.edges(lo)
+            assert theta.dtype == np.float32
+            assert np.array_equal(g >= theta, s >= lo)
+            if c is not None:  # theta_j reaches lo, and one ulp below it does not
+                assert np.all(theta * c >= lo)
+                assert np.all(np.nextafter(theta, np.float32(-np.inf)) * c < lo)
 
 
 def _round_fraction(x):
@@ -1141,10 +1195,10 @@ def _adversarial_screen(monkeypatch):
         moved = exact + 0.9 * delta * noise
         return np.clip(moved.astype(np.float32), -1.0, 1.0)
 
-    def tiles(u32, i0, i1, tile, exact=False, idx=None):
+    def tiles(u32, i0, i1, tile, exact=False):
         delta = pairwise._rows_of(u32).delta  # the bound the sweep itself uses
-        for j0, s in half_tiles(u32, i0, i1, tile, exact=True, idx=idx):
-            yield j0, s if exact else push(delta, s)
+        for j0, s, _ in half_tiles(u32, i0, i1, tile, exact=True):
+            yield j0, s if exact else push(delta, s), None  # no column scale: s~ itself
 
     monkeypatch.setattr(pairwise, "_half_tiles", tiles)
 

@@ -5,6 +5,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -44,3 +46,28 @@ def test_bias_comparison_smoke(tmp_path, capsys):
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[1:])
     for mode in ("mixfair", "cosface"):
         assert (tmp_path / f"{mode}_seed1" / "report.json").exists()
+
+
+def test_bias_comparison_replaces_report_whole(tmp_path, monkeypatch):
+    # report.json is written beside its place and moved in whole: a report
+    # that fails to serialize, or whose text fails to write, leaves the old
+    # file and no temporary one
+    from fairpair import metrics
+    from fairpair.synth import gen_training_set, standard_biased_profile
+
+    script = _script("run_bias_comparison")
+    ts = gen_training_set(standard_biased_profile(), d_in=8, seed=1)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "report.json").write_text("old\n")
+
+    def raises(self):
+        raise RuntimeError("serialization failed")
+
+    for to_json, error in ((raises, RuntimeError), (lambda self: "\ud800", UnicodeError)):
+        monkeypatch.setattr(metrics.FairnessReport, "to_json", to_json)
+        with pytest.raises(error):
+            script.run_one(ts, "cosface", 1, 1, run_dir, 1e-2, 5)
+        assert (run_dir / "report.json").read_text() == "old\n"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["model.ffmp", "report.json",
+                                                             "trace.csv"]
