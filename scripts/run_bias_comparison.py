@@ -86,7 +86,7 @@ def main(argv=None):
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     header = list(rows[0])
-    with open(args.out_dir / "compare.csv", "w") as f:
+    with replaced([args.out_dir / "compare.csv"]) as (tmp,), open(tmp, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(str(row[h]) for h in header) + "\n")

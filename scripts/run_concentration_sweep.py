@@ -15,6 +15,7 @@ from pathlib import Path
 
 from fairpair.metrics import EvalConfig, evaluate_dataset
 from fairpair.synth import BiasProfile, GroupSpec, gen_population
+from fairpair.util import replaced
 
 
 def parse_args(argv):
@@ -73,7 +74,7 @@ def main(argv=None):
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         header = list(rows[0])
-        with open(args.out, "w") as f:
+        with replaced([args.out]) as (tmp,), open(tmp, "w") as f:
             f.write(",".join(header) + "\n")
             for row in rows:
                 f.write(",".join(str(row[h]) for h in header) + "\n")

@@ -23,7 +23,6 @@ from .metrics import (EvalConfig, dumps_stable, evaluate_dataset,
                       intra_inter_similarity, write_histogram_csv,
                       write_per_identity_csv, write_similarity_csv)
 from .model import grad_check, save_model
-from .pairwise import DEFAULT_TILE
 from .store import load_csv, load_dataset, mean_vectors, save_csv, save_dataset
 from .synth import (gen_population, gen_training_set, parse_profile, seeded_rng,
                     split_by_identity)
@@ -58,7 +57,7 @@ def _resolve_workers(args) -> int:
 
 def _eval_config(args) -> EvalConfig:
     return EvalConfig(target_fpr=args.target_fpr, k=args.k, bins=args.bins,
-                      tile=args.tile, workers=_resolve_workers(args))
+                      workers=_resolve_workers(args))
 
 
 def _read_text(path, what: str) -> str:
@@ -226,8 +225,6 @@ def cmd_convert(args) -> int:
 def _add_common(p) -> None:
     p.add_argument("--workers", type=int, default=None,
                    help=f"similarity worker threads (default ${WORKERS_ENV} or 1)")
-    p.add_argument("--tile", type=int, default=DEFAULT_TILE,
-                   help="row-block size for the pairwise sweeps")
 
 
 def _add_eval_flags(p, target_default: float) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DomainError, ValidationError
 from .pairwise import (DEFAULT_TILE, FN, FP, TP, TN, PairStatsAccumulator,
-                       ThresholdResult, UnitRows, _neighbor_pass, _unit_chunks,
+                       ThresholdResult, _neighbor_pass, _unit_chunks,
                        _unit_means, confusion_sweep, solve_threshold)
 from .store import EmbeddingSet, MeanVectors, mean_vectors
 
@@ -444,18 +444,16 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
         if progress is not None:
             progress(msg)
 
-    rows = UnitRows(dataset.vectors)
     say(f"solving threshold for target FPR {config.target_fpr:g}")
     thresh = solve_threshold(dataset, config.target_fpr, tile=config.tile,
-                             workers=config.workers, rows=rows)
+                             workers=config.workers)
     say(f"threshold {thresh.threshold:.9g} (allowed {thresh.allowed_fp}, "
         f"realized {thresh.realized_fp} of {thresh.total_negatives})")
 
     say("confusion counts")
     acc = confusion_sweep(dataset, thresh.threshold, tile=config.tile, workers=config.workers,
-                          rows=rows, fp=thresh.record_fp, tp=thresh.record_tp)
-    # none is held through the similarity analysis, which sets the peak
-    del rows
+                          fp=thresh.record_fp, tp=thresh.record_tp)
+    # the per-record counts are not held through the similarity analysis (the peak)
     thresh = replace(thresh, record_fp=None, record_tp=None)
 
     k, note = config.clamped_k(dataset.n_identities)

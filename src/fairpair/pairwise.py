@@ -63,9 +63,9 @@ of the float32 values (65,536 counters per pass and worker, whatever the
 value distribution or the number of ties), then one screened pass that
 counts FP and TP per record (`_count_above`); the degenerate target has
 FP = n - size and TP = size - 1 without a sweep. Every screened pass picks
-a tile's pairs with one selector, `_pairs` (i < j, compared as int32
-identities where a kind is asked for), and counts by record: each pair
-above T adds one to both of its records.
+a tile's pairs with one selector, `_pairs` (i < j, of every kind or
+negatives only, compared as int32 identities), and counts by record: each
+pair above T adds one to both of its records.
 
 The radix select and `sweep_histogram` need every value, so they share one
 exact count, `_exact_counts`: it computes whole tiles with `_exact_grid` (the
@@ -92,6 +92,10 @@ DEFAULT_TILE = 768
 COLLECT_CAP = 1 << 21
 # fewest ordered pairs drawn to read the bracket's pivots off (`_pivots`)
 SAMPLE_PAIRS = 8192
+# rows per GEMM of the neighbour pass (`_neighbor_pass`); under some BLAS
+# kernels the last bits of s_inter, and so the report bytes, follow this
+# row partition
+NEIGHBOR_BLOCK = 512
 
 # column order of every count quadruple
 TP, FP, TN, FN = 0, 1, 2, 3
@@ -418,21 +422,6 @@ def _f32_out(x: float, up: bool) -> np.float32:
     return f
 
 
-def cosine_similarity(u, v) -> float:
-    """Cosine of two raw float32 vectors through the engine's kernel (float32 value);
-    DomainError for a zero or non-finite vector, which has no direction."""
-    with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
-        rows = UnitRows(np.array([u, v], dtype=np.float32))
-    return float(_exact_pairs(rows, np.array([0]), np.array([1]))[0])
-
-
-def pair_label(dataset: EmbeddingSet, i: int, j: int) -> str:
-    """'positive' when both records share an identity, 'negative' otherwise."""
-    if i == j:
-        raise DomainError(f"pair ({i}, {j}) is not an ordered pair of distinct records")
-    return "positive" if dataset.identity[i] == dataset.identity[j] else "negative"
-
-
 def ordered_pair_totals(dataset: EmbeddingSet) -> tuple[int, int]:
     """(positive, negative) ordered-pair counts, exactly, from identity sizes."""
     n = dataset.n
@@ -454,28 +443,23 @@ def _map_blocks(fn, blocks, workers: int) -> list:
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
-def _half_tiles(u32, i0: int, i1: int, tile: int, exact: bool = False):
-    """Tiles of row slab [i0, i1) against the column tiles j0 >= i0.
+def _half_tiles(u32, i0: int, i1: int, tile: int):
+    """Screened tiles of row slab [i0, i1) against the column tiles j0 >= i0.
 
-    `u32` is a `UnitRows` or an array of float32 unit rows. Yields (j0, g, c):
-    entry [r, q] belongs to records i0 + r and j0 + q. Screened, g and c are
-    `UnitRows.columns` of the slab's unit rows, gathered once, so every tile,
-    the diagonal one too, is one float32 GEMM; with `exact`, g holds the
-    `_exact_grid` values and c is None. Slabs and tiles share one grid, so
-    the first tile is the diagonal one (j0 == i0), whose pairs i < j are its
-    entries q > r. delta bounds the screen's error before clipping too, so
-    a caller compares the tile as it comes and clips only the values it
-    gathers: s~ >= f exactly when clip(s~) >= f for an edge f in (-1, 1],
-    and below that range every entry passes the clipped test.
+    `u32` is a `UnitRows` or an array of float32 unit rows. Yields (j0, g, c),
+    the `UnitRows.columns` of the slab's unit rows, gathered once, so every
+    tile, the diagonal one too, is one float32 GEMM: entry [r, q] belongs to
+    records i0 + r and j0 + q. Slabs and tiles share one grid, so the first
+    tile is the diagonal one (j0 == i0), whose pairs i < j are its entries
+    q > r. delta bounds the screen's error before clipping too, so a caller
+    compares the tile as it comes and clips only the values it gathers:
+    s~ >= f exactly when clip(s~) >= f for an edge f in (-1, 1], and below
+    that range every entry passes the clipped test.
     """
     rows = _rows_of(u32)
-    slab = None if exact else rows[i0:i1]
+    slab = rows[i0:i1]
     for j0 in range(i0, len(rows), tile):
-        j1 = min(j0 + tile, len(rows))
-        if exact:
-            yield j0, _exact_grid(rows, np.arange(i0, i1), np.arange(j0, j1)), None
-        else:
-            yield j0, *rows.columns(slab, slice(j0, j1))
+        yield j0, *rows.columns(slab, slice(j0, min(j0 + tile, len(rows))))
 
 
 def _narrow(ids: np.ndarray) -> np.ndarray:
@@ -484,10 +468,10 @@ def _narrow(ids: np.ndarray) -> np.ndarray:
 
 
 def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
-           same: bool | None = False) -> np.ndarray:
+           negatives: bool = True) -> np.ndarray:
     """Flat indices into tile s of its pairs i < j among `where`, if given, whose
-    identities differ, or match with `same`, or either with `same` None; `ids`
-    holds each record's identity.
+    identities differ, or of all of them with `negatives` False; `ids` holds
+    each record's identity.
 
     When `where` keeps under 1/16 of the tile, only the identities of its
     entries are compared, so the tile costs one count plus work in
@@ -499,16 +483,13 @@ def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
     if where is not None and np.count_nonzero(where) * 16 < where.size:
         f = np.flatnonzero(where)
         r = f // w
-        keep = np.ones(f.size, dtype=bool)
-        if same is not None:
-            keep = (ids[i0 + r] == ids[j0 + f - r * w]) == same
+        keep = ids[i0 + r] != ids[j0 + f - r * w] if negatives else np.ones(f.size, bool)
         if i0 == j0:
             keep &= f > r * (w + 1)  # f = r * w + c with c > r
         return f[keep]
     mask = np.ones((h, w), dtype=bool) if where is None else where.copy()
-    if same is not None:
-        a, b = ids[i0:i0 + h, None], ids[None, j0:j0 + w]
-        mask &= a == b if same else a != b
+    if negatives:
+        mask &= ids[i0:i0 + h, None] != ids[None, j0:j0 + w]
     if i0 == j0:
         mask &= np.arange(w) > np.arange(h)[:, None]
     return np.flatnonzero(mask)
@@ -518,19 +499,21 @@ def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
                   tile: int, workers: int, where=None) -> np.ndarray:
     """(size,) int64 counts of the ordered negative pairs by the bucket of their value.
 
-    Every tile is computed exactly. `bucket` maps a float32 array of values
-    to the bucket of each one it counts, in [0, size); it may drop values.
-    `where`, given a tile, masks the entries to consider at all.
+    Every tile of the half sweep is computed exactly, by `_exact_grid`.
+    `bucket` maps a float32 array of values to the bucket of each one it
+    counts, in [0, size); it may drop values. `where`, given a tile, masks
+    the entries to consider at all.
     """
-    ids = _narrow(ids)
+    ids, n = _narrow(ids), len(ids)
 
     def block(i0, i1):
         counts = np.zeros(size, dtype=np.int64)
-        for j0, s, _ in _half_tiles(u32, i0, i1, tile, exact=True):
+        for j0 in range(i0, n, tile):
+            s = _exact_grid(u32, np.arange(i0, i1), np.arange(j0, min(j0 + tile, n)))
             vals = s.ravel()[_pairs(s, ids, i0, j0, None if where is None else where(s))]
             counts += np.bincount(bucket(vals), minlength=size)
         return counts
-    return 2 * sum(_map_blocks(block, _row_blocks(len(ids), tile), workers))
+    return 2 * sum(_map_blocks(block, _row_blocks(n, tile), workers))
 
 
 def sweep_histogram(dataset: EmbeddingSet, bins: int,
@@ -579,7 +562,7 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, tile: int, workers: 
                 return
             w = g.shape[1]
             where = None if edges is None else g >= (lo if c is None else edges[j0:j0 + w])
-            f = _pairs(g, ids, i0, j0, where, None)
+            f = _pairs(g, ids, i0, j0, where, negatives=False)
             r = f // w
             q = f - r * w
             v = g.ravel()[f]
@@ -781,8 +764,7 @@ class ThresholdResult:
 
 
 def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
-                    tile: int = DEFAULT_TILE, workers: int = 1, *,
-                    rows: UnitRows | None = None) -> ThresholdResult:
+                    tile: int = DEFAULT_TILE, workers: int = 1) -> ThresholdResult:
     """Find the similarity cutoff whose strict-greater FP count meets the target.
 
     The threshold T is the k-th largest ordered negative similarity,
@@ -794,8 +776,7 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     fixed memory. Every result carries each record's ordered FP and TP
     counts at T (`record_fp`, `record_tp`): the bracket's own, one screened
     pass after the radix select, and n - size and size - 1 without a sweep
-    when the target admits every negative (T = -inf). `rows` passes the
-    dataset's `UnitRows` when the caller has them. A zero threshold is
+    when the target admits every negative (T = -inf). A zero threshold is
     always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
@@ -811,7 +792,7 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
         size = np.bincount(ids, minlength=dataset.n_identities)[ids]
         fp, tp = dataset.n - size, size - 1
     else:
-        u32 = UnitRows(dataset.vectors) if rows is None else rows
+        u32 = UnitRows(dataset.vectors)
         k = allowed + 1
         # each unordered value stands twice in the ordered ranking
         found = _bracket(u32, ids, (k + 1) // 2, tile, workers) if k <= COLLECT_CAP else None
@@ -881,7 +862,7 @@ def _count_above(u32, ids: np.ndarray, threshold: float, tile: int,
 
 def confusion_sweep(dataset: EmbeddingSet, threshold: float,
                     tile: int = DEFAULT_TILE, workers: int = 1, *,
-                    rows: UnitRows | None = None, fp: np.ndarray | None = None,
+                    fp: np.ndarray | None = None,
                     tp: np.ndarray | None = None) -> PairStatsAccumulator:
     """Count TP/FP/TN/FN over all ordered pairs: predict positive iff S > threshold.
 
@@ -889,13 +870,11 @@ def confusion_sweep(dataset: EmbeddingSet, threshold: float,
     counts partition every ordered pair. `fp` and `tp` give each record's
     FP and TP counts at this threshold (`ThresholdResult.record_fp` and
     `record_tp`); without both, one screened half sweep counts them. The
-    positive and negative totals come from the identity sizes. `rows`
-    passes the dataset's `UnitRows` when the caller has them.
+    positive and negative totals come from the identity sizes.
     """
     ids, n = dataset.identity, dataset.n
     if fp is None or tp is None:
-        u32 = UnitRows(dataset.vectors) if rows is None else rows
-        fp, tp = _count_above(u32, ids, threshold, tile, workers)
+        fp, tp = _count_above(UnitRows(dataset.vectors), ids, threshold, tile, workers)
     size = np.bincount(ids, minlength=dataset.n_identities)[ids]
     quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)
     acc = PairStatsAccumulator.zeros(dataset.n_identities, dataset.n_attributes)
@@ -946,14 +925,14 @@ def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
 
 
 def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = None,
-                   block: int = 512, table: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+                   table: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """(neighbors, mean cosine to them) of every unit mean in `mu`, one GEMM per row block.
 
     Without `neighbors` given, each identity's neighbours are the K other
     identities with the most similar means (`_top_columns`); with `table`
-    False they are not kept, and only the means are returned. The GEMM keeps
-    its `block` rows: the last bits of its values follow that row partition.
-    Each block is read in sub-blocks of `budget_rows(4 G)` rows. The pick's
+    False they are not kept, and only the means are returned. Each GEMM
+    takes NEIGHBOR_BLOCK rows, whose partition the last bits of its values
+    follow, and is read in sub-blocks of `budget_rows(4 G)` rows. The pick's
     scratch is then a G-byte mask and the few entries above the floor per
     row, a small share of the working set; only when every entry of a row
     ties at its floor does it reach seven G-wide 8-byte arrays per row,
@@ -967,7 +946,7 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
         if table:
             neighbors = np.empty((g, k), dtype=np.int64)
     mean = np.empty(g, dtype=np.float64)
-    for i0, i1 in _row_blocks(g, block):
+    for i0, i1 in _row_blocks(g, NEIGHBOR_BLOCK):
         sims = mu[i0:i1] @ mu.T
         for a0, a1 in _row_blocks(i1 - i0, budget_rows(4 * g)):
             s, rows = sims[a0:a1], slice(i0 + a0, i0 + a1)
@@ -979,15 +958,14 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
     return neighbors, mean
 
 
-def topk_neighbors(means: MeanVectors, k: int, block: int = 512) -> np.ndarray:
+def topk_neighbors(means: MeanVectors, k: int) -> np.ndarray:
     """Indices of the K other identities with the most similar mean vectors.
 
     Similarity is cosine; ties break toward the lower identity index.
     """
-    return _neighbor_pass(_unit_means(means), k, block=block)[0]
+    return _neighbor_pass(_unit_means(means), k)[0]
 
 
-def neighbor_mean_similarity(means: MeanVectors, neighbors: np.ndarray,
-                             block: int = 512) -> np.ndarray:
+def neighbor_mean_similarity(means: MeanVectors, neighbors: np.ndarray) -> np.ndarray:
     """Mean cosine similarity of each identity's mean to its listed neighbors."""
-    return _neighbor_pass(_unit_means(means), neighbors=neighbors, block=block)[1]
+    return _neighbor_pass(_unit_means(means), neighbors=neighbors)[1]

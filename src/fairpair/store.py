@@ -299,8 +299,9 @@ def save_csv(path, dataset: EmbeddingSet) -> None:
     """Write the CSV interchange form: index,identity,attribute,v0,...
 
     Vector components use 9 significant digits, which round-trips float32.
+    The file is replaced whole, as by `save_dataset`.
     """
-    with open(path, "w", newline="") as f:
+    with replaced([Path(path)]) as (tmp,), open(tmp, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["index", "identity", "attribute"] + [f"v{j}" for j in range(dataset.dim)])
         for i in range(dataset.n):

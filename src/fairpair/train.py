@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import typing
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import ConfigError, DivergenceError, DomainError, PairingError
 from .model import ModelParams, _act, batch_backward, batch_forward, xavier_init
 from .store import EmbeddingSet, LabelTable
 from .synth import seeded_rng
-from .util import kv_get, parse_kv
+from .util import kv_get, parse_kv, replaced
 
 BASE_DECAY_EPOCHS = (8, 18, 30, 34)   # of a 40-epoch budget
 MODES = ("mixfair", "cosface")
@@ -114,7 +115,8 @@ class BiasTrace:
 
 
 def save_trace(path, trace: BiasTrace) -> None:
-    with open(path, "w", newline="") as f:
+    """Write the trace CSV (iteration, mean_abs_eps, loss), replacing the file whole."""
+    with replaced([Path(path)]) as (tmp,), open(tmp, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["iteration", "mean_abs_eps", "loss"])
         for i in range(trace.iterations):

@@ -32,6 +32,23 @@ def random_dataset(rng, n=None, d=None, g=None, m=None):
     )
 
 
+def failing_open(writes):
+    """An `open` whose files raise OSError on each write after their first `writes`,
+    as on a disk that fills midway; patch it in as a module's global `open`."""
+    def fake(*args, **kwargs):
+        f = open(*args, **kwargs)
+        write, done = f.write, [0]
+
+        def limited(data):
+            if done[0] >= writes:
+                raise OSError("disk full")
+            done[0] += 1
+            return write(data)
+        f.write = limited
+        return f
+    return fake
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -43,8 +60,9 @@ def small_set(rng):
 
 
 # COLLECT_CAP relative to the rank k = allowed + 1 that solve_threshold seeks:
-# None keeps the default (top-k pass), k-1 forces the radix select, k and k+1
-# take the top-k pass right at the boundary where the path switches.
+# None keeps the default (the bracketed sweep), k-1 forces the radix select,
+# k and k+1 take the bracketed sweep right at the boundary where the path
+# switches.
 CAP_OFFSETS = [None, -1, 0, 1]
 
 

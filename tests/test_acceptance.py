@@ -215,7 +215,7 @@ def test_criterion_2_threshold_guarantees_and_bin_invariance():
         assert strictly_over <= allowed < at_least
     print("\n[2] 100 instances x (tile, workers) {(768,1),(7,1),(7,3),(37,2)}: "
           "realized <= floor(target*neg) < count(>= T), identical across schedules "
-          "and, for the tie cases, across the top-k and radix paths")
+          "and, for the tie cases, across the bracketed and radix paths")
 
 
 # ---------------------------------------------------------------------------

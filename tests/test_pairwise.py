@@ -23,10 +23,8 @@ from fairpair import metrics, pairwise, store
 from fairpair.errors import DegenerateDataError, DomainError
 from fairpair.pairwise import (
     confusion_sweep,
-    cosine_similarity,
     neighbor_mean_similarity,
     ordered_pair_totals,
-    pair_label,
     solve_threshold,
     sweep_histogram,
     topk_neighbors,
@@ -85,33 +83,15 @@ def test_unit_rows_are_unit(small_set):
     np.testing.assert_allclose(norms, 1.0, atol=1e-7)
 
 
-def test_cosine_similarity_range(rng):
-    for _ in range(50):
-        a, b = rng.normal(size=6), rng.normal(size=6)
-        s = cosine_similarity(a, b)
-        assert -1.0 <= s <= 1.0
-    assert cosine_similarity([1.0, 0.0], [2.0, 0.0]) == 1.0
-    assert cosine_similarity([1.0, 0.0], [-3.0, 0.0]) == -1.0
-
-
 @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [np.inf, 1.0, 0.0],
                                  [1e300, 1.0, 0.0]])
 def test_cosine_similarity_rejects_vectors_without_direction(bad):
     # zero, NaN, infinite, and beyond float32's range: no unit row, on either side
     for u, v in ((bad, [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], bad)):
+        with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
+            vectors = np.array([u, v], dtype=np.float32)
         with pytest.raises(DomainError, match="zero or non-finite norm"):
-            cosine_similarity(u, v)
-
-
-def test_pair_label(small_set):
-    i = 0
-    same = np.flatnonzero(small_set.identity == small_set.identity[i])
-    diff = np.flatnonzero(small_set.identity != small_set.identity[i])
-    if len(same) > 1:
-        assert pair_label(small_set, i, int(same[same != i][0])) == "positive"
-    assert pair_label(small_set, i, int(diff[0])) == "negative"
-    with pytest.raises(DomainError):
-        pair_label(small_set, i, i)
+            pairwise.UnitRows(vectors)
 
 
 def test_ordered_pair_totals(small_set):
@@ -287,7 +267,7 @@ def test_every_screened_tile_is_one_columns_call(monkeypatch):
 
     monkeypatch.setattr(pairwise.UnitRows, "columns", spy)
     rows = pairwise.UnitRows(ds.vectors)
-    r = solve_threshold(ds, 0.05, tile=tile, rows=rows)
+    r = solve_threshold(ds, 0.05, tile=tile)
     assert len(calls) == triangle(ds.n)
     calls.clear()
     pairwise._count_above(rows, ds.identity, r.threshold, tile, 1)
@@ -432,10 +412,11 @@ def test_sampled_floor_buffers_under_twice_k(monkeypatch):
     assert _same_result(r, _full_sweep(ds, 1e-2, tile=128))
 
 
-def _mask_pairs(s, ids, i0, j0, where=None, same=False):
+def _mask_pairs(s, ids, i0, j0, where=None, negatives=True):
     """The pair selector as a whole-tile mask: identities compared everywhere, np.triu."""
-    a, b = ids[i0:i0 + len(s), None], ids[None, j0:j0 + s.shape[1]]
-    mask = a == b if same else a != b
+    mask = np.ones(s.shape, dtype=bool)
+    if negatives:
+        mask = ids[i0:i0 + len(s), None] != ids[None, j0:j0 + s.shape[1]]
     if where is not None:
         mask &= where
     return np.flatnonzero(np.triu(mask, 1) if i0 == j0 else mask)
@@ -443,7 +424,9 @@ def _mask_pairs(s, ids, i0, j0, where=None, same=False):
 
 def test_pairs_match_mask_procedure():
     # unclipped tiles compared with an edge f: s >= f for f > -1 and s > f for
-    # f >= -1, every entry otherwise, must pick what the clipped tile picks
+    # f >= -1, every entry otherwise, must pick what the clipped tile picks;
+    # negatives only and every pair, on the sparse and the dense selection,
+    # with int64 and int32 identities
     rng = np.random.default_rng(13)
     ids = rng.integers(0, 6, size=60)
     for i0, j0, h, w in ((0, 0, 20, 20), (20, 20, 20, 25), (0, 20, 20, 40), (40, 45, 13, 15)):
@@ -452,22 +435,25 @@ def test_pairs_match_mask_procedure():
         s[ends] = rng.choice(np.float32([-1, 1, -1.0001, 1.0001]), size=int(ends.sum()))
         c = np.clip(s, -1.0, 1.0)
         for kinds in (ids, pairwise._narrow(ids)):
-            for same in (False, True):
-                want = _mask_pairs(c, ids, i0, j0, None, same)
-                assert np.array_equal(pairwise._pairs(s, kinds, i0, j0, None, same), want)
+            for negatives in (True, False):
+                want = _mask_pairs(c, ids, i0, j0, None, negatives)
+                assert np.array_equal(pairwise._pairs(s, kinds, i0, j0, None, negatives), want)
                 for share in (0.01, 0.4):
                     where = rng.random(size=s.shape) < share
-                    want = _mask_pairs(c, ids, i0, j0, where, same)
-                    assert np.array_equal(pairwise._pairs(s, kinds, i0, j0, where, same), want)
+                    want = _mask_pairs(c, ids, i0, j0, where, negatives)
+                    got = pairwise._pairs(s, kinds, i0, j0, where, negatives)
+                    assert np.array_equal(got, want)
                 # dense and sparse selections, and the clipped ends
                 for f in (-1.5, np.nextafter(np.float32(-1), np.float32(-2)), -1.0, -0.999,
                           0.0, 0.5, 0.95, 1.0):
                     f = np.float32(f)
-                    want = _mask_pairs(c, ids, i0, j0, c >= f, same)
-                    got = pairwise._pairs(s, kinds, i0, j0, s >= f if f > -1 else None, same)
+                    want = _mask_pairs(c, ids, i0, j0, c >= f, negatives)
+                    got = pairwise._pairs(s, kinds, i0, j0, s >= f if f > -1 else None,
+                                          negatives)
                     assert np.array_equal(got, want)
-                    want = _mask_pairs(c, ids, i0, j0, c > f, same)
-                    got = pairwise._pairs(s, kinds, i0, j0, s > f if f >= -1 else None, same)
+                    want = _mask_pairs(c, ids, i0, j0, c > f, negatives)
+                    got = pairwise._pairs(s, kinds, i0, j0, s > f if f >= -1 else None,
+                                          negatives)
                     if f < 1:
                         assert np.array_equal(got, want)
                     else:  # more than the clipped tile: callers clip what they gather
@@ -551,7 +537,7 @@ def _tied_means(g=40, seed=1):
     return MeanVectors(means=means, counts=np.ones(g, dtype=np.int64))
 
 
-def test_topk_matches_sort(small_set):
+def test_topk_matches_sort(small_set, monkeypatch):
     # blocks of 7 rows split the tie runs of the tied set across block edges
     for mv, every_k in ((mean_vectors(small_set), False), (_tied_means(), True)):
         mu = mv.means / np.linalg.norm(mv.means, axis=1, keepdims=True)
@@ -560,21 +546,23 @@ def test_topk_matches_sort(small_set):
         g = sims.shape[0]
         for k in range(1, g) if every_k else (1, 3, g - 1):
             for block in (512, 7):
-                nb = topk_neighbors(mv, k, block=block)
+                monkeypatch.setattr(pairwise, "NEIGHBOR_BLOCK", block)
+                nb = topk_neighbors(mv, k)
                 for i in range(g):
                     # stable selection: sort by (-sim, index)
                     want = sorted(range(g), key=lambda j: (-sims[i, j], j))[:k]
                     assert list(nb[i]) == want
 
 
-def test_topk_tie_breaks_to_lower_index():
+def test_topk_tie_breaks_to_lower_index(monkeypatch):
     base = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     mv = mean_vectors(EmbeddingSet(
         vectors=base.astype(np.float32),
         identity=np.arange(4), attribute=np.zeros(4, np.int64),
         labels=LabelTable.default(4, 1)))
     for block in (512, 3):
-        nb = topk_neighbors(mv, 2, block=block)
+        monkeypatch.setattr(pairwise, "NEIGHBOR_BLOCK", block)
+        nb = topk_neighbors(mv, 2)
         assert list(nb[0]) == [1, 2]  # identities 1,2,3 tie; lower indices win
         assert list(nb[3]) == [1, 2]
     # 40 identities on six directions: the first K of each run of equal means win
@@ -583,7 +571,8 @@ def test_topk_tie_breaks_to_lower_index():
     for i in (0, 39):
         same = [j for j in range(40) if j != i and np.array_equal(mu[j], mu[i])]
         for block in (512, 7):
-            assert list(topk_neighbors(mv, 3, block=block)[i]) == same[:3]
+            monkeypatch.setattr(pairwise, "NEIGHBOR_BLOCK", block)
+            assert list(topk_neighbors(mv, 3)[i]) == same[:3]
 
 
 def test_neighbor_mean_similarity(small_set):
@@ -669,8 +658,9 @@ def test_floor_first_pick_matches_mask_procedure(monkeypatch):
         for budget in (store.WORKING_SET, 1):
             with monkeypatch.context() as mp:
                 mp.setattr(store, "WORKING_SET", budget)
-                nb, mean = pairwise._neighbor_pass(mu, k, block=64)
-                _, means_only = pairwise._neighbor_pass(mu, k, block=64, table=False)
+                mp.setattr(pairwise, "NEIGHBOR_BLOCK", 64)
+                nb, mean = pairwise._neighbor_pass(mu, k)
+                _, means_only = pairwise._neighbor_pass(mu, k, table=False)
             assert np.array_equal(nb, want)
             assert means_only.tobytes() == mean.tobytes()
 
@@ -728,12 +718,13 @@ def test_chunked_phases_stay_within_budget():
 
 
 def test_similarity_scratch_beyond_one_gemm_block():
-    # 1,200 identities: one 512-row float64 block of cosines is 4.7 MiB, and
-    # the neighbour pick and the S_intra chunks must fit beside it, the unit
-    # means and the outputs in under one WORKING_SET more
+    # 1,200 identities: one NEIGHBOR_BLOCK-row float64 block of cosines is
+    # 4.7 MiB, and the neighbour pick and the S_intra chunks must fit beside
+    # it, the unit means and the outputs in under one WORKING_SET more
     ds = random_dataset(np.random.default_rng(5), n=2400, d=64, g=1200, m=2)
     mv = mean_vectors(ds)
-    held = mv.means.nbytes + 512 * ds.n_identities * 8  # the unit means and one block
+    # the unit means and one block
+    held = mv.means.nbytes + pairwise.NEIGHBOR_BLOCK * ds.n_identities * 8
     tracemalloc.start()
     try:
         out = metrics.intra_inter_similarity(ds, mv, 50)
@@ -943,7 +934,7 @@ def test_sparse_refine_pools_pairs_and_ties_keep_one_grid_per_tile(monkeypatch):
     refined, exact = [], pairwise._exact_pairs
     monkeypatch.setattr(pairwise, "_exact_pairs",
                         lambda u, i, j, tile: refined.append(len(i)) or exact(u, i, j, tile))
-    # a set without ties: the top-k band refines a few pairs in many tiles
+    # a set without ties: the bracket's band refines a few pairs in many tiles
     ds = random_dataset(np.random.default_rng(4), n=600, d=32, g=60, m=2)
     r = solve_threshold(ds, 1e-2, tile=64)
     assert (r.threshold, r.allowed_fp, r.realized_fp) == oracle_threshold(ds, 1e-2)
@@ -1109,7 +1100,7 @@ def test_one_similarity_on_every_path():
     for allowed in range(rank - 2, rank + 4):
         target = (allowed + 0.5) / len(vals)
         t = vals[allowed]
-        for cap_offset in CAP_OFFSETS:  # the radix select (-1) and the top-k pass
+        for cap_offset in CAP_OFFSETS:  # the radix select (-1) and the bracketed sweep
             for tile, workers in ((768, 1), (5, 3)):
                 r = fused_matches_full(ds, target, cap_offset, tile, workers)
                 assert (r.threshold, r.realized_fp) == (t, np.count_nonzero(vals > t))
@@ -1188,17 +1179,17 @@ def _adversarial_screen(monkeypatch):
     exact under this worst-case-sized error. The push is a fixed function of
     the value's bits, the same in any thread.
     """
-    half_tiles = pairwise._half_tiles
-
     def push(delta, exact):
         noise = np.where(exact.view(np.uint32).astype(np.uint64) * 2654435761 & 1 << 20, 1.0, -1.0)
         moved = exact + 0.9 * delta * noise
         return np.clip(moved.astype(np.float32), -1.0, 1.0)
 
-    def tiles(u32, i0, i1, tile, exact=False):
-        delta = pairwise._rows_of(u32).delta  # the bound the sweep itself uses
-        for j0, s, _ in half_tiles(u32, i0, i1, tile, exact=True):
-            yield j0, s if exact else push(delta, s), None  # no column scale: s~ itself
+    def tiles(u32, i0, i1, tile):
+        rows = pairwise._rows_of(u32)  # its delta is the bound the sweep itself uses
+        for j0 in range(i0, len(rows), tile):
+            s = pairwise._exact_grid(rows, np.arange(i0, i1),
+                                     np.arange(j0, min(j0 + tile, len(rows))))
+            yield j0, push(rows.delta, s), None  # no column scale: s~ itself
 
     monkeypatch.setattr(pairwise, "_half_tiles", tiles)
 

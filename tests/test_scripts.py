@@ -3,9 +3,12 @@
 import csv
 import importlib.util
 import math
+import types
 from pathlib import Path
 
 import pytest
+
+from conftest import failing_open
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -71,3 +74,32 @@ def test_bias_comparison_replaces_report_whole(tmp_path, monkeypatch):
         assert (run_dir / "report.json").read_text() == "old\n"
         assert sorted(p.name for p in run_dir.iterdir()) == ["model.ffmp", "report.json",
                                                              "trace.csv"]
+
+
+def test_concentration_sweep_replaces_csv_whole(tmp_path, monkeypatch, capsys):
+    # a write that fails midway leaves the old --out file and no temporary one
+    out = tmp_path / "sweep.csv"
+    out.write_text("old\n")
+    script = _script("run_concentration_sweep")
+    monkeypatch.setattr(script, "open", failing_open(2), raising=False)  # header, one row
+    with pytest.raises(OSError, match="disk full"):
+        script.main(["--identities", "8", "--images", "4", "--dim", "16", "--kappas", "2,18",
+                     "--out", str(out)])
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_bias_comparison_replaces_compare_csv_whole(tmp_path, monkeypatch, capsys):
+    # the runs themselves are stubbed: only the writing of compare.csv is under test
+    script = _script("run_bias_comparison")
+    (tmp_path / "compare.csv").write_text("old\n")
+    monkeypatch.setattr(script, "gen_training_set",
+                        lambda *a, **kw: types.SimpleNamespace(train_idx=[0], eval_idx=[0]))
+    monkeypatch.setattr(script, "run_one", lambda ts, mode, seed, *rest: {
+        "mode": mode, "seed": seed, "tail_mean_abs_eps": 0.1, "ifpr_std": 0.2,
+        "final_loss": 1.0})
+    monkeypatch.setattr(script, "open", failing_open(2), raising=False)  # header, one row
+    with pytest.raises(OSError, match="disk full"):
+        script.main(["--seeds", "1", "--out-dir", str(tmp_path)])
+    assert (tmp_path / "compare.csv").read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["compare.csv"]

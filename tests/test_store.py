@@ -20,7 +20,7 @@ from fairpair.store import (
     save_dataset,
 )
 
-from conftest import random_dataset
+from conftest import failing_open, random_dataset
 
 
 def test_roundtrip_bit_exact(tmp_path, small_set):
@@ -255,6 +255,19 @@ def test_failed_save_keeps_old_dataset(tmp_path, small_set, monkeypatch):
     save_dataset(path, other)  # a save that completes replaces the file
     assert load_dataset(path).vectors.tobytes() == other.vectors.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["set.ffeb"]
+
+
+def test_failed_csv_save_keeps_old_file(tmp_path, small_set, monkeypatch):
+    path = tmp_path / "set.csv"
+    store.save_csv(path, small_set)
+    before = path.read_bytes()
+    other = random_dataset(np.random.default_rng(8), n=30, d=5, g=4, m=2)
+    with monkeypatch.context() as mp:
+        mp.setattr(store, "open", failing_open(2), raising=False)  # header and one row
+        with pytest.raises(OSError, match="disk full"):
+            store.save_csv(path, other)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["set.csv"]
 
 
 def test_identity_attribute_map(small_set):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairpair.train as train_module
 from fairpair.errors import ConfigError, DivergenceError, PairingError
 from fairpair.synth import gen_training_set, seeded_rng, standard_biased_profile, zero_bias_profile
 from fairpair.train import (
@@ -17,6 +18,8 @@ from fairpair.train import (
     scaled_decay_epochs,
     train,
 )
+
+from conftest import failing_open
 
 
 def tiny_task(seed=0, n_per=6, n_id=5, d_in=6):
@@ -167,6 +170,19 @@ def test_trace_roundtrip(tmp_path):
     np.testing.assert_allclose(back.mean_abs_eps, trace.mean_abs_eps, rtol=1e-8)
     np.testing.assert_allclose(back.loss, trace.loss, rtol=1e-8)
     assert p.read_text().splitlines()[0] == "iteration,mean_abs_eps,loss"
+
+
+def test_failed_trace_save_keeps_old_file(tmp_path, monkeypatch):
+    p = tmp_path / "trace.csv"
+    save_trace(p, BiasTrace(mean_abs_eps=np.array([0.5]), loss=np.array([2.0])))
+    before = p.read_bytes()
+    longer = BiasTrace(mean_abs_eps=np.array([0.4, 0.25, 0.1]), loss=np.array([3.0, 1.0, 0.5]))
+    with monkeypatch.context() as mp:
+        mp.setattr(train_module, "open", failing_open(2), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_trace(p, longer)
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["trace.csv"]
 
 
 def test_trace_tail_mean():
