@@ -47,31 +47,29 @@ any tile schedule, worker count and GEMM kernel. Counts are 64-bit integers
 and merge by plain addition.
 
 Threshold and confusion counts. The overall-FPR threshold T is the k-th
-largest ordered negative similarity, which is the ceil(k/2)-th largest
-unordered one. When k fits under COLLECT_CAP, two pivots g_lo <= T <= g_hi
-are read off a uniform sample of pairs (Floyd and Rivest's sampled
-selection), and one screened half sweep (`_bracket`) drops the pairs below
-g_lo - delta, counts those above g_hi + delta per record as sure FP or TP,
-and collects the rest, negatives and positives, in a band of at most
-COLLECT_CAP entries. T is the rank still needed among the band's negatives;
-only the entries within 2 delta of its screened value are refined, each
-once. Certified (g_lo <= T <= g_hi, the rank inside the band), the band
-entries above T complete each record's FP and TP, so the evaluation makes
-no pass after the solve. Larger ranks, a band over the cap and a failed
-certificate take an exact two-pass radix select over order-preserving keys
-of the float32 values (65,536 counters per pass and worker, whatever the
-value distribution or the number of ties), then one screened pass that
-counts FP and TP per record (`_count_above`); the degenerate target has
-FP = n - size and TP = size - 1 without a sweep. Every screened pass picks
-a tile's pairs with one selector, `_pairs` (i < j, of every kind or
-negatives only, compared as int32 identities), and counts by record: each
-pair above T adds one to both of its records.
+largest ordered negative similarity: the ceil(k/2)-th largest unordered one.
+At every rank two pivots g_lo <= T <= g_hi are read off a uniform sample of
+pairs (Floyd and Rivest's sampled selection), and one screened half sweep
+(`_bracket`) drops the pairs below g_lo - delta, counts those above
+g_hi + delta per record as sure FP or TP, and holds the rest, negatives and
+positives, in a band of at most COLLECT_CAP entries. T is the rank still
+needed among the band's negatives; only the entries within 2 delta of its
+screened value are refined, each once. Certified (g_lo <= T <= g_hi, the
+rank inside the band), the band entries above T complete each record's FP
+and TP, so the evaluation makes no pass after the solve. Only a band over
+the cap (a tie group larger than it, say) or a failed certificate takes an
+exact two-pass radix select over order-preserving keys of the float32
+values, 65,536 counters per pass and worker whatever the ties, then one
+screened pass that counts FP and TP per record (`_count_above`). The
+degenerate target has FP = n - size and TP = size - 1 without a sweep.
+Every screened pass picks a tile's pairs with one selector, `_pairs`
+(i < j, of every kind or negatives only, compared as int32 identities),
+and counts by record: each pair above T adds one to both of its records.
 
-The radix select and `sweep_histogram` need every value, so they share one
-exact count, `_exact_counts`: it computes whole tiles with `_exact_grid` (the
-float64 GEMM, rounded as above) instead of the screen, maps each negative
-pair's value to a bucket and counts each unordered pair twice. A radix pass
-and the histogram differ only in their bucket map.
+The radix select and `sweep_histogram` need every value: both count with
+`_exact_counts`, which computes whole tiles with `_exact_grid` instead of the
+screen and buckets each negative pair's value, twice as it is unordered; a
+radix pass and the histogram differ only in their bucket map.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ from .errors import DegenerateDataError, DomainError
 from .store import EmbeddingSet, MeanVectors, budget_rows
 
 DEFAULT_TILE = 768
-# largest rank, and largest band, held in memory; beyond it, radix select
+# most band entries `_bracket` holds at any rank; past it, the radix select
 COLLECT_CAP = 1 << 21
 # fewest ordered pairs drawn to read the bracket's pivots off (`_pivots`)
 SAMPLE_PAIRS = 8192
@@ -582,24 +580,26 @@ def _pivots(rows: UnitRows, ids: np.ndarray, k: int) -> tuple[float, float]:
     negative similarity, read off a sample of pairs; -inf and +inf where the
     sample cannot tell.
 
-    max(SAMPLE_PAIRS, 64 P / COLLECT_CAP) ordered pairs are drawn uniformly
-    with a fixed seed, and the m negatives among them are uniform draws from
-    the P unordered negative pairs (Floyd and Rivest, "Expected time bounds
-    for selection", CACM 18(3), 1975). About lambda = m k / P of them lie in
-    the top k; more than r_lo = ceil(lambda + 6 sqrt(lambda) + 6), or fewer
-    than r_hi = floor(lambda - 6 sqrt(lambda) - 6), only with a chance that
-    a Chernoff bound keeps negligible whatever the data. g_lo is the r_lo-th
-    largest sample value minus delta, g_hi the r_hi-th largest plus delta,
-    +inf when r_hi < 1. Values are estimated from the raw rows times their
-    inverse norms c (unit rows where `scale` is None) and clipped. At small
-    lambda the band between the pivots holds about 6 P / m pairs, so m grows
-    with P to keep it far below COLLECT_CAP. Nothing rests on the pivots:
-    `_bracket` certifies g_lo <= t <= g_hi.
+    Ordered pairs are drawn uniformly with a fixed seed; the m negatives
+    among them are uniform draws from the P unordered negative pairs (Floyd
+    and Rivest, "Expected time bounds for selection", CACM 18(3), 1975).
+    About lambda = m k / P of them lie in the top k; more than r_lo =
+    ceil(lambda + 6 sqrt(lambda) + 6), or fewer than r_hi = floor(lambda -
+    6 sqrt(lambda) - 6), only with a chance that a Chernoff bound keeps
+    negligible whatever the data. g_lo is the r_lo-th largest sample value
+    minus delta, g_hi the r_hi-th largest plus delta, +inf when r_hi < 1.
+    Values are estimated from the raw rows times their inverse norms c (unit
+    rows where `scale` is None) and clipped. The band between the pivots
+    holds about 12 (sqrt(k P / m) + P / m) pairs, so with s = COLLECT_CAP / 64
+    max(SAMPLE_PAIRS, P / s, k P / s^2) pairs are drawn, keeping it under
+    24 s (3/8 of the cap) at any rank, but at most COLLECT_CAP / 4, whose
+    scratch (about 33 bytes a draw) stays under a full band's (9 or more an
+    entry). Nothing rests on the pivots: `_bracket` certifies g_lo <= t <= g_hi.
     """
-    n = len(ids)
-    sizes = np.bincount(ids)
+    n, sizes = len(ids), np.bincount(ids)
     total = (n * (n - 1) - int(sizes @ (sizes - 1))) // 2
-    draws = max(SAMPLE_PAIRS, 64 * total // COLLECT_CAP)
+    s = max(1, COLLECT_CAP // 64)
+    draws = max(SAMPLE_PAIRS, min(max(total, k * total // s) // s, COLLECT_CAP // 4))
     rng = np.random.default_rng(0)
     i = np.sort(rng.integers(0, n, draws))  # sorted, so one gather streams
     j = (i + rng.integers(1, n, draws)) % n
@@ -646,8 +646,7 @@ def _bracket(u32, ids: np.ndarray, k: int, tile: int,
     dropped one below it, so t is certified and the band entries above t
     complete each record's FP and TP. A sample that gives no g_lo puts every
     pair that is not sure in the band. A band over COLLECT_CAP entries ends
-    the sweep; it and a failed certificate return None, and the caller
-    falls back to the radix select.
+    the sweep; it and a failed certificate return None, for the radix select.
     """
     rows, n = _rows_of(u32), len(ids)
     delta = rows.delta
@@ -769,15 +768,15 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
 
     The threshold T is the k-th largest ordered negative similarity,
     k = allowed + 1 with allowed = floor(target_fpr * total_negatives)
-    evaluated in exact arithmetic. When k <= COLLECT_CAP one screened sweep
-    over the unordered pairs between two sampled pivots (`_bracket`) finds
-    the ceil(k/2)-th largest unordered value; otherwise, or when its bracket
-    fails, a two-pass radix select over the float32 bit patterns finds T in
-    fixed memory. Every result carries each record's ordered FP and TP
-    counts at T (`record_fp`, `record_tp`): the bracket's own, one screened
-    pass after the radix select, and n - size and size - 1 without a sweep
-    when the target admits every negative (T = -inf). A zero threshold is
-    always +0.0.
+    evaluated in exact arithmetic. At every rank one screened sweep over the
+    unordered pairs between two sampled pivots (`_bracket`) finds the
+    ceil(k/2)-th largest unordered value; only a failed bracket (a band over
+    COLLECT_CAP, or a failed certificate) leaves T to a two-pass radix select
+    over the float32 bit patterns, in fixed memory. Every result carries each
+    record's ordered FP and TP counts at T (`record_fp`, `record_tp`): the
+    bracket's own, one screened pass after the radix select, and n - size and
+    size - 1 without a sweep when the target admits every negative
+    (T = -inf). A zero threshold is always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
         raise DomainError(f"target FPR must lie in (0, 1], got {target_fpr}")
@@ -792,16 +791,15 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
         size = np.bincount(ids, minlength=dataset.n_identities)[ids]
         fp, tp = dataset.n - size, size - 1
     else:
-        u32 = UnitRows(dataset.vectors)
-        k = allowed + 1
+        u32, k = UnitRows(dataset.vectors), allowed + 1
         # each unordered value stands twice in the ordered ranking
-        found = _bracket(u32, ids, (k + 1) // 2, tile, workers) if k <= COLLECT_CAP else None
-        if found is not None:
-            t, above, fp, tp = found
-            threshold, realized = float(t), 2 * above
-        else:
+        found = _bracket(u32, ids, (k + 1) // 2, tile, workers)
+        if found is None:  # a band over the cap, or a failed certificate
             threshold, realized = _radix_select(u32, ids, k, tile, workers)
             fp, tp = _count_above(u32, ids, threshold, tile, workers)
+        else:
+            t, above, fp, tp = found
+            threshold, realized = float(t), 2 * above
     if int(fp.sum()) != realized:
         raise AssertionError(f"FP witness counts {int(fp.sum())} ordered pairs, not {realized}")
     return ThresholdResult(threshold=threshold + 0.0, target_fpr=target_fpr,

@@ -279,10 +279,12 @@ def load_dataset(path) -> EmbeddingSet:
     if len(id_names) != g or len(attr_names) != m:
         raise FormatError(f"label table sizes {len(id_names)}/{len(attr_names)} at byte {offset - tlen} disagree with header G={g} M={m}")
 
-    if identity.max() >= g:
-        at = int(np.argmax(identity >= g))
-        raise FormatError(f"identity index {int(identity[at])} at byte "
-                          f"{_HEADER.size + 4 * (n * d + at)} out of header range G={g}")
+    for what, field, idx, size, at0, width in (("identity", "G", identity, g, 4 * n * d, 4),
+                                               ("attribute", "M", attribute, m, 4 * n * (d + 1), 2)):
+        if idx.max() >= size:
+            at = int(np.argmax(idx >= size))
+            raise FormatError(f"{what} index {int(idx[at])} at byte "
+                              f"{_HEADER.size + at0 + width * at} out of header range {field}={size}")
     used = np.unique(identity)
     if used.size != g:
         # sparse file: remap to a dense range, keeping only the used names

@@ -59,18 +59,33 @@ def small_set(rng):
     return random_dataset(rng, n=60, d=8, g=12, m=3)
 
 
-# COLLECT_CAP relative to the rank k = allowed + 1 that solve_threshold seeks:
-# None keeps the default (the bracketed sweep), k-1 forces the radix select,
-# k and k+1 take the bracketed sweep right at the boundary where the path
-# switches.
+# COLLECT_CAP, the most band entries the bracketed sweep holds, set relative to
+# the rank k = allowed + 1 that solve_threshold seeks: None keeps the default,
+# where the bracketed sweep must solve; -1 forces the radix select with a cap of
+# 0, which no band fits under (a cap below k alone no longer does); 0 and 1
+# hold the band to k and k + 1 entries.
 CAP_OFFSETS = [None, -1, 0, 1]
 
 
+def radix_runs(mp):
+    """Make `mp` record the rank k of each `pairwise._radix_select` call, in the list returned."""
+    radix, runs = pairwise._radix_select, []
+    mp.setattr(pairwise, "_radix_select", lambda *args: runs.append(args[2]) or radix(*args))
+    return runs
+
+
 def solve_at_cap(dataset, target_fpr, cap_offset, **kw):
-    """solve_threshold with COLLECT_CAP set to k + cap_offset (None: unchanged)."""
-    if cap_offset is None:
-        return pairwise.solve_threshold(dataset, target_fpr, **kw)
+    """solve_threshold with COLLECT_CAP set by `cap_offset`, asserting the route it
+    forces: with None the radix select never runs, with -1 it runs once (or not
+    at all on a degenerate target, which needs no selection)."""
     allowed = int(Fraction(target_fpr) * pairwise.ordered_pair_totals(dataset)[1])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pairwise, "COLLECT_CAP", allowed + 1 + cap_offset)
-        return pairwise.solve_threshold(dataset, target_fpr, **kw)
+        runs = radix_runs(mp)
+        if cap_offset is not None:
+            mp.setattr(pairwise, "COLLECT_CAP", 0 if cap_offset == -1 else allowed + 1 + cap_offset)
+        r = pairwise.solve_threshold(dataset, target_fpr, **kw)
+    if cap_offset is None:
+        assert runs == []
+    elif cap_offset == -1:
+        assert runs == ([] if r.degenerate else [allowed + 1])
+    return r

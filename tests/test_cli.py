@@ -196,6 +196,19 @@ def test_eval_forged_header_exit_3(tmp_path, capsys):
     assert "truncated vector payload at byte 24" in capsys.readouterr().err
 
 
+def test_eval_attribute_index_over_header_exit_3(tmp_path, capsys):
+    ds = EmbeddingSet(vectors=np.eye(4, dtype=np.float32), identity=np.arange(4) // 2,
+                      attribute=np.array([0, 0, 1, 1]), labels=LabelTable.default(2, 2))
+    path = tmp_path / "bad.ffeb"
+    save_dataset(path, ds)
+    raw = bytearray(path.read_bytes())
+    at = 24 + 4 * 4 * 4 + 4 * 4  # record 0's attribute index
+    raw[at:at + 2] = (7).to_bytes(2, "little")
+    path.write_bytes(bytes(raw))
+    assert main(["eval", "--in", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+    assert f"attribute index 7 at byte {at} out of header range M=2" in capsys.readouterr().err
+
+
 def test_eval_bad_fpr_exit_2(tmp_path, pop_path, capsys):
     assert main(["eval", "--in", str(pop_path), "--out-dir", str(tmp_path / "o"),
                  "--target-fpr", "0"]) == 2

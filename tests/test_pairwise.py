@@ -32,7 +32,7 @@ from fairpair.pairwise import (
 )
 from fairpair.store import EmbeddingSet, LabelTable, MeanVectors, mean_vectors
 
-from conftest import CAP_OFFSETS, random_dataset, solve_at_cap
+from conftest import CAP_OFFSETS, radix_runs, random_dataset, solve_at_cap
 
 
 def oracle_sims(ds):
@@ -412,6 +412,36 @@ def test_sampled_floor_buffers_under_twice_k(monkeypatch):
     assert _same_result(r, _full_sweep(ds, 1e-2, tile=128))
 
 
+def test_bracket_serves_ranks_over_the_cap(monkeypatch):
+    # with COLLECT_CAP below k but above the band, the bracketed sweep solves
+    # every rank: no radix select runs, and the result equals the forced radix
+    # select's on both schedules. A tie group over the cap still falls back
+    ds = random_dataset(np.random.default_rng(14), n=1500, d=24, g=500, m=2)
+    runs = radix_runs(monkeypatch)
+    for target in (0.05, 0.3, 0.6, 0.9):
+        want = solve_at_cap(ds, target, -1)
+        runs.clear()
+        for tile, workers in ((768, 1), (7, 3)):
+            with monkeypatch.context() as mp:
+                mp.setattr(pairwise, "COLLECT_CAP", want.allowed_fp)  # k - 1
+                r = solve_threshold(ds, target, tile=tile, workers=workers)
+            assert runs == []
+            assert _same_result(r, want)
+    # four distinct vectors: each of the 7 values is shared by 136 or 264
+    # unordered negatives, so the band around any rank overflows a cap of 100
+    base = np.random.default_rng(5).normal(size=(4, 6)).astype(np.float32)
+    ties = EmbeddingSet(vectors=base[np.arange(48) % 4], identity=np.arange(48) // 3,
+                        attribute=np.zeros(48, np.int64), labels=LabelTable.default(16, 1))
+    monkeypatch.setattr(pairwise, "COLLECT_CAP", 100)
+    for target in (0.2, 0.6):
+        ot, oallowed, orealized = oracle_threshold(ties, target)
+        r = solve_threshold(ties, target)
+        assert runs == [oallowed + 1]
+        assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
+        assert _same_result(r, fused_matches_full(ties, target, -1))
+        runs.clear()
+
+
 def _mask_pairs(s, ids, i0, j0, where=None, negatives=True):
     """The pair selector as a whole-tile mask: identities compared everywhere, np.triu."""
     mask = np.ones(s.shape, dtype=bool)
@@ -476,8 +506,14 @@ def test_threshold_massive_ties():
 @pytest.mark.parametrize("cap", [9, 10, 11, pairwise.COLLECT_CAP])  # k = 10
 def test_zero_threshold_sign_is_schedule_free(cap, monkeypatch):
     # a.b = -1e-50 rounds to float32 -0.0 and b.c = +1e-50 to +0.0, so the
-    # rank-k value is a zero that either sign could represent
+    # rank-k value is a zero that either sign could represent. At cap 9 no
+    # pivots are read, so every one of the 15 pairs joins the band, which
+    # overflows the cap: the radix select solves; every other cap holds the
+    # band of the 8 zeros, and the bracketed sweep solves
     monkeypatch.setattr(pairwise, "COLLECT_CAP", cap)
+    runs = radix_runs(monkeypatch)
+    if cap < 10:
+        monkeypatch.setattr(pairwise, "_pivots", lambda rows, ids, k: (-math.inf, math.inf))
     a, b, c = [1e-25, 1.0, 0.0], [-1e-25, 0.0, 1.0], [-1e-25, 1.0, 0.0]
     ds = EmbeddingSet(vectors=np.array([a, a, b, b, c, c], dtype=np.float32),
                       identity=np.arange(6) // 2, attribute=np.zeros(6, np.int64),
@@ -492,6 +528,7 @@ def test_zero_threshold_sign_is_schedule_free(cap, monkeypatch):
         cfg = metrics.EvalConfig(target_fpr=0.4, k=1, tile=tile, workers=workers)
         payloads.add(metrics.evaluate_dataset(ds, cfg).to_json())
     assert len(payloads) == 1
+    assert len(runs) == (10 if cap < 10 else 0)  # two solves on each of 5 schedules
 
 
 def test_degenerate_target(small_set):

@@ -95,6 +95,20 @@ def test_forged_header_sizes_rejected_before_reading(tmp_path, size):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("record", [0, 37])
+def test_attribute_index_over_header_names_offset(tmp_path, small_set, record):
+    # the header's M bounds the attribute indices as its G bounds the identities
+    p = tmp_path / "a.ffeb"
+    save_dataset(p, small_set)
+    raw = bytearray(p.read_bytes())
+    at = 24 + 4 * small_set.n * small_set.dim + 4 * small_set.n + 2 * record
+    raw[at:at + 2] = struct.pack("<H", 7)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"^attribute index 7 at byte {at} "
+                                          f"out of header range M={small_set.n_attributes}$"):
+        load_dataset(p)
+
+
 def test_trailing_garbage_rejected(tmp_path, small_set):
     p = tmp_path / "a.ffeb"
     save_dataset(p, small_set)
