@@ -90,10 +90,11 @@ DEFAULT_TILE = 768
 COLLECT_CAP = 1 << 21
 # fewest ordered pairs drawn to read the bracket's pivots off (`_pivots`)
 SAMPLE_PAIRS = 8192
-# rows per GEMM of the neighbour pass (`_neighbor_pass`); under some BLAS
-# kernels the last bits of s_inter, and so the report bytes, follow this
-# row partition
-NEIGHBOR_BLOCK = 512
+# rows per GEMM of the neighbour pass (`_neighbor_pass`). Keep it a multiple
+# of 64, which covers every kernel's row unroll: under Haswell's dgemm the
+# rows past a block's last multiple of 4 take an edge kernel with other last
+# bits, which s_inter, and so the report bytes, would follow
+NEIGHBOR_BLOCK = 128
 
 # column order of every count quadruple
 TP, FP, TN, FN = 0, 1, 2, 3
@@ -928,9 +929,16 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
 
     Without `neighbors` given, each identity's neighbours are the K other
     identities with the most similar means (`_top_columns`); with `table`
-    False they are not kept, and only the means are returned. Each GEMM
-    takes NEIGHBOR_BLOCK rows, whose partition the last bits of its values
-    follow, and is read in sub-blocks of `budget_rows(4 G)` rows. The pick's
+    False they are not kept, and only the means are returned.
+
+    Each GEMM takes NEIGHBOR_BLOCK rows, a multiple of 4. With G a multiple
+    of 8, such blocks give the bits of one product of all G rows on the
+    Haswell, Sandybridge and SkylakeX kernels. Otherwise the last bits still
+    follow the partition: SkylakeX's dgemm takes the last G mod 8 columns
+    through an edge kernel whose bits depend on where a block ends, and a
+    one-row last block is a matrix-vector product.
+
+    Each block is read in sub-blocks of `budget_rows(4 G)` rows. The pick's
     scratch is then a G-byte mask and the few entries above the floor per
     row, a small share of the working set; only when every entry of a row
     ties at its floor does it reach seven G-wide 8-byte arrays per row,

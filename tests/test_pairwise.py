@@ -702,6 +702,22 @@ def test_floor_first_pick_matches_mask_procedure(monkeypatch):
             assert means_only.tobytes() == mean.tobytes()
 
 
+def test_neighbor_block_keeps_bits(monkeypatch):
+    # 1,000 identities leave a short last block at 128 and at 512 rows. Blocks
+    # of a multiple of 4 rows give the bits of one product of all G rows;
+    # other row counts move them under Haswell's dgemm, which CI runs this
+    # file on. G is a multiple of 8: past that, SkylakeX's edge columns follow
+    # the partition whatever the block (`_neighbor_pass`)
+    rng = np.random.default_rng(11)
+    mu = rng.normal(size=(1000, 128))
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    want = pairwise._neighbor_pass(mu, 50)
+    for block in (512, len(mu)):
+        monkeypatch.setattr(pairwise, "NEIGHBOR_BLOCK", block)
+        for a, b in zip(pairwise._neighbor_pass(mu, 50), want):
+            assert a.tobytes() == b.tobytes(), f"{block}-row blocks"
+
+
 def test_topk_k_out_of_range(small_set):
     mv = mean_vectors(small_set)
     g = len(mv.counts)
@@ -756,7 +772,7 @@ def test_chunked_phases_stay_within_budget():
 
 def test_similarity_scratch_beyond_one_gemm_block():
     # 1,200 identities: one NEIGHBOR_BLOCK-row float64 block of cosines is
-    # 4.7 MiB, and the neighbour pick and the S_intra chunks must fit beside
+    # 1.2 MiB, and the neighbour pick and the S_intra chunks must fit beside
     # it, the unit means and the outputs in under one WORKING_SET more
     ds = random_dataset(np.random.default_rng(5), n=2400, d=64, g=1200, m=2)
     mv = mean_vectors(ds)
@@ -770,6 +786,37 @@ def test_similarity_scratch_beyond_one_gemm_block():
         tracemalloc.stop()
     scratch = peak - held - sum(a.nbytes for a in out)
     assert scratch < store.WORKING_SET, f"{scratch / 2**20:.2f} MiB of scratch"
+
+
+def test_similarity_peak_on_many_identities():
+    # eval-loose's shape, 3,200 identities: a 512-row float64 block of
+    # cosines alone is 12.5 MiB, a 128-row one 3.1 MiB, and the block sets
+    # the analysis's peak
+    ds = random_dataset(np.random.default_rng(5), n=6400, d=128, g=3200, m=2)
+    mv = mean_vectors(ds)
+    tracemalloc.start()
+    try:
+        metrics.intra_inter_similarity(ds, mv, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"{peak / 2**20:.2f} MiB peak"
+
+
+def test_tied_rows_stay_within_twice_the_budget():
+    # 3,200 equal means: every entry of a row ties at its floor, so the pick
+    # packs whole rows, and only the `budget_rows(4 G)` sub-blocks bound it;
+    # a pick on whole 128-row blocks peaked at 25 MiB
+    g = 3200
+    mu = np.full((g, 8), 8 ** -0.5)
+    tracemalloc.start()
+    try:
+        _, mean = pairwise._neighbor_pass(mu, 50, table=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = peak - pairwise.NEIGHBOR_BLOCK * g * 8 - mean.nbytes
+    assert scratch < 2 * store.WORKING_SET, f"{scratch / 2**20:.2f} MiB of scratch"
 
 
 def test_evaluation_holds_no_n_by_d_copy():
