@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -182,8 +183,12 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.configs < 1:
+        raise ConfigError(f"--configs must be at least 1, got {args.configs}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ConfigError(f"--step must be finite and positive, got {args.step}")
     rng = seeded_rng(args.seed, 30)
-    worst = 0.0
+    errs = []
     for i in range(args.configs):
         d_in, d_k, d_f = (int(rng.integers(4, 33)) for _ in range(3))
         n_id = int(rng.integers(4, 17))
@@ -193,9 +198,10 @@ def cmd_grad_check(args) -> int:
         deb = "identity" if i % 4 != 3 else "softplus"
         err = grad_check(d_in, d_k, d_f, n_id, batch, rng, step=args.step,
                          use_eps=use_eps, encoder_act=enc, debias_act=deb)
-        worst = max(worst, err)
+        errs.append(err)
         _progress(f"config {i + 1}/{args.configs}: d=({d_in},{d_k},{d_f}) "
                   f"n_id={n_id} batch={batch} rel_err={err:.3g}")
+    worst = float(np.max(errs))  # NaN if any error is: the check then fails
     passed = worst < args.tol
     _emit({"configs": args.configs, "step": args.step, "tol": args.tol,
            "max_rel_err": worst, "pass": passed})

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DomainError, ValidationError
-from .pairwise import (DEFAULT_TILE, FN, FP, TP, TN, PairStatsAccumulator,
+from .pairwise import (FN, FP, TILE, TP, TN, PairStatsAccumulator,
                        ThresholdResult, _neighbor_pass, _unit_chunks,
                        _unit_means, confusion_sweep, solve_threshold)
 from .store import EmbeddingSet, MeanVectors, mean_vectors
@@ -308,8 +308,7 @@ def _nan_if_none(v):
 
 def build_report(dataset: EmbeddingSet, threshold: ThresholdResult,
                  acc: PairStatsAccumulator, s_intra: np.ndarray, s_inter: np.ndarray,
-                 config: ReportConfig, per_identity_csv_path: str = "",
-                 warnings: list | None = None) -> FairnessReport:
+                 config: ReportConfig, warnings: list | None = None) -> FairnessReport:
     """Assemble the report, checking that the pieces describe the same dataset."""
     g, m = dataset.n_identities, dataset.n_attributes
     if acc.identity_counts.shape != (g, 4) or acc.attribute_counts.shape != (m, 4):
@@ -342,8 +341,7 @@ def build_report(dataset: EmbeddingSet, threshold: ThresholdResult,
         s_intra=np.asarray(s_intra, dtype=np.float64),
         s_inter=np.asarray(s_inter, dtype=np.float64),
         intra_hist=intra_hist, inter_hist=inter_hist,
-        attribute_names=dataset.labels.attributes, config=config,
-        per_identity_csv_path=per_identity_csv_path, warnings=warnings,
+        attribute_names=dataset.labels.attributes, config=config, warnings=warnings,
     )
 
 
@@ -407,9 +405,9 @@ class EvalConfig:
     target_fpr: float = 1e-5
     k: int = 50
     bins: int = 200
-    tile: int = DEFAULT_TILE
     workers: int = 1
-    # not a field: read only by perfbench's histogram probe, and goes with it
+    # not fields: read only by perfbench's histogram probe, and go with it
+    tile: ClassVar[int] = TILE
     threshold_bins: ClassVar[int] = 200
 
     def __post_init__(self):
@@ -419,8 +417,6 @@ class EvalConfig:
             raise ConfigError("K must be at least 1")
         if self.bins < 2:
             raise ConfigError("histogram bins must be at least 2")
-        if self.tile < 1:
-            raise ConfigError("tile must be at least 1")
         if self.workers < 1:
             raise ConfigError("worker count must be at least 1")
 
@@ -445,13 +441,12 @@ def evaluate_dataset(dataset: EmbeddingSet, config: EvalConfig,
             progress(msg)
 
     say(f"solving threshold for target FPR {config.target_fpr:g}")
-    thresh = solve_threshold(dataset, config.target_fpr, tile=config.tile,
-                             workers=config.workers)
+    thresh = solve_threshold(dataset, config.target_fpr, workers=config.workers)
     say(f"threshold {thresh.threshold:.9g} (allowed {thresh.allowed_fp}, "
         f"realized {thresh.realized_fp} of {thresh.total_negatives})")
 
     say("confusion counts")
-    acc = confusion_sweep(dataset, thresh.threshold, tile=config.tile, workers=config.workers,
+    acc = confusion_sweep(dataset, thresh.threshold, workers=config.workers,
                           fp=thresh.record_fp, tp=thresh.record_tp)
     # the per-record counts are not held through the similarity analysis (the peak)
     thresh = replace(thresh, record_fp=None, record_tp=None)

@@ -351,14 +351,13 @@ def grad_check(d_in: int, d_k: int, d_f: int, n_id: int, batch: int, rng,
     analytic = batch_backward(cache, params)
     numeric = finite_diff_grad(
         lambda q: batch_forward(x, y, partners, q, use_eps=use_eps).loss, params, step)
-    worst = 0.0
+    rels = []
     for name in analytic:
         a, b = analytic[name], numeric[name]
         # norm-relative: individual near-zero entries sit below the O(eps/step)
         # floor of central differences, so element-wise ratios are meaningless there
-        rel = np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1e-12)
-        worst = max(worst, float(rel))
-    return worst
+        rels.append(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1e-12))
+    return float(np.max(rels))  # a NaN error stays NaN, which no tolerance passes
 
 
 def _roundrobin_partners(y: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ norm lies outside [2^-64, 2^64], the raw GEMM could overflow or c_j leave
 the normal range; there the columns are gathered as unit rows and the unit
 delta applies. A pair whose s~ lies more than delta from a decision boundary
 is decided by s~; only pairs inside that band get their exact value, from
-`_exact_pairs`, which groups them by tile. A group of more than `tile` pairs
+`_exact_pairs`, which groups them by tile. A group of more than TILE pairs
 (a band of ties) runs `_exact_grid` on its distinct rows and columns,
 gathered as unit rows; the pairs of all other groups are pooled into
 row-wise float64 dot products (`_exact_dots`), whose error obeys the same
@@ -85,7 +85,8 @@ import numpy as np
 from .errors import DegenerateDataError, DomainError
 from .store import EmbeddingSet, MeanVectors, budget_rows
 
-DEFAULT_TILE = 768
+# rows and columns of every tile of the half sweep
+TILE = 768
 # most band entries `_bracket` holds at any rank; past it, the radix select
 COLLECT_CAP = 1 << 21
 # fewest ordered pairs drawn to read the bracket's pivots off (`_pivots`)
@@ -337,27 +338,26 @@ def _exact_dots(u32: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return _rounded(np.einsum("ij,ij->i", a, b), _float64_error(a, b), u32, i, j)
 
 
-def _exact_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 tile: int = DEFAULT_TILE) -> np.ndarray:
+def _exact_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Similarities of the pairs (i[p], j[p]), in proportion to their number.
 
-    Pairs are grouped by the (i // tile, j // tile) tile they fall in. A
-    group of more than `tile` pairs (a band of ties) computes the GEMM of its
+    Pairs are grouped by the (i // TILE, j // TILE) tile they fall in. A
+    group of more than TILE pairs (a band of ties) computes the GEMM of its
     distinct rows and columns with `_exact_grid`, so it never costs more than
     a whole tile. The pairs of all other groups are pooled into row-wise
     dot products (`_exact_dots`), `budget_rows(d)` pairs at a time.
     """
     out = np.empty(len(i), dtype=np.float32)
-    key = i // tile * -(-len(u32) // tile) + j // tile
+    key = i // TILE * -(-len(u32) // TILE) + j // TILE
     order = np.argsort(key, kind="stable")
     ends = np.append(np.flatnonzero(np.diff(key[order])) + 1, len(i))
     size = np.diff(ends, prepend=0)
-    for g in np.flatnonzero(size > tile):
+    for g in np.flatnonzero(size > TILE):
         group = order[ends[g] - size[g]:ends[g]]
         r, ri = np.unique(i[group], return_inverse=True)
         c, ci = np.unique(j[group], return_inverse=True)
         out[group] = _exact_grid(u32, r, c, (ri, ci))
-    rest = order[np.repeat(size <= tile, size)]
+    rest = order[np.repeat(size <= TILE, size)]
     chunk = budget_rows(u32.shape[1])
     for p0 in range(0, rest.size, chunk):
         p = rest[p0:p0 + chunk]
@@ -429,9 +429,9 @@ def ordered_pair_totals(dataset: EmbeddingSet) -> tuple[int, int]:
     return pos, n * (n - 1) - pos
 
 
-def _row_blocks(n: int, tile: int):
-    for i0 in range(0, n, tile):
-        yield i0, min(i0 + tile, n)
+def _row_blocks(n: int, size: int):
+    for i0 in range(0, n, size):
+        yield i0, min(i0 + size, n)
 
 
 def _map_blocks(fn, blocks, workers: int) -> list:
@@ -442,14 +442,14 @@ def _map_blocks(fn, blocks, workers: int) -> list:
         return list(pool.map(lambda b: fn(*b), blocks))
 
 
-def _half_tiles(u32, i0: int, i1: int, tile: int):
-    """Screened tiles of row slab [i0, i1) against the column tiles j0 >= i0.
+def _half_tiles(u32, i0: int, i1: int):
+    """Screened tiles of row slab [i0, i1) against the TILE-column tiles j0 >= i0.
 
     `u32` is a `UnitRows` or an array of float32 unit rows. Yields (j0, g, c),
     the `UnitRows.columns` of the slab's unit rows, gathered once, so every
     tile, the diagonal one too, is one float32 GEMM: entry [r, q] belongs to
-    records i0 + r and j0 + q. Slabs and tiles share one grid, so the first
-    tile is the diagonal one (j0 == i0), whose pairs i < j are its entries
+    records i0 + r and j0 + q. Slabs and tiles share one grid of TILE, so the
+    first tile is the diagonal one (j0 == i0), whose pairs i < j are its entries
     q > r. delta bounds the screen's error before clipping too, so a caller
     compares the tile as it comes and clips only the values it gathers:
     s~ >= f exactly when clip(s~) >= f for an edge f in (-1, 1], and below
@@ -457,8 +457,8 @@ def _half_tiles(u32, i0: int, i1: int, tile: int):
     """
     rows = _rows_of(u32)
     slab = rows[i0:i1]
-    for j0 in range(i0, len(rows), tile):
-        yield j0, *rows.columns(slab, slice(j0, min(j0 + tile, len(rows))))
+    for j0 in range(i0, len(rows), TILE):
+        yield j0, *rows.columns(slab, slice(j0, min(j0 + TILE, len(rows))))
 
 
 def _narrow(ids: np.ndarray) -> np.ndarray:
@@ -516,7 +516,7 @@ def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
 
 
 def sweep_histogram(dataset: EmbeddingSet, bins: int,
-                    tile: int = DEFAULT_TILE, workers: int = 1) -> np.ndarray:
+                    tile: int = TILE, workers: int = 1) -> np.ndarray:
     """(bins,) int64 counts of every ordered negative-pair similarity over [-1, 1].
 
     The interior edges are those of `np.linspace(-1, 1, bins + 1)`; bin b
@@ -538,8 +538,7 @@ def _tally(counts: np.ndarray, i: np.ndarray, j: np.ndarray, same: np.ndarray) -
     np.add.at(counts, j + at, 1)
 
 
-def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, tile: int, workers: int,
-           visit) -> None:
+def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, workers: int, visit) -> None:
     """One screened half sweep over the pairs i < j whose s~ reaches lo.
 
     Each tile is compared with the per-column edges of lo (`UnitRows.edges`),
@@ -556,7 +555,7 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, tile: int, workers: 
 
     def slab(i0, i1):
         nonlocal ended
-        for j0, g, c in _half_tiles(rows, i0, i1, tile):
+        for j0, g, c in _half_tiles(rows, i0, i1):
             if ended:
                 return
             w = g.shape[1]
@@ -573,7 +572,7 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, tile: int, workers: 
             if visit(i, j, v, ids[i] == ids[j]):
                 ended = True
 
-    _map_blocks(slab, _row_blocks(len(ids), tile), workers)
+    _map_blocks(slab, _row_blocks(len(ids), TILE), workers)
 
 
 def _pivots(rows: UnitRows, ids: np.ndarray, k: int) -> tuple[float, float]:
@@ -628,7 +627,7 @@ def _pivots(rows: UnitRows, ids: np.ndarray, k: int) -> tuple[float, float]:
     return est[0] - rows.delta, est[1] + rows.delta if r_hi >= 1 else math.inf
 
 
-def _bracket(u32, ids: np.ndarray, k: int, tile: int,
+def _bracket(u32, ids: np.ndarray, k: int,
              workers: int) -> tuple[np.float32, int, np.ndarray, np.ndarray] | None:
     """(t, count above t, FP per record, TP per record) for the k-th largest
     unordered negative similarity t, in one screened half sweep between two
@@ -672,7 +671,7 @@ def _bracket(u32, ids: np.ndarray, k: int, tile: int,
             parts.append((v[band], (i[band] * n + j[band]).astype(index_type), same[band]))
         return False
 
-    _sweep(rows, ids, lo, tile, workers, visit)
+    _sweep(rows, ids, lo, workers, visit)
     if held > COLLECT_CAP:
         return None
     vals, pairs, same = (np.concatenate(col) for col in zip(*parts))
@@ -689,7 +688,7 @@ def _bracket(u32, ids: np.ndarray, k: int, tile: int,
     del neg
     near = np.flatnonzero((vals >= bottom) & (vals <= top))
     p = pairs[near].astype(np.int64)
-    vals[near] = _exact_pairs(rows, p // n, p % n, tile)
+    vals[near] = _exact_pairs(rows, p // n, p % n)
     near = near[~same[near]]
     t = np.partition(vals[near], near.size - need)[near.size - need]
     if not g_lo <= float(t) <= g_hi:
@@ -720,8 +719,7 @@ def _rank_bucket(counts: np.ndarray, k: int) -> tuple[int, int]:
     return b, int(from_top[r] - counts[b])
 
 
-def _radix_select(u32: np.ndarray, ids: np.ndarray, k: int,
-                  tile: int, workers: int) -> tuple[float, int]:
+def _radix_select(u32: np.ndarray, ids: np.ndarray, k: int, workers: int) -> tuple[float, int]:
     """(k-th largest ordered negative similarity, count above it) by radix select.
 
     Pass 1 counts the negatives by the high 16 bits of their order-preserving
@@ -732,7 +730,7 @@ def _radix_select(u32: np.ndarray, ids: np.ndarray, k: int,
     """
     n16 = 1 << 16
     high, above = _rank_bucket(
-        _exact_counts(u32, ids, lambda v: _radix_key(v) >> 16, n16, tile, workers), k)
+        _exact_counts(u32, ids, lambda v: _radix_key(v) >> 16, n16, TILE, workers), k)
     # the bucket's values form the closed float range [lo, hi]; the range can
     # also admit a zero of the other sign, which the key test drops
     lo, hi = _key_value(high << 16), _key_value(high << 16 | 0xFFFF)
@@ -742,7 +740,7 @@ def _radix_select(u32: np.ndarray, ids: np.ndarray, k: int,
         return key[key >> 16 == high] & 0xFFFF
 
     low, within = _rank_bucket(
-        _exact_counts(u32, ids, low_digits, n16, tile, workers,
+        _exact_counts(u32, ids, low_digits, n16, TILE, workers,
                       where=lambda s: (s >= lo) & (s <= hi)), k - above)
     return float(_key_value(high << 16 | low)), above + within
 
@@ -763,8 +761,7 @@ class ThresholdResult:
     record_tp: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
-                    tile: int = DEFAULT_TILE, workers: int = 1) -> ThresholdResult:
+def solve_threshold(dataset: EmbeddingSet, target_fpr: float, workers: int = 1) -> ThresholdResult:
     """Find the similarity cutoff whose strict-greater FP count meets the target.
 
     The threshold T is the k-th largest ordered negative similarity,
@@ -794,10 +791,10 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float,
     else:
         u32, k = UnitRows(dataset.vectors), allowed + 1
         # each unordered value stands twice in the ordered ranking
-        found = _bracket(u32, ids, (k + 1) // 2, tile, workers)
+        found = _bracket(u32, ids, (k + 1) // 2, workers)
         if found is None:  # a band over the cap, or a failed certificate
-            threshold, realized = _radix_select(u32, ids, k, tile, workers)
-            fp, tp = _count_above(u32, ids, threshold, tile, workers)
+            threshold, realized = _radix_select(u32, ids, k, workers)
+            fp, tp = _count_above(u32, ids, threshold, workers)
         else:
             t, above, fp, tp = found
             threshold, realized = float(t), 2 * above
@@ -830,7 +827,7 @@ class PairStatsAccumulator:
         return self.identity_counts.sum(axis=0)
 
 
-def _count_above(u32, ids: np.ndarray, threshold: float, tile: int,
+def _count_above(u32, ids: np.ndarray, threshold: float,
                  workers: int) -> tuple[np.ndarray, np.ndarray]:
     """(fp, tp), (n,) int64 each: per record, its pairs with similarity above
     `threshold` whose identities differ (FP) or match (TP), in one screened
@@ -851,16 +848,15 @@ def _count_above(u32, ids: np.ndarray, threshold: float, tile: int,
         hit = v > hi
         band = np.flatnonzero(~hit)  # lo <= s~ <= hi: refine
         if band.size:
-            hit[band] = _exact_pairs(rows, i[band], j[band], tile) > t
+            hit[band] = _exact_pairs(rows, i[band], j[band]) > t
         with lock:
             _tally(counts, i[hit], j[hit], same[hit])
 
-    _sweep(rows, ids, lo, tile, workers, visit)
+    _sweep(rows, ids, lo, workers, visit)
     return counts[:n], counts[n:]
 
 
-def confusion_sweep(dataset: EmbeddingSet, threshold: float,
-                    tile: int = DEFAULT_TILE, workers: int = 1, *,
+def confusion_sweep(dataset: EmbeddingSet, threshold: float, workers: int = 1, *,
                     fp: np.ndarray | None = None,
                     tp: np.ndarray | None = None) -> PairStatsAccumulator:
     """Count TP/FP/TN/FN over all ordered pairs: predict positive iff S > threshold.
@@ -873,7 +869,7 @@ def confusion_sweep(dataset: EmbeddingSet, threshold: float,
     """
     ids, n = dataset.identity, dataset.n
     if fp is None or tp is None:
-        fp, tp = _count_above(UnitRows(dataset.vectors), ids, threshold, tile, workers)
+        fp, tp = _count_above(UnitRows(dataset.vectors), ids, threshold, workers)
     size = np.bincount(ids, minlength=dataset.n_identities)[ids]
     quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)
     acc = PairStatsAccumulator.zeros(dataset.n_identities, dataset.n_attributes)

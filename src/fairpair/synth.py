@@ -246,6 +246,8 @@ def gen_training_set(profile: BiasProfile, d_in: int, seed: int) -> TrainingSet:
         raise DomainError("training sets need at least 2 identities")
     if profile.images_per_identity < 2:
         raise DomainError("training sets need at least 2 images per identity")
+    if d_in < 1:
+        raise DomainError(f"raw dimension must be at least 1, got {d_in}")
     dirs, centers = _draw_structure(profile, seed, d_in,
                                     _STREAM_TRAIN_DIRS, _STREAM_TRAIN_CENTERS)
     x = np.sqrt(d_in) * _draw_images(profile, centers, seeded_rng(seed, _STREAM_TRAIN_NOISE))
@@ -258,7 +260,7 @@ def gen_training_set(profile: BiasProfile, d_in: int, seed: int) -> TrainingSet:
                        eval_idx=eval_idx, labels=_labels(profile), truth=truth)
 
 
-def standard_biased_profile(d: int = 32) -> BiasProfile:
+def standard_biased_profile() -> BiasProfile:
     """Two groups, one crowded and noisy: the stock biased training task.
 
     The dense group's identity centers sit in a tight cone and its images
@@ -267,7 +269,7 @@ def standard_biased_profile(d: int = 32) -> BiasProfile:
     develops a persistent bias difference while the mixing adapter drives
     it back down.
     """
-    return BiasProfile(dim=d, images_per_identity=20, groups=(
+    return BiasProfile(dim=32, images_per_identity=20, groups=(
         GroupSpec(name="dense", identities=32, concentration=28.0, noise=0.16),
         GroupSpec(name="sparse", identities=32, concentration=1.5, noise=0.07),
     ))

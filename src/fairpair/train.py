@@ -25,6 +25,7 @@ from .util import kv_get, parse_kv, replaced
 
 BASE_DECAY_EPOCHS = (8, 18, 30, 34)   # of a 40-epoch budget
 MODES = ("mixfair", "cosface")
+SHUFFLE_TRIES = 100   # shuffles per epoch before `_epoch_batches` gives up
 
 _STREAM_INIT, _STREAM_SHUFFLE, _STREAM_PAIR = 10, 11, 12
 
@@ -153,17 +154,17 @@ def pair_samples(y: np.ndarray, rng) -> np.ndarray:
     return partners
 
 
-def _epoch_batches(y: np.ndarray, shuffle_rng, batch_size: int, tries: int = 100):
+def _epoch_batches(y: np.ndarray, shuffle_rng, batch_size: int):
     """Shuffled full batches, re-shuffling until every batch spans 2 identities."""
     n = len(y)
     bs = min(batch_size, n)
-    for _ in range(tries):
+    for _ in range(SHUFFLE_TRIES):
         perm = shuffle_rng.permutation(n)
         batches = [perm[b * bs:(b + 1) * bs] for b in range(n // bs)]
         if all(len(np.unique(y[idx])) >= 2 for idx in batches):
             return batches
     raise PairingError("could not form batches with two identities each "
-                       f"(batch size {bs}) after {tries} shuffles")
+                       f"(batch size {bs}) after {SHUFFLE_TRIES} shuffles")
 
 
 def train(config: TrainConfig, x: np.ndarray, y: np.ndarray):

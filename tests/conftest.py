@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,14 @@ def failing_open(writes):
         f.write = limited
         return f
     return fake
+
+
+@contextmanager
+def tile_size(tile):
+    """Run the engine with `pairwise.TILE`, its one tile size, set to `tile`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairwise, "TILE", tile)
+        yield
 
 
 @pytest.fixture

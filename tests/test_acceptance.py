@@ -27,7 +27,7 @@ from fairpair.store import (EmbeddingSet, LabelTable, load_dataset, mean_vectors
                             save_dataset)
 from fairpair.synth import BiasProfile, GroupSpec
 
-from conftest import CAP_OFFSETS, solve_at_cap
+from conftest import CAP_OFFSETS, solve_at_cap, tile_size
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,8 @@ def test_criterion_1_engine_matches_naive_reference():
         for threshold in (res.threshold, quant):
             tile = int(rng.integers(37, 900))
             workers = int(rng.choice([1, 2, 3]))
-            acc = pairwise.confusion_sweep(ds, threshold, tile=tile, workers=workers)
+            with tile_size(tile):
+                acc = pairwise.confusion_sweep(ds, threshold, workers=workers)
             id_ref, attr_ref = _naive_counts(ds, sims, threshold)
             assert np.array_equal(acc.identity_counts, id_ref)
             assert np.array_equal(acc.attribute_counts, attr_ref)
@@ -193,8 +194,10 @@ def test_criterion_2_threshold_guarantees_and_bin_invariance():
             ds = _random_set(rng, n, int(rng.integers(2, 49)), g, int(rng.integers(1, 6)))
         target = targets[inst % len(targets)]
 
-        results = [pairwise.solve_threshold(ds, target, tile=tile, workers=workers)
-                   for tile, workers in ((768, 1), (7, 1), (7, 3), (37, 2))]
+        results = []
+        for tile, workers in ((768, 1), (7, 1), (7, 3), (37, 2)):
+            with tile_size(tile):
+                results.append(pairwise.solve_threshold(ds, target, workers=workers))
         if inst < 2:
             # the tie cases also through the radix select and the path boundary
             results += [solve_at_cap(ds, target, off) for off in CAP_OFFSETS]

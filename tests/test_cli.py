@@ -1,5 +1,5 @@
-import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +15,7 @@ from fairpair.synth import (format_profile, split_by_identity, standard_biased_p
                             zero_bias_profile)
 from fairpair.train import BASE_DECAY_EPOCHS, TrainConfig, save_trace, scaled_decay_epochs, train
 
-from conftest import random_dataset
+from conftest import random_dataset, tile_size
 
 PROFILE = """
 dim = 16
@@ -84,6 +84,15 @@ def test_synth_bad_profile_exit_2(tmp_path, capsys):
     assert main(["synth", "--profile", str(bad), "--out", str(tmp_path / "o.ffeb")]) == 2
 
 
+@pytest.mark.parametrize("raw_dim", ["0", "-1"])
+def test_synth_raw_dim_below_1_exit_2(tmp_path, profile_path, capsys, raw_dim):
+    out = tmp_path / "o.ffeb"
+    assert main(["synth", "--profile", str(profile_path), "--out", str(out),
+                 "--raw-dim", raw_dim]) == 2
+    assert "raw dimension must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- eval ----------------------------------------------------------------------
 
 def test_eval_outputs(tmp_path, pop_path, capsys):
@@ -132,8 +141,8 @@ def test_eval_worker_env_and_flag(tmp_path, pop_path, capsys, monkeypatch):
     monkeypatch.setenv("FAIRPAIR_WORKERS", "4")
     assert main(base + ["--out-dir", str(d2)]) == 0
     # a tile that no set size here divides: the schedule, not the counts, changes
-    monkeypatch.setattr(cli, "EvalConfig", functools.partial(cli.EvalConfig, tile=17))
-    assert main(base + ["--out-dir", str(d3), "--workers", "2"]) == 0
+    with tile_size(17):
+        assert main(base + ["--out-dir", str(d3), "--workers", "2"]) == 0
     capsys.readouterr()
     assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
     assert (d1 / "report.json").read_bytes() == (d3 / "report.json").read_bytes()
@@ -437,6 +446,29 @@ def test_grad_check_catches_negated_gradients(capsys, monkeypatch):
     monkeypatch.setattr(model, "batch_backward", lambda *args, **kw: {
         name: -g for name, g in backward(*args, **kw).items()})
     assert main(["grad-check", "--configs", "2"]) == 1
+
+
+def test_grad_check_fails_on_nan_error(capsys, monkeypatch):
+    # one NaN error among finite ones fails the run
+    errs = iter([0.0, math.nan, 0.0])
+    monkeypatch.setattr(cli, "grad_check", lambda *args, **kw: next(errs))
+    assert main(["grad-check", "--configs", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and doc["max_rel_err"] is None
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--configs", "0", "--configs must be at least 1"),
+    ("--configs", "-1", "--configs must be at least 1"),
+    ("--step", "0", "--step must be finite and positive"),
+    ("--step", "-1e-6", "--step must be finite and positive"),
+    ("--step", "nan", "--step must be finite and positive"),
+    ("--step", "inf", "--step must be finite and positive"),
+])
+def test_grad_check_bad_flag_exit_2_before_checking(capsys, monkeypatch, flag, value, message):
+    monkeypatch.setattr(cli, "grad_check", lambda *args, **kw: pytest.fail("checked a model"))
+    assert main(["grad-check", f"{flag}={value}"]) == 2
+    assert message in capsys.readouterr().err
 
 
 # --- convert -------------------------------------------------------------------------

@@ -278,7 +278,6 @@ def test_report_all_single_image_identities():
     ("target_fpr", math.nan, "target FPR"),
     ("k", 0, "K must be at least 1"),
     ("bins", 1, "bins must be at least 2"),
-    ("tile", 0, "tile must be at least 1"),
     ("workers", 0, "worker count must be at least 1"),
 ])
 def test_eval_config_rejects_out_of_range(field, value, message):
@@ -287,7 +286,7 @@ def test_eval_config_rejects_out_of_range(field, value, message):
 
 
 def test_eval_config_accepts_range_edges():
-    EvalConfig(target_fpr=1.0, k=1, bins=2, tile=1, workers=1)
+    EvalConfig(target_fpr=1.0, k=1, bins=2, workers=1)
 
 
 def test_eval_config_clamped_k():

@@ -199,6 +199,16 @@ def test_grad_check_catches_planted_bug(monkeypatch):
     assert err > 1e-2
 
 
+def test_grad_check_fails_on_nan_error(monkeypatch):
+    # a NaN finite difference gives a NaN relative error, which must not pass
+    monkeypatch.setattr(model, "finite_diff_grad", lambda loss_fn, params, step: {
+        name: np.full_like(getattr(params, name), np.nan)
+        for name in ("w_enc", "w_deb", "prototypes")})
+    err = grad_check(5, 4, 3, 4, 6, np.random.default_rng(7))
+    assert math.isnan(err)
+    assert not err < 1e-5
+
+
 def test_detach_eps_changes_gradient_not_loss(params, rng):
     x, y, partners = make_batch(rng, params)
     cache = batch_forward(x, y, partners, params, use_eps=True)

@@ -32,7 +32,7 @@ from fairpair.pairwise import (
 )
 from fairpair.store import EmbeddingSet, LabelTable, MeanVectors, mean_vectors
 
-from conftest import CAP_OFFSETS, radix_runs, random_dataset, solve_at_cap
+from conftest import CAP_OFFSETS, radix_runs, random_dataset, solve_at_cap, tile_size
 
 
 def oracle_sims(ds):
@@ -116,9 +116,11 @@ def test_confusion_counts_match_oracle(seed):
 
 def test_tile_and_worker_invariance(small_set):
     t = 0.25
-    base = confusion_sweep(small_set, t, tile=small_set.n + 5, workers=1)
+    with tile_size(small_set.n + 5):
+        base = confusion_sweep(small_set, t, workers=1)
     for tile, workers in [(7, 1), (13, 3), (64, 8)]:
-        acc = confusion_sweep(small_set, t, tile=tile, workers=workers)
+        with tile_size(tile):
+            acc = confusion_sweep(small_set, t, workers=workers)
         assert np.array_equal(acc.identity_counts, base.identity_counts)
         assert np.array_equal(acc.attribute_counts, base.attribute_counts)
 
@@ -143,9 +145,14 @@ def fused_matches_full(ds, target, cap_offset=None, tile=768, workers=1):
     size - 1 on a degenerate target), and `record_fp` must sum to
     `realized_fp`; `_count_above` must give each record's TP and FP; and the
     accumulators `confusion_sweep` builds from the solve's counts must equal
-    the exact ones. Returns the solve's result.
+    the exact ones. Every pass runs with `tile` as the engine's tile size.
+    Returns the solve's result.
     """
-    r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
+    with tile_size(tile):
+        r = solve_at_cap(ds, target, cap_offset, workers=workers)
+        fp, tp = pairwise._count_above(unit_rows(ds), ds.identity, r.threshold, workers)
+        acc = confusion_sweep(ds, r.threshold, workers=workers, fp=r.record_fp,
+                              tp=r.record_tp)
     s = exact_sims_of(ds)
     same = ds.identity[:, None] == ds.identity[None, :]
     pos, neg = same & ~np.eye(ds.n, dtype=bool), ~same
@@ -159,15 +166,12 @@ def fused_matches_full(ds, target, cap_offset=None, tile=768, workers=1):
         size = np.bincount(ds.identity)[ds.identity]
         assert np.array_equal(r.record_fp, ds.n - size)
         assert np.array_equal(r.record_tp, size - 1)
-    fp, tp = pairwise._count_above(unit_rows(ds), ds.identity, r.threshold, tile, workers)
     assert np.array_equal(tp, per_record[:, pairwise.TP])
     assert np.array_equal(fp, per_record[:, pairwise.FP])
     gid = np.zeros((ds.n_identities, 4), dtype=np.int64)
     att = np.zeros((ds.n_attributes, 4), dtype=np.int64)
     np.add.at(gid, ds.identity, per_record)
     np.add.at(att, ds.attribute, per_record)
-    acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers, fp=r.record_fp,
-                          tp=r.record_tp)
     assert np.array_equal(acc.identity_counts, gid)
     assert np.array_equal(acc.attribute_counts, att)
     return r
@@ -234,9 +238,9 @@ def test_evaluation_makes_no_pass_after_the_solve(small_set, monkeypatch):
     passes = []
     count_above = pairwise._count_above
 
-    def spy(u32, ids, threshold, tile, workers):
+    def spy(u32, ids, threshold, workers):
         passes.append(threshold)
-        return count_above(u32, ids, threshold, tile, workers)
+        return count_above(u32, ids, threshold, workers)
 
     monkeypatch.setattr(pairwise, "_count_above", spy)
     r = solve_threshold(small_set, 0.3)
@@ -266,11 +270,12 @@ def test_every_screened_tile_is_one_columns_call(monkeypatch):
         return b * (b + 1) // 2
 
     monkeypatch.setattr(pairwise.UnitRows, "columns", spy)
+    monkeypatch.setattr(pairwise, "TILE", tile)
     rows = pairwise.UnitRows(ds.vectors)
-    r = solve_threshold(ds, 0.05, tile=tile)
+    r = solve_threshold(ds, 0.05)
     assert len(calls) == triangle(ds.n)
     calls.clear()
-    pairwise._count_above(rows, ds.identity, r.threshold, tile, 1)
+    pairwise._count_above(rows, ds.identity, r.threshold, 1)
     assert len(calls) == triangle(ds.n)
 
 
@@ -316,16 +321,18 @@ def test_threshold_worker_invariance(small_set):
     for cap_offset in CAP_OFFSETS:
         base = solve_at_cap(small_set, 2e-3, cap_offset, workers=1)
         for w in (4, 8):
-            r = solve_at_cap(small_set, 2e-3, cap_offset, workers=w, tile=11)
+            with tile_size(11):
+                r = solve_at_cap(small_set, 2e-3, cap_offset, workers=w)
             assert (r.threshold, r.realized_fp) == (base.threshold, base.realized_fp)
 
-        base = solve_at_cap(big, 2e-3, cap_offset, workers=1, tile=7)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            r = solve_at_cap(big, 2e-3, cap_offset, workers=8, tile=7)
-        finally:
-            sys.setswitchinterval(interval)
+        with tile_size(7):
+            base = solve_at_cap(big, 2e-3, cap_offset, workers=1)
+            sys.setswitchinterval(1e-6)
+            try:
+                r = solve_at_cap(big, 2e-3, cap_offset, workers=8)
+            finally:
+                sys.setswitchinterval(interval)
         assert (r.threshold, r.realized_fp) == (base.threshold, base.realized_fp)
         assert (r.threshold, r.realized_fp) == (ot, orealized)
 
@@ -351,7 +358,8 @@ def test_wrong_guess_runs_the_sweep_again(workers, monkeypatch):
     guarded = EmbeddingSet(vectors=ds.vectors * np.float32(2.0**70), identity=ds.identity,
                            attribute=ds.attribute, labels=ds.labels)
     assert pairwise.UnitRows(guarded.vectors).scale is None
-    want = _full_sweep(ds, 1e-2, tile=16, workers=workers)
+    monkeypatch.setattr(pairwise, "TILE", 16)
+    want = _full_sweep(ds, 1e-2, workers=workers)
     t = np.float32(want.threshold)
     above, below = (float(np.nextafter(t, np.float32(x))) for x in (2, -2))
     radix, runs = pairwise._radix_select, []
@@ -362,7 +370,7 @@ def test_wrong_guess_runs_the_sweep_again(workers, monkeypatch):
 
     monkeypatch.setattr(pairwise, "_radix_select", spy)
     for data in (ds, guarded):
-        assert _same_result(solve_threshold(data, 1e-2, tile=16, workers=workers), want)
+        assert _same_result(solve_threshold(data, 1e-2, workers=workers), want)
         assert runs == []  # the sampled pivots hold t
         # g_lo just above t; g_hi just below it; every pair in a band of
         # under a tenth of them, but at least k
@@ -376,7 +384,7 @@ def test_wrong_guess_runs_the_sweep_again(workers, monkeypatch):
                 calls, columns = [], pairwise.UnitRows.columns
                 mp.setattr(pairwise.UnitRows, "columns",
                            lambda self, slab, key: calls.append(key) or columns(self, slab, key))
-                r = solve_threshold(data, 1e-2, tile=16, workers=workers)
+                r = solve_threshold(data, 1e-2, workers=workers)
             assert _same_result(r, want)
             assert runs == [want.allowed_fp + 1]
             runs.clear()
@@ -398,18 +406,20 @@ def test_sampled_floor_buffers_under_twice_k(monkeypatch):
         hi.append(pairwise._f32_out(g[1] + rows.delta, up=True))
         return g
 
-    def spy_sweep(rows, ids, lo, tile, workers, visit):
+    def spy_sweep(rows, ids, lo, workers, visit):
         def counted(i, j, v, same):
             band.append(int(np.count_nonzero(v <= hi[0])))
             return visit(i, j, v, same)
-        return sweep(rows, ids, lo, tile, workers, counted)
+        return sweep(rows, ids, lo, workers, counted)
 
     monkeypatch.setattr(pairwise, "_pivots", spy_pivots)
     monkeypatch.setattr(pairwise, "_sweep", spy_sweep)
-    r = solve_threshold(ds, 1e-2, tile=128)
+    with tile_size(128):
+        r = solve_threshold(ds, 1e-2)
     assert hi[0] < 1 and 0 < sum(band) < 2 * k
     monkeypatch.undo()
-    assert _same_result(r, _full_sweep(ds, 1e-2, tile=128))
+    with tile_size(128):
+        assert _same_result(r, _full_sweep(ds, 1e-2))
 
 
 def test_bracket_serves_ranks_over_the_cap(monkeypatch):
@@ -422,9 +432,9 @@ def test_bracket_serves_ranks_over_the_cap(monkeypatch):
         want = solve_at_cap(ds, target, -1)
         runs.clear()
         for tile, workers in ((768, 1), (7, 3)):
-            with monkeypatch.context() as mp:
+            with monkeypatch.context() as mp, tile_size(tile):
                 mp.setattr(pairwise, "COLLECT_CAP", want.allowed_fp)  # k - 1
-                r = solve_threshold(ds, target, tile=tile, workers=workers)
+                r = solve_threshold(ds, target, workers=workers)
             assert runs == []
             assert _same_result(r, want)
     # four distinct vectors: each of the 7 values is shared by 136 or 264
@@ -522,11 +532,12 @@ def test_zero_threshold_sign_is_schedule_free(cap, monkeypatch):
     assert math.copysign(1.0, s[0, 2]) == -1.0 and math.copysign(1.0, s[2, 4]) == 1.0
     payloads = set()
     for tile, workers in [(1, 1), (1, 3), (2, 2), (5, 1), (768, 1)]:
-        r = solve_threshold(ds, 0.4, tile=tile, workers=workers)
+        with tile_size(tile):
+            r = solve_threshold(ds, 0.4, workers=workers)
+            cfg = metrics.EvalConfig(target_fpr=0.4, k=1, workers=workers)
+            payloads.add(metrics.evaluate_dataset(ds, cfg).to_json())
         assert (r.allowed_fp, r.realized_fp) == (9, 8)
         assert r.threshold == 0.0 and math.copysign(1.0, r.threshold) == 1.0
-        cfg = metrics.EvalConfig(target_fpr=0.4, k=1, tile=tile, workers=workers)
-        payloads.add(metrics.evaluate_dataset(ds, cfg).to_json())
     assert len(payloads) == 1
     assert len(runs) == (10 if cap < 10 else 0)  # two solves on each of 5 schedules
 
@@ -826,7 +837,8 @@ def test_evaluation_holds_no_n_by_d_copy():
     ds = random_dataset(np.random.default_rng(3), n=6000, d=256, g=100, m=2)
     tracemalloc.start()
     try:
-        metrics.evaluate_dataset(ds, metrics.EvalConfig(tile=256))
+        with tile_size(256):
+            metrics.evaluate_dataset(ds, metrics.EvalConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -846,9 +858,10 @@ def _screen_matrix(u):
     The half sweep leaves the tiles below the diagonal out; they are mirrored.
     """
     s = np.full((len(u), len(u)), np.nan, dtype=np.float32)
-    for i0, i1 in pairwise._row_blocks(len(u), 37):
-        for j0, g, c in pairwise._half_tiles(u, i0, i1, 37):
-            s[i0:i1, j0:j0 + g.shape[1]] = g if c is None else g * c
+    with tile_size(37):
+        for i0, i1 in pairwise._row_blocks(len(u), 37):
+            for j0, g, c in pairwise._half_tiles(u, i0, i1):
+                s[i0:i1, j0:j0 + g.shape[1]] = g if c is None else g * c
     return np.where(np.isnan(s), s.T, s)
 
 
@@ -1000,7 +1013,8 @@ def test_exact_pairs_symmetric_and_batch_free():
     assert np.array_equal(pairwise._exact_pairs(u, i[perm], j[perm]), ref[perm])
     pick = perm[:500]
     for tile in (1, 7, 600):  # other groupings into GEMMs
-        assert np.array_equal(pairwise._exact_pairs(u, i[pick], j[pick], tile), ref[pick])
+        with tile_size(tile):
+            assert np.array_equal(pairwise._exact_pairs(u, i[pick], j[pick]), ref[pick])
     # the whole-tile path of the radix select and the histogram agrees bitwise
     full = pairwise._exact_grid(u, np.arange(len(u)), np.arange(len(u)))
     assert np.array_equal(full[i, j], ref)
@@ -1017,10 +1031,11 @@ def test_sparse_refine_pools_pairs_and_ties_keep_one_grid_per_tile(monkeypatch):
     monkeypatch.setattr(pairwise, "_exact_grid", spy)
     refined, exact = [], pairwise._exact_pairs
     monkeypatch.setattr(pairwise, "_exact_pairs",
-                        lambda u, i, j, tile: refined.append(len(i)) or exact(u, i, j, tile))
+                        lambda u, i, j: refined.append(len(i)) or exact(u, i, j))
+    monkeypatch.setattr(pairwise, "TILE", 64)
     # a set without ties: the bracket's band refines a few pairs in many tiles
     ds = random_dataset(np.random.default_rng(4), n=600, d=32, g=60, m=2)
-    r = solve_threshold(ds, 1e-2, tile=64)
+    r = solve_threshold(ds, 1e-2)
     assert (r.threshold, r.allowed_fp, r.realized_fp) == oracle_threshold(ds, 1e-2)
     assert sum(refined) > 0 and calls == []
     # a band of ties: 300 records on four directions refine only in grids,
@@ -1029,7 +1044,7 @@ def test_sparse_refine_pools_pairs_and_ties_keep_one_grid_per_tile(monkeypatch):
     tied = EmbeddingSet(vectors=rng.normal(size=(4, 16)).astype(np.float32)[np.arange(300) % 4],
                         identity=np.arange(300) // 3, attribute=np.zeros(300, np.int64),
                         labels=LabelTable.default(100, 1))
-    r = solve_threshold(tied, 1e-3, tile=64)
+    r = solve_threshold(tied, 1e-3)
     assert (r.threshold, r.allowed_fp, r.realized_fp) == oracle_threshold(tied, 1e-3)
     assert calls and min(calls) > 64
     # rows 0..99 x 0..99 fall in four tiles of 64, each with more than 64
@@ -1039,7 +1054,7 @@ def test_sparse_refine_pools_pairs_and_ties_keep_one_grid_per_tile(monkeypatch):
     i, j = (a.ravel() for a in np.meshgrid(np.arange(100), np.arange(100), indexing="ij"))
     i = np.concatenate([i, rng.integers(128, 600, 30)])
     j = np.concatenate([j, rng.integers(128, 600, 30)])
-    got = exact(u, i, j, 64)
+    got = exact(u, i, j)
     assert sorted(calls) == [36 * 36, 64 * 36, 64 * 36, 64 * 64]
     assert np.array_equal(got, grid(u, np.arange(600), np.arange(600))[i, j])
 
@@ -1096,7 +1111,8 @@ def test_exact_grid_rounds_cancelling_sums_correctly():
     assert np.count_nonzero((u64[rows] @ u64[cols].T).astype(np.float32) != want) >= 2
     assert np.array_equal(pairwise._exact_grid(u, rows, cols), want)
     i, j = np.meshgrid(rows, cols, indexing="ij")
-    assert np.array_equal(pairwise._exact_pairs(u, i.ravel(), j.ravel(), 7), want.ravel())
+    with tile_size(7):
+        assert np.array_equal(pairwise._exact_pairs(u, i.ravel(), j.ravel()), want.ravel())
 
 
 def test_exact_grid_margin_holds_under_worst_case_gemm_error(monkeypatch):
@@ -1129,7 +1145,8 @@ def test_exact_grid_margin_holds_under_worst_case_gemm_error(monkeypatch):
     monkeypatch.setattr(pairwise, "_rounded", lambda s64, *args: rounded(push(s64), *args))
     assert np.array_equal(pairwise._exact_grid(u, rows, cols), want)
     i, j = np.meshgrid(rows, cols, indexing="ij")
-    assert np.array_equal(pairwise._exact_pairs(u, i.ravel(), j.ravel(), 7), want.ravel())
+    with tile_size(7):
+        assert np.array_equal(pairwise._exact_pairs(u, i.ravel(), j.ravel()), want.ravel())
 
 
 def test_round_dots_bound_covers_lost_fold_errors():
@@ -1188,7 +1205,8 @@ def test_one_similarity_on_every_path():
             for tile, workers in ((768, 1), (5, 3)):
                 r = fused_matches_full(ds, target, cap_offset, tile, workers)
                 assert (r.threshold, r.realized_fp) == (t, np.count_nonzero(vals > t))
-                acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers)
+                with tile_size(tile):
+                    acc = confusion_sweep(ds, r.threshold, workers=workers)
                 assert acc.overall[pairwise.FP] == r.realized_fp
     # the exact count of the radix select and the histogram buckets it by its exact value too
     lo = want[0, 1]
@@ -1239,7 +1257,8 @@ def test_counts_exact_on_and_one_ulp_around_threshold():
     gid, att = oracle_counts(ds, float(t))
     for tile in (7, 37, 768):
         for workers in (1, 3):
-            acc = confusion_sweep(ds, float(t), tile=tile, workers=workers)
+            with tile_size(tile):
+                acc = confusion_sweep(ds, float(t), workers=workers)
             assert np.array_equal(acc.identity_counts, gid)
             assert np.array_equal(acc.attribute_counts, att)
     # the solver lands on the boundary values too, for every rank around them
@@ -1268,8 +1287,8 @@ def _adversarial_screen(monkeypatch):
         moved = exact + 0.9 * delta * noise
         return np.clip(moved.astype(np.float32), -1.0, 1.0)
 
-    def tiles(u32, i0, i1, tile):
-        rows = pairwise._rows_of(u32)  # its delta is the bound the sweep itself uses
+    def tiles(u32, i0, i1):
+        rows, tile = pairwise._rows_of(u32), pairwise.TILE  # the sweep's delta and tile
         for j0 in range(i0, len(rows), tile):
             s = pairwise._exact_grid(rows, np.arange(i0, i1),
                                      np.arange(j0, min(j0 + tile, len(rows))))
@@ -1290,7 +1309,8 @@ def test_exact_under_worst_case_screen_error(monkeypatch):
     oracle = [oracle_threshold(ds, target) for target in targets]
     _adversarial_screen(monkeypatch)
     for tile, workers in ((7, 1), (37, 3), (768, 1)):
-        acc = confusion_sweep(ds, t, tile=tile, workers=workers)
+        with tile_size(tile):
+            acc = confusion_sweep(ds, t, workers=workers)
         assert np.array_equal(acc.identity_counts, gid)
         assert np.array_equal(acc.attribute_counts, att)
         for target, (ot, oallowed, orealized) in zip(targets, oracle):
@@ -1335,8 +1355,8 @@ def test_duplicates_at_other_magnitudes_tie_exactly(powers):
                 r = fused_matches_full(ds, target, None, tile, workers)
                 assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
                 assert np.array_equal(r.record_fp, ofp)
-                acc = confusion_sweep(ds, r.threshold, tile=tile, workers=workers,
-                                      fp=r.record_fp)
+                with tile_size(tile):
+                    acc = confusion_sweep(ds, r.threshold, workers=workers, fp=r.record_fp)
                 assert np.array_equal(acc.identity_counts, gid)
                 assert np.array_equal(acc.attribute_counts, att)
 
@@ -1358,6 +1378,7 @@ def test_threshold_ties_odd_and_even_rank():
         ranks.add((oallowed + 1) % 2)
         for cap_offset in CAP_OFFSETS:
             for tile, workers in ((768, 1), (5, 3)):
-                r = solve_at_cap(ds, target, cap_offset, tile=tile, workers=workers)
+                with tile_size(tile):
+                    r = solve_at_cap(ds, target, cap_offset, workers=workers)
                 assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
     assert ranks == {0, 1}

@@ -167,6 +167,15 @@ def test_training_set_scale_tracks_dimension():
     assert 0.5 < rms < 4.0
 
 
+def test_training_set_rejects_dimension_below_1():
+    prof = two_group_profile(ids=4, imgs=5)
+    for d_in in (0, -1):
+        with pytest.raises(DomainError, match="raw dimension must be at least 1"):
+            gen_training_set(prof, d_in=d_in, seed=0)
+    ts = gen_training_set(prof, d_in=1, seed=0)  # the least dimension still works
+    assert ts.x.shape == (len(ts.y), 1) and np.all(np.isfinite(ts.x))
+
+
 def test_training_set_reproducible():
     prof = two_group_profile()
     a = gen_training_set(prof, d_in=16, seed=8)
