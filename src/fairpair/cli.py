@@ -62,10 +62,12 @@ def _eval_config(args) -> EvalConfig:
 
 
 def _read_text(path, what: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} file not found: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path}: byte {exc.start} is not UTF-8 text") from exc
 
 
 def _load_ffeb(path):
@@ -185,8 +187,10 @@ def cmd_train_toy(args) -> int:
 def cmd_grad_check(args) -> int:
     if args.configs < 1:
         raise ConfigError(f"--configs must be at least 1, got {args.configs}")
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise ConfigError(f"--step must be finite and positive, got {args.step}")
+    for flag in ("step", "tol"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{flag} must be finite and positive, got {value}")
     rng = seeded_rng(args.seed, 30)
     errs = []
     for i in range(args.configs):
@@ -307,7 +311,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"fairpair: config error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, ValidationError) as exc:
@@ -322,9 +326,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"fairpair: {exc}", file=sys.stderr)
         return 5
-    except DomainError as exc:
-        print(f"fairpair: config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -181,8 +181,6 @@ class DatasetDigest:
 class ReportConfig:
     k: int
     bins: int
-    seed: int | None = None
-    std_convention: str = STD_CONVENTION
 
 
 @dataclass
@@ -240,7 +238,7 @@ class FairnessReport:
                            + _hist_json("s_inter", self.inter_hist)),
             "per_identity_csv_path": self.per_identity_csv_path,
             "config": {"k": self.config.k, "bins": self.config.bins,
-                       "seed": self.config.seed, "std_convention": self.config.std_convention},
+                       "seed": None, "std_convention": STD_CONVENTION},
             "warnings": list(self.warnings),
         }
 
@@ -296,7 +294,7 @@ def report_from_json(text: str) -> FairnessReport:
         intra_hist=_hist_from_json(doc["histograms"], "s_intra"),
         inter_hist=_hist_from_json(doc["histograms"], "s_inter"),
         attribute_names=tuple(a["name"] for a in att),
-        config=ReportConfig(**doc["config"]),
+        config=ReportConfig(k=doc["config"]["k"], bins=doc["config"]["bins"]),
         per_identity_csv_path=doc["per_identity_csv_path"],
         warnings=list(doc["warnings"]),
     )
@@ -315,8 +313,7 @@ def build_report(dataset: EmbeddingSet, threshold: ThresholdResult,
         raise ValidationError("confusion counts do not match the dataset's G/M")
     if len(s_intra) != g or len(s_inter) != g:
         raise ValidationError("similarity arrays do not match the dataset's G")
-    pos, neg = _ordered_totals_from_acc(acc)
-    if threshold.total_negatives != neg:
+    if threshold.total_negatives != int(acc.overall[FP] + acc.overall[TN]):
         raise ValidationError("threshold result comes from a different dataset (negative totals differ)")
 
     warnings = list(warnings or [])
@@ -343,11 +340,6 @@ def build_report(dataset: EmbeddingSet, threshold: ThresholdResult,
         intra_hist=intra_hist, inter_hist=inter_hist,
         attribute_names=dataset.labels.attributes, config=config, warnings=warnings,
     )
-
-
-def _ordered_totals_from_acc(acc: PairStatsAccumulator) -> tuple[int, int]:
-    quad = acc.overall
-    return int(quad[TP] + quad[FN]), int(quad[FP] + quad[TN])
 
 
 def _g9(values: np.ndarray, defined: np.ndarray | None = None) -> list[str]:

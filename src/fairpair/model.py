@@ -16,7 +16,7 @@ differences (see `finite_diff_grad`).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,10 +94,6 @@ class ModelParams:
 
     @property
     def n_id(self): return self.prototypes.shape[0]
-
-    def copy(self) -> "ModelParams":
-        return replace(self, w_enc=self.w_enc.copy(), w_deb=self.w_deb.copy(),
-                       prototypes=self.prototypes.copy())
 
 
 def xavier_init(d_in: int, d_k: int, d_f: int, n_id: int, rng,

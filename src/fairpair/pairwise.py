@@ -48,28 +48,26 @@ and merge by plain addition.
 
 Threshold and confusion counts. The overall-FPR threshold T is the k-th
 largest ordered negative similarity: the ceil(k/2)-th largest unordered one.
-At every rank two pivots g_lo <= T <= g_hi are read off a uniform sample of
-pairs (Floyd and Rivest's sampled selection), and one screened half sweep
-(`_bracket`) drops the pairs below g_lo - delta, counts those above
-g_hi + delta per record as sure FP or TP, and holds the rest, negatives and
-positives, in a band of at most COLLECT_CAP entries. T is the rank still
-needed among the band's negatives; only the entries within 2 delta of its
-screened value are refined, each once. Certified (g_lo <= T <= g_hi, the
-rank inside the band), the band entries above T complete each record's FP
-and TP, so the evaluation makes no pass after the solve. Only a band over
-the cap (a tie group larger than it, say) or a failed certificate takes an
-exact two-pass radix select over order-preserving keys of the float32
-values, 65,536 counters per pass and worker whatever the ties, then one
-screened pass that counts FP and TP per record (`_count_above`). The
-degenerate target has FP = n - size and TP = size - 1 without a sweep.
-Every screened pass picks a tile's pairs with one selector, `_pairs`
-(i < j, of every kind or negatives only, compared as int32 identities),
-and counts by record: each pair above T adds one to both of its records.
+Two pivots g_lo <= T <= g_hi are read off a uniform sample of pairs (Floyd
+and Rivest's sampled selection), and one screened half sweep (`_bracket`)
+drops the pairs below g_lo - delta, counts those above g_hi + delta per
+record as sure FP or TP, and holds the rest, negatives and positives, in a
+band of at most COLLECT_CAP entries. T is the rank still needed among the
+band's negatives; only the entries within 2 delta of its screened value are
+refined, each once. Certified (g_lo <= T <= g_hi, the rank inside the band),
+the band entries above T complete each record's FP and TP, so the
+evaluation makes no pass after the solve. A band over the cap is binned by
+screened key instead, into 65,536 counters, and the bin holding the rank
+gives the next round's pivots (the bucket select of Alabi et al., ACM JEA
+17, 2012); a failed certificate widens them. A tie group over the cap ends
+in exact rounds (`_count_above`) that bin exact keys until T alone is left.
+The degenerate target has FP = n - size and TP = size - 1 without a sweep.
+Every screened pass picks a tile's pairs with one selector, `_pairs` (i < j,
+of every kind or negatives only, compared as int32 identities), and counts
+by record: each pair above T adds one to both of its records.
 
-The radix select and `sweep_histogram` need every value: both count with
-`_exact_counts`, which computes whole tiles with `_exact_grid` instead of the
-screen and buckets each negative pair's value, twice as it is unordered; a
-radix pass and the histogram differ only in their bucket map.
+`sweep_histogram` counts every value with `_exact_counts`, which computes
+whole tiles with `_exact_grid` instead of the screen.
 """
 
 from __future__ import annotations
@@ -87,8 +85,10 @@ from .store import EmbeddingSet, MeanVectors, budget_rows
 
 # rows and columns of every tile of the half sweep
 TILE = 768
-# most band entries `_bracket` holds at any rank; past it, the radix select
+# most band entries `_bracket` holds at any rank; past it, the band is binned
 COLLECT_CAP = 1 << 21
+# counters of every key histogram (`_KeyBins`)
+KEY_BINS = 1 << 16
 # fewest ordered pairs drawn to read the bracket's pivots off (`_pivots`)
 SAMPLE_PAIRS = 8192
 # rows per GEMM of the neighbour pass (`_neighbor_pass`). Keep it a multiple
@@ -495,13 +495,12 @@ def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
 
 
 def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
-                  tile: int, workers: int, where=None) -> np.ndarray:
+                  tile: int, workers: int) -> np.ndarray:
     """(size,) int64 counts of the ordered negative pairs by the bucket of their value.
 
     Every tile of the half sweep is computed exactly, by `_exact_grid`.
-    `bucket` maps a float32 array of values to the bucket of each one it
-    counts, in [0, size); it may drop values. `where`, given a tile, masks
-    the entries to consider at all.
+    `bucket` maps a float32 array of values to the bucket of each one, in
+    [0, size).
     """
     ids, n = _narrow(ids), len(ids)
 
@@ -509,7 +508,7 @@ def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
         counts = np.zeros(size, dtype=np.int64)
         for j0 in range(i0, n, tile):
             s = _exact_grid(u32, np.arange(i0, i1), np.arange(j0, min(j0 + tile, n)))
-            vals = s.ravel()[_pairs(s, ids, i0, j0, None if where is None else where(s))]
+            vals = s.ravel()[_pairs(s, ids, i0, j0)]
             counts += np.bincount(bucket(vals), minlength=size)
         return counts
     return 2 * sum(_map_blocks(block, _row_blocks(n, tile), workers))
@@ -546,18 +545,13 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, workers: int, visit)
     that pass are scaled and clipped: a tile costs its GEMM, one compare and
     work in proportion to those pairs.
     visit(i, j, v, same) gets their records, clipped s~ and whether their
-    identities match; a visit that returns True ends the sweep, and every
-    slab stops at its next tile.
+    identities match.
     """
     ids = _narrow(ids)
     edges = rows.edges(lo) if lo > -1 else None
-    ended = False
 
     def slab(i0, i1):
-        nonlocal ended
         for j0, g, c in _half_tiles(rows, i0, i1):
-            if ended:
-                return
             w = g.shape[1]
             where = None if edges is None else g >= (lo if c is None else edges[j0:j0 + w])
             f = _pairs(g, ids, i0, j0, where, negatives=False)
@@ -569,8 +563,7 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, workers: int, visit)
                 v *= c[q]
             np.clip(v, -1.0, 1.0, out=v)
             i, j = i0 + r, j0 + q
-            if visit(i, j, v, ids[i] == ids[j]):
-                ended = True
+            visit(i, j, v, ids[i] == ids[j])
 
     _map_blocks(slab, _row_blocks(len(ids), TILE), workers)
 
@@ -627,76 +620,99 @@ def _pivots(rows: UnitRows, ids: np.ndarray, k: int) -> tuple[float, float]:
     return est[0] - rows.delta, est[1] + rows.delta if r_hi >= 1 else math.inf
 
 
-def _bracket(u32, ids: np.ndarray, k: int,
-             workers: int) -> tuple[np.float32, int, np.ndarray, np.ndarray] | None:
-    """(t, count above t, FP per record, TP per record) for the k-th largest
-    unordered negative similarity t, in one screened half sweep between two
-    pivots; None when the bracket fails.
+def _bracket(rows: UnitRows, ids: np.ndarray, k: int,
+             workers: int) -> tuple[np.float32, np.ndarray, np.ndarray]:
+    """(t, FP per record, TP per record) for the k-th largest unordered negative
+    similarity t, in screened half sweeps between two pivots.
 
-    With the pivots g_lo and g_hi of `_pivots`, a pair with s~ below
-    lo = g_lo - delta is dropped, since s < g_lo; one above hi = g_hi + delta
-    is sure, s > g_hi, and counts at once toward its records' FP or TP; every
-    other pair, negative or positive, goes to the band as (s~, pair, kind).
-    With `sure` negatives sure and need = k - sure, t is the need-th largest
-    exact value among the band's negatives. Only the band entries within
-    2 delta of the screened need-th value v get their exact value, each
-    once: t lies within delta of v, so every other entry lies more than
-    delta from t and is decided by s~. When 1 <= need <= the band's
-    negatives and g_lo <= t <= g_hi, every sure pair lies above t and every
-    dropped one below it, so t is certified and the band entries above t
-    complete each record's FP and TP. A sample that gives no g_lo puts every
-    pair that is not sure in the band. A band over COLLECT_CAP entries ends
-    the sweep; it and a failed certificate return None, for the radix select.
+    With the pivots g_lo and g_hi, at first those of `_pivots`, a pair with
+    s~ below lo = g_lo - delta is dropped, since s < g_lo; one above
+    hi = g_hi + delta is sure, s > g_hi, and counts at once toward its
+    records' FP or TP; every other pair, negative or positive, goes to the
+    band as (s~, pair, kind). With `sure` negatives sure and need = k - sure,
+    t is the need-th largest exact value among the band's negatives. Only the
+    band entries within 2 delta of the screened need-th value v get their
+    exact value, each once: t lies within delta of v, so every other entry
+    lies more than delta from t and is decided by s~. When 1 <= need <= the
+    band's negatives and g_lo <= t <= g_hi, every sure pair lies above t and
+    every dropped one below it, so t is certified and the band entries above
+    t complete each record's FP and TP. A sample that gives no g_lo puts
+    every pair that is not sure in the band.
+
+    A band over COLLECT_CAP entries is binned by screened key instead
+    (`_KeyBins`). With 1 <= need <= its negatives, at least k negatives have
+    s~ at or above the bin holding the need-th value and fewer than k above
+    it, so t lies in that bin widened by delta, whatever the pivots: the next
+    ones. Otherwise, or when the certificate fails, t lies above g_hi or
+    below g_lo, and the next pivots are (g_hi, inf) or (-inf, g_lo); from
+    then on every certificate holds. A band still over the cap once
+    g_hi - g_lo <= 4 delta is a tie group: rounds of `_count_above` bin the
+    exact keys of that window until one, t, is left, and the round at t
+    counts each record's FP and TP.
     """
-    rows, n = _rows_of(u32), len(ids)
-    delta = rows.delta
+    n, delta = len(ids), rows.delta
     g_lo, g_hi = _pivots(rows, ids, k)
-    lo, hi = _f32_out(g_lo - delta, up=False), _f32_out(g_hi + delta, up=True)
     index_type = np.uint32 if n * n < 1 << 32 else np.int64
-    counts = np.zeros(2 * n, dtype=np.int64)
-    parts = [(np.empty(0, np.float32), np.empty(0, index_type), np.empty(0, bool))]
-    held = 0
     lock = threading.Lock()
+    while True:
+        lo, hi = _f32_out(g_lo - delta, up=False), _f32_out(g_hi + delta, up=True)
+        counts = np.zeros(2 * n, dtype=np.int64)
+        parts = [(np.empty(0, np.float32), np.empty(0, index_type), np.empty(0, bool))]
+        held, keys = 0, None
 
-    def visit(i, j, v, same):
-        nonlocal held
-        sure = v > hi
-        band = ~sure
-        with lock:
-            _tally(counts, i[sure], j[sure], same[sure])
-            held += int(np.count_nonzero(band))
-            if held > COLLECT_CAP:
-                parts.clear()
-                return True
-            parts.append((v[band], (i[band] * n + j[band]).astype(index_type), same[band]))
-        return False
+        def visit(i, j, v, same):
+            nonlocal held, keys
+            sure = v > hi
+            band = ~sure
+            with lock:
+                _tally(counts, i[sure], j[sure], same[sure])
+                held += int(np.count_nonzero(band))
+                if keys is None and held <= COLLECT_CAP:
+                    parts.append((v[band], (i[band] * n + j[band]).astype(index_type), same[band]))
+                    return
+                if keys is None:  # the band passes the cap: bin what it holds, hold no more
+                    keys = _KeyBins(max(lo, -1.0), min(hi, 1.0))
+                    for vals, _, kind in parts:
+                        keys.add(vals[~kind])
+                    parts.clear()
+                keys.add(v[band & ~same])
 
-    _sweep(rows, ids, lo, workers, visit)
-    if held > COLLECT_CAP:
-        return None
-    vals, pairs, same = (np.concatenate(col) for col in zip(*parts))
-    parts.clear()
-    sure = int(counts[:n].sum()) // 2
-    neg = vals[~same]
-    need = k - sure
-    if not 1 <= need <= neg.size:
-        return None
-    neg.partition(neg.size - need)
-    v = float(neg[neg.size - need])
-    top, bottom = _f32_out(v + 2 * delta, up=True), _f32_out(v - 2 * delta, up=False)
-    need -= int(np.count_nonzero(neg > top))  # above v + 2 delta: above t
-    del neg
-    near = np.flatnonzero((vals >= bottom) & (vals <= top))
-    p = pairs[near].astype(np.int64)
-    vals[near] = _exact_pairs(rows, p // n, p % n)
-    near = near[~same[near]]
-    t = np.partition(vals[near], near.size - need)[near.size - need]
-    if not g_lo <= float(t) <= g_hi:
-        return None
-    hit = vals > t
-    p = pairs[hit]
-    _tally(counts, p // n, p % n, same[hit])
-    return t, int(counts[:n].sum()) // 2, counts[:n], counts[n:]
+        _sweep(rows, ids, lo, workers, visit)
+        need = k - int(counts[:n].sum()) // 2
+        up = need < 1
+        if keys is not None and 1 <= need <= keys.counts.sum():
+            a, b = keys.rank(need)
+            a, b = _f32_out(float(a) - delta, up=False), _f32_out(float(b) + delta, up=True)
+            if g_hi - g_lo > 4 * delta:
+                g_lo, g_hi = float(a), float(b)
+                continue
+            while a < b:  # a tie group: exact rounds
+                fp, _, keys = _count_above(rows, ids, a, b, workers)
+                a, b = keys.rank(k - int(fp.sum()) // 2)
+            fp, tp, _ = _count_above(rows, ids, a, a, workers)
+            return a, fp, tp
+        if keys is None:
+            vals, pairs, same = (np.concatenate(col) for col in zip(*parts))
+            parts.clear()
+            neg = vals[~same]
+            if 1 <= need <= neg.size:
+                neg.partition(neg.size - need)
+                v = float(neg[neg.size - need])
+                top, bottom = _f32_out(v + 2 * delta, up=True), _f32_out(v - 2 * delta, up=False)
+                need -= int(np.count_nonzero(neg > top))  # above v + 2 delta: above t
+                del neg
+                near = np.flatnonzero((vals >= bottom) & (vals <= top))
+                p = pairs[near].astype(np.int64)
+                vals[near] = _exact_pairs(rows, p // n, p % n)
+                near = near[~same[near]]
+                t = np.partition(vals[near], near.size - need)[near.size - need]
+                if g_lo <= float(t) <= g_hi:
+                    hit = vals > t
+                    p = pairs[hit]
+                    _tally(counts, p // n, p % n, same[hit])
+                    return t, counts[:n], counts[n:]
+                up = float(t) > g_hi
+        g_lo, g_hi = (g_hi, math.inf) if up else (-math.inf, g_lo)
 
 
 def _radix_key(s32: np.ndarray) -> np.ndarray:
@@ -711,38 +727,25 @@ def _key_value(key) -> np.ndarray:
     return np.where(key >> 31, key & 0x7FFFFFFF, ~key).astype(np.uint32).view(np.float32)
 
 
-def _rank_bucket(counts: np.ndarray, k: int) -> tuple[int, int]:
-    """(b, above): bucket b holds the k-th largest value, `above` values lie higher."""
-    from_top = np.cumsum(counts[::-1])
-    r = int(np.searchsorted(from_top, k))  # first r with from_top[r] >= k
-    b = len(counts) - 1 - r
-    return b, int(from_top[r] - counts[b])
+class _KeyBins:
+    """KEY_BINS counters over the `_radix_key` keys of the float32 values in [lo, hi],
+    each counting 2^shift consecutive keys, the fewest that cover the range."""
 
+    def __init__(self, lo, hi):
+        self.k0, self.k1 = (int(key) for key in _radix_key(np.float32([lo, hi])))
+        self.shift = max(0, (self.k1 - self.k0).bit_length() - (KEY_BINS.bit_length() - 1))
+        self.counts = np.zeros(KEY_BINS, dtype=np.int64)
 
-def _radix_select(u32: np.ndarray, ids: np.ndarray, k: int, workers: int) -> tuple[float, int]:
-    """(k-th largest ordered negative similarity, count above it) by radix select.
+    def add(self, v: np.ndarray) -> None:
+        if v.size:
+            at = (_radix_key(v).astype(np.int64) - self.k0) >> self.shift
+            self.counts += np.bincount(at, minlength=KEY_BINS)
 
-    Pass 1 counts the negatives by the high 16 bits of their order-preserving
-    key, pass 2 counts the low 16 bits inside the bucket holding rank k; it
-    first keeps only the values between that bucket's two float32 bounds, so
-    keys are built for those alone. Both passes hold 65,536 counters per
-    worker, whatever the input. Each unordered pair counts twice.
-    """
-    n16 = 1 << 16
-    high, above = _rank_bucket(
-        _exact_counts(u32, ids, lambda v: _radix_key(v) >> 16, n16, TILE, workers), k)
-    # the bucket's values form the closed float range [lo, hi]; the range can
-    # also admit a zero of the other sign, which the key test drops
-    lo, hi = _key_value(high << 16), _key_value(high << 16 | 0xFFFF)
-
-    def low_digits(v):
-        key = _radix_key(v)
-        return key[key >> 16 == high] & 0xFFFF
-
-    low, within = _rank_bucket(
-        _exact_counts(u32, ids, low_digits, n16, TILE, workers,
-                      where=lambda s: (s >= lo) & (s <= hi)), k - above)
-    return float(_key_value(high << 16 | low)), above + within
+    def rank(self, need: int) -> np.ndarray:
+        """The least and the largest value of the counter holding the need-th largest value."""
+        b = KEY_BINS - 1 - int(np.searchsorted(np.cumsum(self.counts[::-1]), need))
+        key = self.k0 + (b << self.shift)
+        return _key_value([key, min(key + (1 << self.shift) - 1, self.k1)])
 
 
 @dataclass(frozen=True)
@@ -766,15 +769,13 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float, workers: int = 1) 
 
     The threshold T is the k-th largest ordered negative similarity,
     k = allowed + 1 with allowed = floor(target_fpr * total_negatives)
-    evaluated in exact arithmetic. At every rank one screened sweep over the
-    unordered pairs between two sampled pivots (`_bracket`) finds the
-    ceil(k/2)-th largest unordered value; only a failed bracket (a band over
-    COLLECT_CAP, or a failed certificate) leaves T to a two-pass radix select
-    over the float32 bit patterns, in fixed memory. Every result carries each
-    record's ordered FP and TP counts at T (`record_fp`, `record_tp`): the
-    bracket's own, one screened pass after the radix select, and n - size and
-    size - 1 without a sweep when the target admits every negative
-    (T = -inf). A zero threshold is always +0.0.
+    evaluated in exact arithmetic: `_bracket` finds the ceil(k/2)-th largest
+    unordered value in screened sweeps between sampled pivots, which narrow
+    while the band passes COLLECT_CAP, in fixed memory whatever the ties.
+    Every result carries each record's ordered FP and TP counts at T
+    (`record_fp`, `record_tp`): the bracket's own, or n - size and size - 1
+    without a sweep when the target admits every negative (T = -inf). A zero
+    threshold is always +0.0.
     """
     if not 0.0 < target_fpr <= 1.0:
         raise DomainError(f"target FPR must lie in (0, 1], got {target_fpr}")
@@ -785,23 +786,14 @@ def solve_threshold(dataset: EmbeddingSet, target_fpr: float, workers: int = 1) 
     ids = dataset.identity
     degenerate = allowed >= total_neg
     if degenerate:
-        threshold, realized = -math.inf, total_neg
+        t = -math.inf
         size = np.bincount(ids, minlength=dataset.n_identities)[ids]
         fp, tp = dataset.n - size, size - 1
     else:
-        u32, k = UnitRows(dataset.vectors), allowed + 1
-        # each unordered value stands twice in the ordered ranking
-        found = _bracket(u32, ids, (k + 1) // 2, workers)
-        if found is None:  # a band over the cap, or a failed certificate
-            threshold, realized = _radix_select(u32, ids, k, workers)
-            fp, tp = _count_above(u32, ids, threshold, workers)
-        else:
-            t, above, fp, tp = found
-            threshold, realized = float(t), 2 * above
-    if int(fp.sum()) != realized:
-        raise AssertionError(f"FP witness counts {int(fp.sum())} ordered pairs, not {realized}")
-    return ThresholdResult(threshold=threshold + 0.0, target_fpr=target_fpr,
-                           allowed_fp=allowed, realized_fp=realized, total_negatives=total_neg,
+        # each unordered value stands twice in the ordered ranking of k = allowed + 1
+        t, fp, tp = _bracket(UnitRows(dataset.vectors), ids, (allowed + 2) // 2, workers)
+    return ThresholdResult(threshold=float(t) + 0.0, target_fpr=target_fpr, allowed_fp=allowed,
+                           realized_fp=int(fp.sum()), total_negatives=total_neg,
                            degenerate=degenerate, record_fp=fp, record_tp=tp)
 
 
@@ -827,33 +819,33 @@ class PairStatsAccumulator:
         return self.identity_counts.sum(axis=0)
 
 
-def _count_above(u32, ids: np.ndarray, threshold: float,
-                 workers: int) -> tuple[np.ndarray, np.ndarray]:
-    """(fp, tp), (n,) int64 each: per record, its pairs with similarity above
-    `threshold` whose identities differ (FP) or match (TP), in one screened
-    half sweep.
-
-    A pair whose s~ lies more than delta from the threshold is decided by
-    s~; each tile refines the pairs between at once, so memory stays per
-    tile whatever the ties.
+def _count_above(u32, ids: np.ndarray, lo: float, hi: float,
+                 workers: int) -> tuple[np.ndarray, np.ndarray, _KeyBins]:
+    """(fp, tp, keys) of the window [lo, hi] in one screened half sweep: per record,
+    (n,) int64 counts of its pairs above `hi` whose identities differ (FP) or
+    match (TP), and the unordered negative pairs in [lo, hi] by exact key. A
+    pair whose s~ lies more than delta outside the window is decided by s~;
+    each tile refines the pairs between at once, so memory stays per tile.
     """
     rows, n = _rows_of(u32), len(ids)
-    t = np.float64(threshold)  # compared exactly, never rounded to float32
-    tb = min(max(float(threshold), -2.0), 2.0)  # same decisions: every s lies in [-1, 1]
-    lo, hi = _f32_out(tb - rows.delta, up=False), _f32_out(tb + rows.delta, up=True)
-    counts = np.zeros(2 * n, dtype=np.int64)
+    # every s lies in [-1, 1]; compared exactly, never rounded to float32
+    lo, hi = (np.float64(min(max(float(x), -2.0), 2.0)) for x in (lo, hi))
+    s_lo, s_hi = _f32_out(lo - rows.delta, up=False), _f32_out(hi + rows.delta, up=True)
+    counts, keys = np.zeros(2 * n, dtype=np.int64), _KeyBins(lo, hi)
     lock = threading.Lock()
 
     def visit(i, j, v, same):
-        hit = v > hi
-        band = np.flatnonzero(~hit)  # lo <= s~ <= hi: refine
-        if band.size:
-            hit[band] = _exact_pairs(rows, i[band], j[band]) > t
+        hit = v > s_hi
+        band = np.flatnonzero(~hit)  # s_lo <= s~ <= s_hi: refine
+        s = _exact_pairs(rows, i[band], j[band])
+        hit[band] = s > hi
+        inside = s[(s >= lo) & (s <= hi) & ~same[band]]
         with lock:
             _tally(counts, i[hit], j[hit], same[hit])
+            keys.add(inside)
 
-    _sweep(rows, ids, lo, workers, visit)
-    return counts[:n], counts[n:]
+    _sweep(rows, ids, s_lo, workers, visit)
+    return counts[:n], counts[n:], keys
 
 
 def confusion_sweep(dataset: EmbeddingSet, threshold: float, workers: int = 1, *,
@@ -869,7 +861,7 @@ def confusion_sweep(dataset: EmbeddingSet, threshold: float, workers: int = 1, *
     """
     ids, n = dataset.identity, dataset.n
     if fp is None or tp is None:
-        fp, tp = _count_above(UnitRows(dataset.vectors), ids, threshold, workers)
+        fp, tp, _ = _count_above(UnitRows(dataset.vectors), ids, threshold, threshold, workers)
     size = np.bincount(ids, minlength=dataset.n_identities)[ids]
     quad = np.stack([tp, fp, n - size - fp, size - 1 - tp], axis=1)
     acc = PairStatsAccumulator.zeros(dataset.n_identities, dataset.n_attributes)

@@ -303,7 +303,7 @@ def save_csv(path, dataset: EmbeddingSet) -> None:
     Vector components use 9 significant digits, which round-trips float32.
     The file is replaced whole, as by `save_dataset`.
     """
-    with replaced([Path(path)]) as (tmp,), open(tmp, "w", newline="") as f:
+    with replaced([Path(path)]) as (tmp,), open(tmp, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["index", "identity", "attribute"] + [f"v{j}" for j in range(dataset.dim)])
         for i in range(dataset.n):
@@ -314,13 +314,29 @@ def save_csv(path, dataset: EmbeddingSet) -> None:
             )
 
 
+def _utf8_lines(f, path):
+    """The lines of text file `f`, read as UTF-8; a byte that is not raises FormatError."""
+    try:
+        yield from f
+    except UnicodeDecodeError as exc:
+        at = 0
+        with open(path, "rb") as raw:
+            for line in raw:  # no UTF-8 sequence holds a newline byte: lines decode alone
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise FormatError(f"{path}: byte {at + bad.start} is not UTF-8 text") from exc
+                at += len(line)
+        raise
+
+
 def load_csv(path) -> EmbeddingSet:
     """Read the CSV interchange form; names become labels in order of first appearance."""
     id_index: dict[str, int] = {}
     attr_index: dict[str, int] = {}
     rows, ids, attrs = [], [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    with open(path, newline="", encoding="utf-8") as f, np.errstate(over="raise"):
+        reader = csv.reader(_utf8_lines(f, path))
         header = next(reader, None)
         if header is None or len(header) < 4 or header[:3] != ["index", "identity", "attribute"]:
             raise FormatError(f"bad CSV header in {path}: expected index,identity,attribute,v0,...")
@@ -336,6 +352,8 @@ def load_csv(path) -> EmbeddingSet:
                 rows.append([np.float32(x) for x in row[3:]])
             except ValueError as exc:
                 raise FormatError(f"record {lineno}: unparseable vector component ({exc})") from exc
+            except FloatingPointError as exc:  # np.float32 overflowed to inf
+                raise FormatError(f"record {lineno}: component outside float32's range") from exc
     if not rows:
         raise FormatError(f"no records in {path}")
     labels = LabelTable(identities=tuple(id_index), attributes=tuple(attr_index))

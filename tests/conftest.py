@@ -70,31 +70,37 @@ def small_set(rng):
 
 # COLLECT_CAP, the most band entries the bracketed sweep holds, set relative to
 # the rank k = allowed + 1 that solve_threshold seeks: None keeps the default,
-# where the bracketed sweep must solve; -1 forces the radix select with a cap of
-# 0, which no band fits under (a cap below k alone no longer does); 0 and 1
-# hold the band to k and k + 1 entries.
+# where the first band must fit; -1 sets a cap of 0, which no band fits under,
+# so every round narrows until one exact key is left (a cap below k alone no
+# longer forces that); 0 and 1 hold the band to k and k + 1 entries.
 CAP_OFFSETS = [None, -1, 0, 1]
 
 
-def radix_runs(mp):
-    """Make `mp` record the rank k of each `pairwise._radix_select` call, in the list returned."""
-    radix, runs = pairwise._radix_select, []
-    mp.setattr(pairwise, "_radix_select", lambda *args: runs.append(args[2]) or radix(*args))
+def overflowing_rounds(mp):
+    """Make `mp` record, in the list returned, the key window (least, largest value)
+    each round whose band passed the cap narrowed to (`pairwise._KeyBins.rank`)."""
+    rank, runs = pairwise._KeyBins.rank, []
+
+    def spy(self, need):
+        runs.append(tuple(float(x) for x in rank(self, need)))
+        return runs[-1]
+    mp.setattr(pairwise._KeyBins, "rank", spy)
     return runs
 
 
 def solve_at_cap(dataset, target_fpr, cap_offset, **kw):
     """solve_threshold with COLLECT_CAP set by `cap_offset`, asserting the route it
-    forces: with None the radix select never runs, with -1 it runs once (or not
-    at all on a degenerate target, which needs no selection)."""
+    forces: with None no band passes the cap, with -1 the rounds narrow until the
+    last one's window is the threshold alone (no round at all on a degenerate
+    target, which needs no selection)."""
     allowed = int(Fraction(target_fpr) * pairwise.ordered_pair_totals(dataset)[1])
     with pytest.MonkeyPatch.context() as mp:
-        runs = radix_runs(mp)
+        runs = overflowing_rounds(mp)
         if cap_offset is not None:
             mp.setattr(pairwise, "COLLECT_CAP", 0 if cap_offset == -1 else allowed + 1 + cap_offset)
         r = pairwise.solve_threshold(dataset, target_fpr, **kw)
-    if cap_offset is None:
+    if cap_offset is None or r.degenerate:
         assert runs == []
     elif cap_offset == -1:
-        assert runs == ([] if r.degenerate else [allowed + 1])
+        assert runs[-1] == (r.threshold, r.threshold)
     return r

@@ -199,7 +199,7 @@ def test_criterion_2_threshold_guarantees_and_bin_invariance():
             with tile_size(tile):
                 results.append(pairwise.solve_threshold(ds, target, workers=workers))
         if inst < 2:
-            # the tie cases also through the radix select and the path boundary
+            # the tie cases also through the narrowing rounds and the path boundary
             results += [solve_at_cap(ds, target, off) for off in CAP_OFFSETS]
         first = results[0]
         for r in results[1:]:
@@ -218,7 +218,7 @@ def test_criterion_2_threshold_guarantees_and_bin_invariance():
         assert strictly_over <= allowed < at_least
     print("\n[2] 100 instances x (tile, workers) {(768,1),(7,1),(7,3),(37,2)}: "
           "realized <= floor(target*neg) < count(>= T), identical across schedules "
-          "and, for the tie cases, across the bracketed and radix paths")
+          "and, for the tie cases, across the first band and the narrowing rounds")
 
 
 # ---------------------------------------------------------------------------

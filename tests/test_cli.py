@@ -433,6 +433,25 @@ def test_train_toy_mode_from_config(tmp_path, capsys):
     assert summary["mode"] == "mixfair"
 
 
+@pytest.mark.parametrize("command, code", [("convert", 3), ("synth", 2), ("train-toy", 2)])
+def test_text_input_not_utf8_fails_cleanly(tmp_path, capsys, command, code):
+    # a 0xFF byte at offset 8 of the CSV, the profile or the training config
+    bad = tmp_path / ("bad.csv" if command == "convert" else "bad.cfg")
+    bad.write_bytes(b"dim = 8\n\xff = 1\n")
+    if command == "convert":
+        argv = ["convert", "--in", str(bad), "--out", str(tmp_path / "o.ffeb")]
+    elif command == "synth":
+        argv = ["synth", "--profile", str(bad), "--out", str(tmp_path / "o.ffeb")]
+    else:
+        argv = ["train-toy", "--data", str(_toy_training_set(tmp_path)), "--config", str(bad),
+                "--out-dir", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "byte 8 is not UTF-8 text" in captured.err and captured.out == ""
+    assert not (tmp_path / "o.ffeb").exists() and not (tmp_path / "run").exists()
+
+
 # --- grad-check ---------------------------------------------------------------------
 
 def test_grad_check_passes(capsys):
@@ -464,6 +483,11 @@ def test_grad_check_fails_on_nan_error(capsys, monkeypatch):
     ("--step", "-1e-6", "--step must be finite and positive"),
     ("--step", "nan", "--step must be finite and positive"),
     ("--step", "inf", "--step must be finite and positive"),
+    ("--tol", "0", "--tol must be finite and positive"),
+    ("--tol", "-1", "--tol must be finite and positive"),
+    ("--tol", "nan", "--tol must be finite and positive"),
+    ("--tol", "inf", "--tol must be finite and positive"),
+    ("--tol", "-inf", "--tol must be finite and positive"),
 ])
 def test_grad_check_bad_flag_exit_2_before_checking(capsys, monkeypatch, flag, value, message):
     monkeypatch.setattr(cli, "grad_check", lambda *args, **kw: pytest.fail("checked a model"))

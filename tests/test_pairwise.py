@@ -32,7 +32,7 @@ from fairpair.pairwise import (
 )
 from fairpair.store import EmbeddingSet, LabelTable, MeanVectors, mean_vectors
 
-from conftest import CAP_OFFSETS, radix_runs, random_dataset, solve_at_cap, tile_size
+from conftest import CAP_OFFSETS, overflowing_rounds, random_dataset, solve_at_cap, tile_size
 
 
 def oracle_sims(ds):
@@ -150,7 +150,8 @@ def fused_matches_full(ds, target, cap_offset=None, tile=768, workers=1):
     """
     with tile_size(tile):
         r = solve_at_cap(ds, target, cap_offset, workers=workers)
-        fp, tp = pairwise._count_above(unit_rows(ds), ds.identity, r.threshold, workers)
+        fp, tp, _ = pairwise._count_above(unit_rows(ds), ds.identity, r.threshold, r.threshold,
+                                          workers)
         acc = confusion_sweep(ds, r.threshold, workers=workers, fp=r.record_fp,
                               tp=r.record_tp)
     s = exact_sims_of(ds)
@@ -238,9 +239,9 @@ def test_evaluation_makes_no_pass_after_the_solve(small_set, monkeypatch):
     passes = []
     count_above = pairwise._count_above
 
-    def spy(u32, ids, threshold, workers):
-        passes.append(threshold)
-        return count_above(u32, ids, threshold, workers)
+    def spy(u32, ids, lo, hi, workers):
+        passes.append(hi)
+        return count_above(u32, ids, lo, hi, workers)
 
     monkeypatch.setattr(pairwise, "_count_above", spy)
     r = solve_threshold(small_set, 0.3)
@@ -275,7 +276,7 @@ def test_every_screened_tile_is_one_columns_call(monkeypatch):
     r = solve_threshold(ds, 0.05)
     assert len(calls) == triangle(ds.n)
     calls.clear()
-    pairwise._count_above(rows, ds.identity, r.threshold, 1)
+    pairwise._count_above(rows, ds.identity, r.threshold, r.threshold, 1)
     assert len(calls) == triangle(ds.n)
 
 
@@ -351,8 +352,8 @@ def _same_result(r, want):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_wrong_guess_runs_the_sweep_again(workers, monkeypatch):
-    # pivots that miss t and a band over COLLECT_CAP are caught: the radix
-    # select and one counting sweep then give the same result. A power-of-two
+    # pivots that miss t are widened toward it, and a band over COLLECT_CAP
+    # narrows its pivots: one more round gives the same result. A power-of-two
     # scale keeps every unit row, so the guard path must agree too.
     ds = random_dataset(np.random.default_rng(11), n=300, d=6, g=60, m=2)
     guarded = EmbeddingSet(vectors=ds.vectors * np.float32(2.0**70), identity=ds.identity,
@@ -362,13 +363,7 @@ def test_wrong_guess_runs_the_sweep_again(workers, monkeypatch):
     want = _full_sweep(ds, 1e-2, workers=workers)
     t = np.float32(want.threshold)
     above, below = (float(np.nextafter(t, np.float32(x))) for x in (2, -2))
-    radix, runs = pairwise._radix_select, []
-
-    def spy(*args):
-        runs.append(args[2])
-        return radix(*args)
-
-    monkeypatch.setattr(pairwise, "_radix_select", spy)
+    runs = overflowing_rounds(monkeypatch)
     for data in (ds, guarded):
         assert _same_result(solve_threshold(data, 1e-2, workers=workers), want)
         assert runs == []  # the sampled pivots hold t
@@ -386,11 +381,12 @@ def test_wrong_guess_runs_the_sweep_again(workers, monkeypatch):
                            lambda self, slab, key: calls.append(key) or columns(self, slab, key))
                 r = solve_threshold(data, 1e-2, workers=workers)
             assert _same_result(r, want)
-            assert runs == [want.allowed_fp + 1]
+            # two whole sweeps: the round that missed or overflowed, and the
+            # certified one; only the band over the cap was binned
+            b = -(-ds.n // 16)
+            assert len(calls) == 2 * (b * (b + 1) // 2)
+            assert len(runs) == (cap is not None)
             runs.clear()
-            if cap is not None and workers == 1:  # the full band ended the sweep early
-                b = -(-ds.n // 16)
-                assert len(calls) < 2 * (b * (b + 1) // 2)
 
 
 def test_sampled_floor_buffers_under_twice_k(monkeypatch):
@@ -423,11 +419,12 @@ def test_sampled_floor_buffers_under_twice_k(monkeypatch):
 
 
 def test_bracket_serves_ranks_over_the_cap(monkeypatch):
-    # with COLLECT_CAP below k but above the band, the bracketed sweep solves
-    # every rank: no radix select runs, and the result equals the forced radix
-    # select's on both schedules. A tie group over the cap still falls back
+    # with COLLECT_CAP below k but above the band, the first band fits at
+    # every rank: no round narrows, and the result equals the one narrowed to
+    # an exact key at cap 0 on both schedules. A tie group over the cap
+    # narrows to its exact key
     ds = random_dataset(np.random.default_rng(14), n=1500, d=24, g=500, m=2)
-    runs = radix_runs(monkeypatch)
+    runs = overflowing_rounds(monkeypatch)
     for target in (0.05, 0.3, 0.6, 0.9):
         want = solve_at_cap(ds, target, -1)
         runs.clear()
@@ -446,10 +443,43 @@ def test_bracket_serves_ranks_over_the_cap(monkeypatch):
     for target in (0.2, 0.6):
         ot, oallowed, orealized = oracle_threshold(ties, target)
         r = solve_threshold(ties, target)
-        assert runs == [oallowed + 1]
+        assert runs[-1] == (ot, ot)
         assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
         assert _same_result(r, fused_matches_full(ties, target, -1))
         runs.clear()
+
+
+def test_band_over_the_cap_narrows_in_two_rounds(monkeypatch):
+    # distinct values: the first band passes a cap of 100 and is binned, the
+    # bin holding the rank gives pivots whose band fits, and the second round
+    # is certified. No exact round runs, and the result is the default one's
+    ds = random_dataset(np.random.default_rng(14), n=1500, d=24, g=500, m=2)
+    want = solve_threshold(ds, 1e-2)
+    sweeps, sweep = [], pairwise._sweep
+    monkeypatch.setattr(pairwise, "_sweep", lambda *args: sweeps.append(args[2]) or sweep(*args))
+    monkeypatch.setattr(pairwise, "_count_above", None)  # an exact round would fail
+    monkeypatch.setattr(pairwise, "COLLECT_CAP", 100)
+    runs = overflowing_rounds(monkeypatch)
+    r = solve_threshold(ds, 1e-2)
+    assert _same_result(r, want)
+    assert len(sweeps) == 2 and sweeps[0] < sweeps[1]
+    assert len(runs) == 1 and runs[0][0] < runs[0][1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_solve_reaches_exact_counts(seed, monkeypatch):
+    # the exact whole-tile count serves only the histogram: no route of the
+    # solve computes every tile, ties or none, whatever the cap
+    monkeypatch.setattr(pairwise, "_exact_counts", None)
+    base = np.random.default_rng(seed).normal(size=(4, 6)).astype(np.float32)
+    ties = EmbeddingSet(vectors=base[np.arange(48) % 4], identity=np.arange(48) // 3,
+                        attribute=np.zeros(48, np.int64), labels=LabelTable.default(16, 1))
+    plain = random_dataset(np.random.default_rng(seed), n=120, d=8, g=20, m=2)
+    for ds in (ties, plain):
+        for target in (1e-3, 0.05, 0.5, 1.0):
+            for cap_offset in CAP_OFFSETS:
+                r = solve_at_cap(ds, target, cap_offset)
+                assert r.realized_fp == oracle_threshold(ds, target)[2]
 
 
 def _mask_pairs(s, ids, i0, j0, where=None, negatives=True):
@@ -518,10 +548,10 @@ def test_zero_threshold_sign_is_schedule_free(cap, monkeypatch):
     # a.b = -1e-50 rounds to float32 -0.0 and b.c = +1e-50 to +0.0, so the
     # rank-k value is a zero that either sign could represent. At cap 9 no
     # pivots are read, so every one of the 15 pairs joins the band, which
-    # overflows the cap: the radix select solves; every other cap holds the
-    # band of the 8 zeros, and the bracketed sweep solves
+    # overflows the cap and narrows to the band of the 8 zeros; every other
+    # cap holds that band at once
     monkeypatch.setattr(pairwise, "COLLECT_CAP", cap)
-    runs = radix_runs(monkeypatch)
+    runs = overflowing_rounds(monkeypatch)
     if cap < 10:
         monkeypatch.setattr(pairwise, "_pivots", lambda rows, ids, k: (-math.inf, math.inf))
     a, b, c = [1e-25, 1.0, 0.0], [-1e-25, 0.0, 1.0], [-1e-25, 1.0, 0.0]
@@ -539,7 +569,7 @@ def test_zero_threshold_sign_is_schedule_free(cap, monkeypatch):
         assert (r.allowed_fp, r.realized_fp) == (9, 8)
         assert r.threshold == 0.0 and math.copysign(1.0, r.threshold) == 1.0
     assert len(payloads) == 1
-    assert len(runs) == (10 if cap < 10 else 0)  # two solves on each of 5 schedules
+    assert len(runs) == (10 if cap < 10 else 0)  # one round in each of two solves on 5 schedules
 
 
 def test_degenerate_target(small_set):
@@ -1015,7 +1045,7 @@ def test_exact_pairs_symmetric_and_batch_free():
     for tile in (1, 7, 600):  # other groupings into GEMMs
         with tile_size(tile):
             assert np.array_equal(pairwise._exact_pairs(u, i[pick], j[pick]), ref[pick])
-    # the whole-tile path of the radix select and the histogram agrees bitwise
+    # the whole-tile path of the histogram agrees bitwise
     full = pairwise._exact_grid(u, np.arange(len(u)), np.arange(len(u)))
     assert np.array_equal(full[i, j], ref)
     few = rng.choice(len(u), size=12, replace=False)
@@ -1201,14 +1231,14 @@ def test_one_similarity_on_every_path():
     for allowed in range(rank - 2, rank + 4):
         target = (allowed + 0.5) / len(vals)
         t = vals[allowed]
-        for cap_offset in CAP_OFFSETS:  # the radix select (-1) and the bracketed sweep
+        for cap_offset in CAP_OFFSETS:  # the narrowing rounds (-1) and the bracketed sweep
             for tile, workers in ((768, 1), (5, 3)):
                 r = fused_matches_full(ds, target, cap_offset, tile, workers)
                 assert (r.threshold, r.realized_fp) == (t, np.count_nonzero(vals > t))
                 with tile_size(tile):
                     acc = confusion_sweep(ds, r.threshold, workers=workers)
                 assert acc.overall[pairwise.FP] == r.realized_fp
-    # the exact count of the radix select and the histogram buckets it by its exact value too
+    # the histogram's exact count buckets it by its exact value too
     lo = want[0, 1]
     counts = pairwise._exact_counts(u, ds.identity, lambda v: (v >= lo).astype(np.int64), 2, 5, 2)
     assert counts[1] == np.count_nonzero(vals >= want[0, 1])

@@ -162,6 +162,27 @@ def test_csv_is_stable_after_one_conversion(tmp_path, small_set):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_csv_not_utf8_names_the_byte(tmp_path, small_set):
+    p = tmp_path / "a.csv"
+    save_csv(p, small_set)
+    data = p.read_bytes()
+    at = data.index(b"\n", 200) + 3  # inside a record past the first few
+    p.write_bytes(data[:at] + b"\xc3(" + data[at + 2:])  # a lead byte with no continuation
+    with pytest.raises(FormatError, match=f"^{p}: byte {at} is not UTF-8 text$"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("value", ["1e39", "-3.41e38"])
+def test_csv_component_outside_float32_range(tmp_path, value):
+    # the finite float32 maximum is about 3.4028235e38; beyond it the record is
+    # named by its line, with no overflow warning
+    p = tmp_path / "a.csv"
+    p.write_text("index,identity,attribute,v0,v1\n0,a,x,1.0,2.0\n1,b,x,3.4028235e38,"
+                 f"{value}\n")
+    with pytest.raises(FormatError, match="^record 3: component outside float32's range$"):
+        load_csv(p)
+
+
 # --- validation ------------------------------------------------------------
 
 def _base_kwargs():
