@@ -66,6 +66,16 @@ Every screened pass picks a tile's pairs with one selector, `_pairs` (i < j,
 of every kind or negatives only, compared as int32 identities), and counts
 by record: each pair above T adds one to both of its records.
 
+Workers. Every pass walks its slabs and tiles in one thread, which computes
+each tile once, so one tile and one BLAS call are in flight at any worker
+count. With workers > 1, a pool that lives for one pass splits each tile's
+rows into that many contiguous ranges for the compare, the selection and
+the gather (`_split_tiles`): threads share one block instead of each
+holding its own (Smith et al., "Anatomy of High-Performance Many-Threaded
+Matrix Multiplication", IPDPS 2014). The tile is released before its
+pairs are scaled and counted in the calling thread, so the solve's memory
+does not grow with the workers and its counts take no lock.
+
 `sweep_histogram` counts every value with `_exact_counts`, which computes
 whole tiles with `_exact_grid` instead of the screen.
 """
@@ -73,8 +83,8 @@ whole tiles with `_exact_grid` instead of the screen.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -104,13 +114,15 @@ TP, FP, TN, FN = 0, 1, 2, 3
 def _unit_chunks(vectors: np.ndarray):
     """Yields (i0, i1, v, norm): rows [i0, i1) of `vectors` scaled to unit norm in float64.
 
-    v is one buffer of `budget_rows(d)` rows that the next chunk overwrites,
-    so the float64 scratch is that buffer and the norm's temporary of its
-    size, even while a caller holds v. `norm` holds the rows' float64 norms.
+    v is one buffer of `budget_rows(3 d)` rows that the next chunk
+    overwrites, so three such arrays fit in WORKING_SET: the buffer, the
+    norm's squared temporary of its size, and one the caller makes of v's
+    size (`intra_inter_similarity`'s gather of the rows' means), even while
+    it holds v. `norm` holds the rows' float64 norms.
     Each row is normalized on its own, so no value depends on the chunk size.
     A row whose norm is zero or not finite has no direction: DomainError.
     """
-    chunk = budget_rows(vectors.shape[1])
+    chunk = budget_rows(3 * vectors.shape[1])
     buf = np.empty((min(chunk, len(vectors)), vectors.shape[1]), dtype=np.float64)
     for i0, i1 in _row_blocks(len(vectors), chunk):
         v64 = buf[:i1 - i0]
@@ -434,12 +446,28 @@ def _row_blocks(n: int, size: int):
         yield i0, min(i0 + size, n)
 
 
-def _map_blocks(fn, blocks, workers: int) -> list:
-    blocks = list(blocks)
-    if workers <= 1:
-        return [fn(*b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: fn(*b), blocks))
+def _split_tiles(n: int, size: int, workers: int, tiles, select, finish) -> None:
+    """A half sweep over n records, each tile's rows split among `workers` threads.
+
+    The calling thread walks the slabs [i0, i1) of `size` rows and the tiles
+    (j0, tile, *rest) that tiles(i0, i1) yields, in order, computing each
+    once, so one tile and one BLAS call are in flight at any worker count.
+    select(tile, a, b, i0, j0, *rest) runs on `workers` contiguous row
+    ranges [a, b) at once, the first in the calling thread and the others in
+    a pool that lives for the sweep. The tile is then released, and
+    finish(parts, i0, j0, *rest) gets their results in row order, as a list
+    it may empty, in the calling thread: it needs no lock.
+    """
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for i0, i1 in _row_blocks(n, size):
+            cuts = sorted({(i1 - i0) * p // workers for p in range(workers + 1)})
+            for j0, tile, *rest in tiles(i0, i1):
+                jobs = [pool.submit(select, tile, a, b, i0, j0, *rest)
+                        for a, b in zip(cuts[1:-1], cuts[2:])]
+                parts = [select(tile, 0, cuts[1], i0, j0, *rest)]
+                parts += [job.result() for job in jobs]
+                del tile, jobs
+                finish(parts, i0, j0, *rest)
 
 
 def _half_tiles(u32, i0: int, i1: int):
@@ -450,10 +478,13 @@ def _half_tiles(u32, i0: int, i1: int):
     tile, the diagonal one too, is one float32 GEMM: entry [r, q] belongs to
     records i0 + r and j0 + q. Slabs and tiles share one grid of TILE, so the
     first tile is the diagonal one (j0 == i0), whose pairs i < j are its entries
-    q > r. delta bounds the screen's error before clipping too, so a caller
-    compares the tile as it comes and clips only the values it gathers:
-    s~ >= f exactly when clip(s~) >= f for an edge f in (-1, 1], and below
-    that range every entry passes the clipped test.
+    q > r; a range of its rows that starts r0 rows in keeps q > r + r0
+    (`_pairs`). The caller holds each tile only until its rows are selected,
+    so the next GEMM runs with no other tile alive (`_split_tiles`). delta
+    bounds the screen's error before clipping too, so a caller compares the
+    tile as it comes and clips only the values it gathers: s~ >= f exactly
+    when clip(s~) >= f for an edge f in (-1, 1], and below that range every
+    entry passes the clipped test.
     """
     rows = _rows_of(u32)
     slab = rows[i0:i1]
@@ -469,28 +500,34 @@ def _narrow(ids: np.ndarray) -> np.ndarray:
 def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
            negatives: bool = True) -> np.ndarray:
     """Flat indices into tile s of its pairs i < j among `where`, if given, whose
-    identities differ, or of all of them with `negatives` False; `ids` holds
-    each record's identity.
+    identities differ, or of all of them with `negatives` False; entry [r, c]
+    is the pair of records i0 + r and j0 + c, and `ids` holds each record's
+    identity.
 
+    s is a tile of the half sweep or a range of its rows. A range of the
+    diagonal tile starts at or past its first column (i0 >= j0) and keeps
+    the entries c > r + i0 - j0; on every other tile all of them are pairs
+    i < j.
     When `where` keeps under 1/16 of the tile, only the identities of its
     entries are compared, so the tile costs one count plus work in
     proportion to those entries. Otherwise whole-tile masks are cheaper than
-    index arrays: the identity compare, `where` and, on the diagonal tile
-    (i0 == j0), the entries c > r.
+    index arrays: the identity compare, `where` and the diagonal's bound.
     """
     h, w = s.shape
     if where is not None and np.count_nonzero(where) * 16 < where.size:
         f = np.flatnonzero(where)
+        if i0 < j0 and not negatives:
+            return f  # nothing to drop
         r = f // w
-        keep = ids[i0 + r] != ids[j0 + f - r * w] if negatives else np.ones(f.size, bool)
-        if i0 == j0:
-            keep &= f > r * (w + 1)  # f = r * w + c with c > r
+        keep = f > r * (w + 1) + (i0 - j0) if i0 >= j0 else True  # f = r * w + c
+        if negatives:
+            keep = keep & (ids[i0 + r] != ids[j0 + f - r * w])
         return f[keep]
     mask = np.ones((h, w), dtype=bool) if where is None else where.copy()
     if negatives:
         mask &= ids[i0:i0 + h, None] != ids[None, j0:j0 + w]
-    if i0 == j0:
-        mask &= np.arange(w) > np.arange(h)[:, None]
+    if i0 >= j0:
+        mask &= np.arange(w) > np.arange(h)[:, None] + (i0 - j0)
     return np.flatnonzero(mask)
 
 
@@ -498,20 +535,24 @@ def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
                   tile: int, workers: int) -> np.ndarray:
     """(size,) int64 counts of the ordered negative pairs by the bucket of their value.
 
-    Every tile of the half sweep is computed exactly, by `_exact_grid`.
-    `bucket` maps a float32 array of values to the bucket of each one, in
-    [0, size).
+    Every tile of the half sweep is computed exactly, by `_exact_grid`, and
+    its rows are bucketed by `workers` threads (`_split_tiles`). `bucket`
+    maps a float32 array of values to the bucket of each one, in [0, size).
     """
     ids, n = _narrow(ids), len(ids)
+    counts = np.zeros(size, dtype=np.int64)
 
-    def block(i0, i1):
-        counts = np.zeros(size, dtype=np.int64)
+    def tiles(i0, i1):
         for j0 in range(i0, n, tile):
-            s = _exact_grid(u32, np.arange(i0, i1), np.arange(j0, min(j0 + tile, n)))
-            vals = s.ravel()[_pairs(s, ids, i0, j0)]
-            counts += np.bincount(bucket(vals), minlength=size)
-        return counts
-    return 2 * sum(_map_blocks(block, _row_blocks(n, tile), workers))
+            yield j0, _exact_grid(u32, np.arange(i0, i1), np.arange(j0, min(j0 + tile, n)))
+
+    def select(s, a, b, i0, j0):
+        s = s[a:b]
+        return np.bincount(bucket(s.ravel()[_pairs(s, ids, i0 + a, j0)]), minlength=size)
+
+    _split_tiles(n, tile, workers, tiles, select,
+                 lambda parts, i0, j0: np.add(counts, sum(parts), out=counts))
+    return 2 * counts
 
 
 def sweep_histogram(dataset: EmbeddingSet, bins: int,
@@ -542,30 +583,39 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, workers: int, visit)
 
     Each tile is compared with the per-column edges of lo (`UnitRows.edges`),
     or with lo where it comes without column scales, and only the entries
-    that pass are scaled and clipped: a tile costs its GEMM, one compare and
-    work in proportion to those pairs.
+    that pass are gathered, then scaled and clipped: a tile costs its GEMM,
+    one compare and work in proportion to those pairs. `workers` threads
+    split each tile's rows for the compare, the selection and the gather;
+    the tile is released before its pairs are scaled (`_split_tiles`).
     visit(i, j, v, same) gets their records, clipped s~ and whether their
-    identities match.
+    identities match, in the calling thread, one tile at a time.
     """
     ids = _narrow(ids)
     edges = rows.edges(lo) if lo > -1 else None
 
-    def slab(i0, i1):
-        for j0, g, c in _half_tiles(rows, i0, i1):
-            w = g.shape[1]
-            where = None if edges is None else g >= (lo if c is None else edges[j0:j0 + w])
-            f = _pairs(g, ids, i0, j0, where, negatives=False)
-            r = f // w
-            q = f - r * w
-            v = g.ravel()[f]
-            del g, where  # freed before the next tile's GEMM, not after it
-            if c is not None:
-                v *= c[q]
-            np.clip(v, -1.0, 1.0, out=v)
-            i, j = i0 + r, j0 + q
-            visit(i, j, v, ids[i] == ids[j])
+    def select(g, a, b, i0, j0, c):
+        w = g.shape[1]
+        g = g[a:b]
+        where = None if edges is None else g >= (lo if c is None else edges[j0:j0 + w])
+        f = _pairs(g, ids, i0 + a, j0, where, negatives=False)
+        v = g.ravel()[f]
+        f += a * w  # flat in the whole tile
+        return f, v
 
-    _map_blocks(slab, _row_blocks(len(ids), TILE), workers)
+    def finish(parts, i0, j0, c):
+        f, v = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        parts.clear()
+        i, j = np.divmod(f, min(TILE, len(ids) - j0))  # the tile's row and column
+        del f
+        if c is not None:
+            v *= c[j]
+        np.clip(v, -1.0, 1.0, out=v)
+        i += i0
+        j += j0
+        visit(i, j, v, ids[i] == ids[j])
+
+    _split_tiles(len(ids), TILE, workers, lambda i0, i1: _half_tiles(rows, i0, i1),
+                 select, finish)
 
 
 def _pivots(rows: UnitRows, ids: np.ndarray, k: int) -> tuple[float, float]:
@@ -653,7 +703,6 @@ def _bracket(rows: UnitRows, ids: np.ndarray, k: int,
     n, delta = len(ids), rows.delta
     g_lo, g_hi = _pivots(rows, ids, k)
     index_type = np.uint32 if n * n < 1 << 32 else np.int64
-    lock = threading.Lock()
     while True:
         lo, hi = _f32_out(g_lo - delta, up=False), _f32_out(g_hi + delta, up=True)
         counts = np.zeros(2 * n, dtype=np.int64)
@@ -664,18 +713,17 @@ def _bracket(rows: UnitRows, ids: np.ndarray, k: int,
             nonlocal held, keys
             sure = v > hi
             band = ~sure
-            with lock:
-                _tally(counts, i[sure], j[sure], same[sure])
-                held += int(np.count_nonzero(band))
-                if keys is None and held <= COLLECT_CAP:
-                    parts.append((v[band], (i[band] * n + j[band]).astype(index_type), same[band]))
-                    return
-                if keys is None:  # the band passes the cap: bin what it holds, hold no more
-                    keys = _KeyBins(max(lo, -1.0), min(hi, 1.0))
-                    for vals, _, kind in parts:
-                        keys.add(vals[~kind])
-                    parts.clear()
-                keys.add(v[band & ~same])
+            _tally(counts, i[sure], j[sure], same[sure])
+            held += int(np.count_nonzero(band))
+            if keys is None and held <= COLLECT_CAP:
+                parts.append((v[band], (i[band] * n + j[band]).astype(index_type), same[band]))
+                return
+            if keys is None:  # the band passes the cap: bin what it holds, hold no more
+                keys = _KeyBins(max(lo, -1.0), min(hi, 1.0))
+                for vals, _, kind in parts:
+                    keys.add(vals[~kind])
+                parts.clear()
+            keys.add(v[band & ~same])
 
         _sweep(rows, ids, lo, workers, visit)
         need = k - int(counts[:n].sum()) // 2
@@ -707,9 +755,11 @@ def _bracket(rows: UnitRows, ids: np.ndarray, k: int,
                 near = near[~same[near]]
                 t = np.partition(vals[near], near.size - need)[near.size - need]
                 if g_lo <= float(t) <= g_hi:
-                    hit = vals > t
-                    p = pairs[hit]
-                    _tally(counts, p // n, p % n, same[hit])
+                    chunk = budget_rows(4)  # the int64 records, offsets and sums of a chunk
+                    for p0 in range(0, vals.size, chunk):
+                        hit = vals[p0:p0 + chunk] > t
+                        p = pairs[p0:p0 + chunk][hit]
+                        _tally(counts, p // n, p % n, same[p0:p0 + chunk][hit])
                     return t, counts[:n], counts[n:]
                 up = float(t) > g_hi
         g_lo, g_hi = (g_hi, math.inf) if up else (-math.inf, g_lo)
@@ -832,17 +882,14 @@ def _count_above(u32, ids: np.ndarray, lo: float, hi: float,
     lo, hi = (np.float64(min(max(float(x), -2.0), 2.0)) for x in (lo, hi))
     s_lo, s_hi = _f32_out(lo - rows.delta, up=False), _f32_out(hi + rows.delta, up=True)
     counts, keys = np.zeros(2 * n, dtype=np.int64), _KeyBins(lo, hi)
-    lock = threading.Lock()
 
     def visit(i, j, v, same):
         hit = v > s_hi
         band = np.flatnonzero(~hit)  # s_lo <= s~ <= s_hi: refine
         s = _exact_pairs(rows, i[band], j[band])
         hit[band] = s > hi
-        inside = s[(s >= lo) & (s <= hi) & ~same[band]]
-        with lock:
-            _tally(counts, i[hit], j[hit], same[hit])
-            keys.add(inside)
+        _tally(counts, i[hit], j[hit], same[hit])
+        keys.add(s[(s >= lo) & (s <= hi) & ~same[band]])
 
     _sweep(rows, ids, s_lo, workers, visit)
     return counts[:n], counts[n:], keys

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -349,11 +350,14 @@ def load_csv(path) -> EmbeddingSet:
             ids.append(id_index.setdefault(row[1], len(id_index)))
             attrs.append(attr_index.setdefault(row[2], len(attr_index)))
             try:
-                rows.append([np.float32(x) for x in row[3:]])
+                vec = [np.float32(x) for x in row[3:]]
             except ValueError as exc:
                 raise FormatError(f"record {lineno}: unparseable vector component ({exc})") from exc
             except FloatingPointError as exc:  # np.float32 overflowed to inf
                 raise FormatError(f"record {lineno}: component outside float32's range") from exc
+            if not all(map(math.isfinite, vec)):  # written as inf or nan
+                raise FormatError(f"record {lineno}: non-finite vector component")
+            rows.append(vec)
     if not rows:
         raise FormatError(f"no records in {path}")
     labels = LabelTable(identities=tuple(id_index), attributes=tuple(attr_index))

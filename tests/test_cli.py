@@ -509,6 +509,16 @@ def test_convert_roundtrip(tmp_path, pop_path, capsys):
            [b.labels.identities[k] for k in b.identity]
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_convert_non_finite_component_names_the_line(tmp_path, capsys, value):
+    # the third line of the file holds the non-finite component
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"index,identity,attribute,v0,v1\n0,a,x,1.0,2.0\n1,b,y,{value},1.0\n")
+    assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.ffeb")]) == 3
+    assert "record 3: non-finite vector component" in capsys.readouterr().err
+    assert not (tmp_path / "o.ffeb").exists()
+
+
 def test_convert_unknown_extension_exit_2(tmp_path, pop_path, capsys):
     assert main(["convert", "--in", str(pop_path), "--out", str(tmp_path / "x.xyz")]) == 2
 

@@ -338,6 +338,64 @@ def test_threshold_worker_invariance(small_set):
         assert (r.threshold, r.realized_fp) == (ot, orealized)
 
 
+def test_shared_tile_split_matches_one_worker():
+    # 2, 3 and 5 workers split every tile's rows, on every cap route: the solve
+    # and the counting pass (confusion_sweep without the solve's counts runs
+    # `_count_above`) must give one worker's results. 260 records leave a
+    # last slab of one row at tiles 7 and 37, fewer rows than workers
+    ds = random_dataset(np.random.default_rng(21), n=260, d=6, g=52, m=2)
+    for tile in (7, 37, 768):
+        with tile_size(tile):
+            for cap_offset in CAP_OFFSETS:
+                base = solve_at_cap(ds, 2e-2, cap_offset, workers=1)
+                for w in (2, 3, 5):
+                    assert _same_result(solve_at_cap(ds, 2e-2, cap_offset, workers=w), base)
+            want = confusion_sweep(ds, base.threshold, workers=1)
+            for w in (2, 3, 5):
+                acc = confusion_sweep(ds, base.threshold, workers=w)
+                assert np.array_equal(acc.identity_counts, want.identity_counts)
+                assert np.array_equal(acc.attribute_counts, want.attribute_counts)
+
+
+def test_row_ranges_of_the_diagonal_tile_give_each_pair_once():
+    # the diagonal tile of records 40..69 cut into k row ranges, as the
+    # workers cut it: every pair i < j once, of every kind or negatives
+    # only, on the dense and the sparse selection
+    rng = np.random.default_rng(22)
+    n, i0 = 30, 40
+    ids = rng.integers(0, 5, size=i0 + n)
+    s = rng.uniform(-1, 1, size=(n, n)).astype(np.float32)
+    for where in (None, rng.random(s.shape) < 0.5, rng.random(s.shape) < 0.03):
+        for negatives in (True, False):
+            want = {(i, j) for i in range(i0, i0 + n) for j in range(i + 1, i0 + n)
+                    if (where is None or where[i - i0, j - i0])
+                    and (not negatives or ids[i] != ids[j])}
+            for k in (1, 2, 3, 7, n):
+                cuts = [n * p // k for p in range(k + 1)]
+                got = []
+                for a, b in zip(cuts, cuts[1:]):
+                    part = None if where is None else where[a:b]
+                    r, c = np.divmod(pairwise._pairs(s[a:b], ids, i0 + a, i0, part, negatives), n)
+                    got += zip((i0 + a + r).tolist(), (i0 + c).tolist())
+                assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_solve_memory_flat_in_workers():
+    # eval-loose's shape: each worker used to hold its own 768 x 768 tile and
+    # its selection, so 4 workers peaked at about twice one worker's
+    ds = random_dataset(np.random.default_rng(5), n=6400, d=128, g=3200, m=2)
+    peaks, results = {}, {}
+    for w in (1, 4):
+        tracemalloc.start()
+        try:
+            results[w] = solve_threshold(ds, 1e-2, workers=w)
+            _, peaks[w] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert _same_result(results[4], results[1])
+    assert peaks[4] <= peaks[1] + 2**20, f"{peaks[1] / 2**20:.2f} -> {peaks[4] / 2**20:.2f} MiB"
+
+
 def _full_sweep(ds, target, **kw):
     """solve_threshold with no pivots: every pair that is not sure goes to the band."""
     with pytest.MonkeyPatch.context() as mp:
