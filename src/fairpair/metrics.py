@@ -485,9 +485,14 @@ def _dump(obj, out: list[str]) -> None:
             _dump(obj[key], out)
         out.append("}")
     elif type(obj) is list and all(type(x) is float for x in obj):
-        # the float branch above, item by item, without a call per item
-        out.append("[" + ",".join(format(x, ".17g") if math.isfinite(x) else "null"
-                                  for x in obj) + "]")
+        # the float branch above, without a call per item: in one call when
+        # the sum is finite, as it is only when every item is; nan and inf
+        # (or a sum that overflows) take the per-item path, which writes null
+        if math.isfinite(sum(obj)):
+            out.append("[" + ",".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
+        else:
+            out.append("[" + ",".join(format(x, ".17g") if math.isfinite(x) else "null"
+                                      for x in obj) + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -570,6 +570,14 @@ def sweep_histogram(dataset: EmbeddingSet, bins: int,
                          bins, tile, workers)
 
 
+def _quot_rem(f: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f // w, f % w) of non-negative integers f: under half of `np.divmod`'s
+    time on int64, and no array beyond the two results."""
+    i = f // w
+    j = i * w
+    return i, np.subtract(f, j, out=j)
+
+
 def _tally(counts: np.ndarray, i: np.ndarray, j: np.ndarray, same: np.ndarray) -> None:
     """Add one to both records of each pair (i, j): of the (2n,) counts, record r's
     pairs across identities are counts[r] and those within counts[n + r]."""
@@ -605,7 +613,7 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, workers: int, visit)
     def finish(parts, i0, j0, c):
         f, v = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         parts.clear()
-        i, j = np.divmod(f, min(TILE, len(ids) - j0))  # the tile's row and column
+        i, j = _quot_rem(f, min(TILE, len(ids) - j0))  # the tile's row and column
         del f
         if c is not None:
             v *= c[j]
@@ -751,7 +759,7 @@ def _bracket(rows: UnitRows, ids: np.ndarray, k: int,
                 del neg
                 near = np.flatnonzero((vals >= bottom) & (vals <= top))
                 p = pairs[near].astype(np.int64)
-                vals[near] = _exact_pairs(rows, p // n, p % n)
+                vals[near] = _exact_pairs(rows, *_quot_rem(p, n))
                 near = near[~same[near]]
                 t = np.partition(vals[near], near.size - need)[near.size - need]
                 if g_lo <= float(t) <= g_hi:
@@ -759,7 +767,7 @@ def _bracket(rows: UnitRows, ids: np.ndarray, k: int,
                     for p0 in range(0, vals.size, chunk):
                         hit = vals[p0:p0 + chunk] > t
                         p = pairs[p0:p0 + chunk][hit]
-                        _tally(counts, p // n, p % n, same[p0:p0 + chunk][hit])
+                        _tally(counts, *_quot_rem(p, n), same[p0:p0 + chunk][hit])
                     return t, counts[:n], counts[n:]
                 up = float(t) > g_hi
         g_lo, g_hi = (g_hi, math.inf) if up else (-math.inf, g_lo)
@@ -926,18 +934,19 @@ def _unit_means(means: MeanVectors) -> np.ndarray:
     return means.means / norms
 
 
-def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
-    """Columns of each row's K largest entries, largest first, ties to the lower column.
+def _above_floor(sims: np.ndarray, i0: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f, slots): each row's entries at or above a floor, packed row by row.
 
     Row r of `sims` belongs to identity i0 + r, whose own column is set to
     -inf. A per-row floor comes first: with the columns cut into at least 4K
     disjoint groups of strided columns, one `max` reduction gives each
     group's maximum, and the K-th largest of those is the floor. Each group
     maximum is a distinct entry of the row, so the floor never exceeds the
-    row's K-th largest value. Only the entries at or above it are ordered:
-    packed row by row in column order, padded with -inf, and sorted by value
-    descending with a stable sort, so ties keep the lower column first; each
-    row keeps its first K.
+    row's K-th largest value. f holds the flat indices of the entries at or
+    above it, row-major, so each row's in column order. `slots` is a (b, w)
+    mask, w the most entries any row has, True in the first n places of a
+    row with n entries: `packed[slots] = sims.ravel()[f]` packs each row's
+    entries at the left of its row of a (b, w) array.
     """
     b, g = sims.shape
     own = np.arange(b)
@@ -945,17 +954,46 @@ def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
     per = g // (4 * k)  # columns per group
     groups = sims[:, :g // per * per].reshape(b, per, -1).max(axis=1) if per > 1 else sims
     m = groups.shape[1]
-    floor = np.partition(groups, m - k, axis=1)[:, m - k, None]
+    # a copy, not a view, so the partitioned groups are freed before the mask
+    floor = np.partition(groups, m - k, axis=1)[:, m - k, None].copy()
     del groups
-    f = np.flatnonzero(sims >= floor)  # row-major: each row's entries by column
-    r = f // g
-    at = r, np.arange(f.size) - np.searchsorted(r, own)[r]
-    vals = np.full((b, int(at[1].max()) + 1), np.inf)
-    vals[at] = -sims.ravel()[f]
-    cols = np.zeros(vals.shape, dtype=np.int64)
-    cols[at] = f - r * g
+    f = np.flatnonzero(sims >= floor)
+    n = np.diff(np.searchsorted(f, np.arange(0, b * g + 1, g)))  # entries per row
+    return f, np.arange(int(n.max())) < n[:, None]
+
+
+def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
+    """Columns of each row's K largest entries, largest first, ties to the lower column.
+
+    Only the entries `_above_floor` packs are ordered: padded with -inf and
+    sorted by value descending with a stable sort, so ties keep the lower
+    column first; each row keeps its first K.
+    """
+    f, slots = _above_floor(sims, i0, k)
+    vals = np.full(slots.shape, np.inf)
+    vals[slots] = -sims.ravel()[f]
+    cols = np.zeros(slots.shape, dtype=np.int64)
+    cols[slots] = f % sims.shape[1]
+    del f, slots
     order = np.argsort(vals, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cols, order, axis=1)
+
+
+def _top_values(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
+    """Each row's K largest entries, largest first, as a C-contiguous (b, K) array.
+
+    The entries `_above_floor` packs are padded with -inf and sorted with an
+    unstable sort. Entries that tie are equal, so each row holds the values
+    `_top_columns` picks, in its order, up to the signs of tied zeros, and a
+    sum over them gives the same bits unless all K are zeros of both signs;
+    the neighbour pass's GEMM writes every exact zero as +0.
+    """
+    f, slots = _above_floor(sims, i0, k)
+    vals = np.full(slots.shape, -np.inf)
+    vals[slots] = sims.ravel()[f]
+    del f, slots
+    vals.sort(axis=1)
+    return vals[:, ::-1][:, :k].copy()
 
 
 def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = None,
@@ -964,7 +1002,8 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
 
     Without `neighbors` given, each identity's neighbours are the K other
     identities with the most similar means (`_top_columns`); with `table`
-    False they are not kept, and only the means are returned.
+    False they are not kept, and only the K largest values are picked and
+    averaged (`_top_values`), in the same order and so to the same bits.
 
     Each GEMM takes NEIGHBOR_BLOCK rows, a multiple of 4. With G a multiple
     of 8, such blocks give the bits of one product of all G rows on the
@@ -975,9 +1014,10 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
 
     Each block is read in sub-blocks of `budget_rows(4 G)` rows. The pick's
     scratch is then a G-byte mask and the few entries above the floor per
-    row, a small share of the working set; only when every entry of a row
-    ties at its floor does it reach seven G-wide 8-byte arrays per row,
-    under twice the working set.
+    row, a small share of the working set. Only when every entry of a row
+    ties at its floor does every column pass: the values pick then holds
+    three G-wide 8-byte arrays and a G-byte mask per row, within the working
+    set, and the column pick four and a mask, under twice the working set.
     """
     g = len(mu)
     pick = neighbors is None
@@ -991,10 +1031,14 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
         sims = mu[i0:i1] @ mu.T
         for a0, a1 in _row_blocks(i1 - i0, budget_rows(4 * g)):
             s, rows = sims[a0:a1], slice(i0 + a0, i0 + a1)
-            cols = _top_columns(s, rows.start, k) if pick else neighbors[rows]
-            if pick and table:
-                neighbors[rows] = cols
-            mean[rows] = np.take_along_axis(s, cols, axis=1).mean(axis=1)
+            if pick and not table:
+                top = _top_values(s, rows.start, k)
+            else:
+                cols = _top_columns(s, rows.start, k) if pick else neighbors[rows]
+                if pick:
+                    neighbors[rows] = cols
+                top = np.take_along_axis(s, cols, axis=1)
+            mean[rows] = top.mean(axis=1)
         del sims, s  # freed before the next block's GEMM, not after it
     return neighbors, mean
 

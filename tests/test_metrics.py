@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairpair import metrics
@@ -176,11 +176,18 @@ def _dumps_item_by_item(items) -> str:
 
 
 EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-               2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+               2.2250738585072014e-308, 1.7976931348623157e308, 1.7e308, -1.7e308, 0.1]
 
 
+# a list of finite floats is written in one call, one with nan or inf item by
+# item; the examples hold each kind, and finite items whose sum overflows
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS), max_size=40))
+@example([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308, 1 / 3])
+@example([1.7e308, 1.7e308, -0.0])
+@example([])
+@example([-0.0, math.nan, 0.25])
+@example([math.inf, 5e-324, -math.inf])
 def test_dumps_stable_float_lists_as_item_by_item(values):
     assert dumps_stable(values) == _dumps_item_by_item(values)
     assert dumps_stable({"v": values}) == '{"v":' + _dumps_item_by_item(values) + "}"
@@ -333,6 +340,22 @@ def test_means_freed_before_neighbor_pass(small_set, monkeypatch):
     assert alive == [False]
     monkeypatch.undo()
     assert evaluate_dataset(small_set, EvalConfig(target_fpr=2e-2, k=5)).to_json() == want.to_json()
+
+
+def test_evaluation_picks_values_not_columns(small_set, monkeypatch):
+    # s_inter keeps only the neighbours' mean cosine, so the evaluation
+    # orders values (`_top_values`) and never builds the neighbour columns
+    from fairpair import pairwise
+
+    mv = mean_vectors(small_set)
+    want = pairwise.neighbor_mean_similarity(mv, pairwise.topk_neighbors(mv, 5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the evaluation built neighbour columns")
+
+    monkeypatch.setattr(pairwise, "_top_columns", refuse)
+    rep = evaluate_dataset(small_set, EvalConfig(target_fpr=2e-2, k=5))
+    assert rep.s_inter.tobytes() == want.tobytes()
 
 
 # --- CSV writers ------------------------------------------------------------------

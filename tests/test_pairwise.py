@@ -801,6 +801,47 @@ def test_floor_first_pick_matches_mask_procedure(monkeypatch):
             assert means_only.tobytes() == mean.tobytes()
 
 
+def test_values_pick_keeps_column_pick_bits(monkeypatch):
+    # s_inter from the K largest values must keep the bits of the mean over
+    # the K columns: exact zeros (orthogonal -1/0/1 means, -0.0 components)
+    # tied across the floor, duplicate and all-equal means, K = 1 and G - 1,
+    # G < 8K (the floor is the K-th largest entry itself) and one-row
+    # sub-blocks
+    rng = np.random.default_rng(12)
+    cases = []
+    for g in (9, 40, 150, 301):
+        v = rng.integers(-1, 2, size=(g, 4)).astype(np.float64)
+        v[~v.any(axis=1), 0] = 1.0
+        v[v == 0.0] *= -1.0  # -0.0
+        v[rng.random(g) < 0.3] = v[0]
+        for k in sorted({1, 2, g // 8 + 1, g // 3, g - 1}):
+            cases += [(v, k), (np.ones((g, 3)), k)]
+    v = rng.normal(size=(1001, 16))
+    cases += [(v, 50), (v, 125), (v, 126)]  # G > 8K, G = 8K + 1, G < 8K
+    for v, k in cases:
+        mu = v / np.linalg.norm(v, axis=1, keepdims=True)
+        for budget in (store.WORKING_SET, 1):
+            with monkeypatch.context() as mp:
+                mp.setattr(store, "WORKING_SET", budget)
+                want = pairwise._neighbor_pass(mu, k)[1]
+                got = pairwise._neighbor_pass(mu, k, table=False)[1]
+            assert got.tobytes() == want.tobytes(), (len(v), k, budget)
+    # on entries with +-0.0 ties each row holds the column pick's values, in
+    # its order; only the signs of tied zeros may differ
+    for _ in range(200):
+        g = int(rng.integers(2, 60))
+        b = int(rng.integers(1, g + 1))
+        levels = int(rng.integers(1, 4))
+        sims = rng.integers(-levels, levels + 1, size=(b, g)) / levels
+        sims[rng.random(sims.shape) < 0.2] = -0.0
+        i0, k = int(rng.integers(0, g - b + 1)), int(rng.integers(1, g))
+        cols = pairwise._top_columns(sims.copy(), i0, k)
+        got = pairwise._top_values(sims.copy(), i0, k)
+        sims[np.arange(b), i0 + np.arange(b)] = -np.inf
+        assert got.flags.c_contiguous and got.shape == (b, k)
+        assert np.array_equal(got, np.take_along_axis(sims, cols, axis=1))
+
+
 def test_neighbor_block_keeps_bits(monkeypatch):
     # 1,000 identities leave a short last block at 128 and at 512 rows. Blocks
     # of a multiple of 4 rows give the bits of one product of all G rows;
@@ -916,6 +957,26 @@ def test_tied_rows_stay_within_twice_the_budget():
         tracemalloc.stop()
     scratch = peak - pairwise.NEIGHBOR_BLOCK * g * 8 - mean.nbytes
     assert scratch < 2 * store.WORKING_SET, f"{scratch / 2**20:.2f} MiB of scratch"
+
+
+def test_tied_rows_values_pick_scratch_below_column_pick():
+    # 3,200 equal means: every column passes the floor. The values pick
+    # holds three G-wide 8-byte arrays and a mask per row, within one
+    # working set, the column pick four and a mask (`_neighbor_pass`)
+    g = 3200
+    mu = np.full((g, 8), 8 ** -0.5)
+    scratch = {}
+    for table in (False, True):
+        tracemalloc.start()
+        try:
+            out = pairwise._neighbor_pass(mu, 50, table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = pairwise.NEIGHBOR_BLOCK * g * 8 + sum(a.nbytes for a in out if a is not None)
+        scratch[table] = peak - held
+    assert scratch[False] < scratch[True], f"{scratch[False] / 2**20:.2f} MiB of scratch"
+    assert scratch[False] < store.WORKING_SET, f"{scratch[False] / 2**20:.2f} MiB of scratch"
 
 
 def test_evaluation_holds_no_n_by_d_copy():
