@@ -765,7 +765,8 @@ def _bracket(rows: UnitRows, ids: np.ndarray, k: int,
                 if g_lo <= float(t) <= g_hi:
                     chunk = budget_rows(4)  # the int64 records, offsets and sums of a chunk
                     for p0 in range(0, vals.size, chunk):
-                        hit = vals[p0:p0 + chunk] > t
+                        # indices: near half density a boolean gather is branchy
+                        hit = np.flatnonzero(vals[p0:p0 + chunk] > t)
                         p = pairs[p0:p0 + chunk][hit]
                         _tally(counts, *_quot_rem(p, n), same[p0:p0 + chunk][hit])
                     return t, counts[:n], counts[n:]
@@ -937,16 +938,17 @@ def _unit_means(means: MeanVectors) -> np.ndarray:
 def _above_floor(sims: np.ndarray, i0: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(f, slots): each row's entries at or above a floor, packed row by row.
 
-    Row r of `sims` belongs to identity i0 + r, whose own column is set to
-    -inf. A per-row floor comes first: with the columns cut into at least 4K
-    disjoint groups of strided columns, one `max` reduction gives each
-    group's maximum, and the K-th largest of those is the floor. Each group
-    maximum is a distinct entry of the row, so the floor never exceeds the
-    row's K-th largest value. f holds the flat indices of the entries at or
-    above it, row-major, so each row's in column order. `slots` is a (b, w)
-    mask, w the most entries any row has, True in the first n places of a
-    row with n entries: `packed[slots] = sims.ravel()[f]` packs each row's
-    entries at the left of its row of a (b, w) array.
+    The column pick's first step (`_top_columns`). Row r of `sims` belongs to
+    identity i0 + r, whose own column is set to -inf. A per-row floor comes
+    first: with the columns cut into at least 4K disjoint groups of strided
+    columns, one `max` reduction gives each group's maximum, and the K-th
+    largest of those is the floor. Each group maximum is a distinct entry of
+    the row, so the floor never exceeds the row's K-th largest value. f holds
+    the flat indices of the entries at or above it, row-major, so each row's
+    in column order. `slots` is a (b, w) mask, w the most entries any row
+    has, True in the first n places of a row with n entries:
+    `packed[slots] = sims.ravel()[f]` packs each row's entries at the left of
+    its row of a (b, w) array.
     """
     b, g = sims.shape
     own = np.arange(b)
@@ -982,18 +984,17 @@ def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
 def _top_values(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
     """Each row's K largest entries, largest first, as a C-contiguous (b, K) array.
 
-    The entries `_above_floor` packs are padded with -inf and sorted with an
-    unstable sort. Entries that tie are equal, so each row holds the values
+    Row r of `sims` belongs to identity i0 + r, whose own column is set to
+    -inf; each row is then partitioned in place, and its K largest entries
+    sorted. Entries that tie are equal, so each row holds the values
     `_top_columns` picks, in its order, up to the signs of tied zeros, and a
     sum over them gives the same bits unless all K are zeros of both signs;
     the neighbour pass's GEMM writes every exact zero as +0.
     """
-    f, slots = _above_floor(sims, i0, k)
-    vals = np.full(slots.shape, -np.inf)
-    vals[slots] = sims.ravel()[f]
-    del f, slots
-    vals.sort(axis=1)
-    return vals[:, ::-1][:, :k].copy()
+    b, g = sims.shape
+    sims[np.arange(b), i0 + np.arange(b)] = -np.inf
+    sims.partition(g - k, axis=1)
+    return np.sort(sims[:, g - k:], axis=1)[:, ::-1].copy()
 
 
 def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = None,
@@ -1012,12 +1013,12 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
     through an edge kernel whose bits depend on where a block ends, and a
     one-row last block is a matrix-vector product.
 
-    Each block is read in sub-blocks of `budget_rows(4 G)` rows. The pick's
-    scratch is then a G-byte mask and the few entries above the floor per
-    row, a small share of the working set. Only when every entry of a row
-    ties at its floor does every column pass: the values pick then holds
-    three G-wide 8-byte arrays and a G-byte mask per row, within the working
-    set, and the column pick four and a mask, under twice the working set.
+    The values pick partitions each block in place, so its scratch is two
+    (b, K) arrays whatever the ties. The column pick reads each block in
+    sub-blocks of `budget_rows(4 G)` rows: its scratch is then a G-byte mask
+    and the few entries above `_above_floor`'s floor per row, and only when
+    every entry of a row ties at its floor does every column pass, with four
+    G-wide 8-byte arrays and a mask per row, under twice the working set.
     """
     g = len(mu)
     pick = neighbors is None
@@ -1029,17 +1030,16 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
     mean = np.empty(g, dtype=np.float64)
     for i0, i1 in _row_blocks(g, NEIGHBOR_BLOCK):
         sims = mu[i0:i1] @ mu.T
-        for a0, a1 in _row_blocks(i1 - i0, budget_rows(4 * g)):
-            s, rows = sims[a0:a1], slice(i0 + a0, i0 + a1)
-            if pick and not table:
-                top = _top_values(s, rows.start, k)
-            else:
-                cols = _top_columns(s, rows.start, k) if pick else neighbors[rows]
-                if pick:
-                    neighbors[rows] = cols
-                top = np.take_along_axis(s, cols, axis=1)
-            mean[rows] = top.mean(axis=1)
-        del sims, s  # freed before the next block's GEMM, not after it
+        if not pick:
+            mean[i0:i1] = np.take_along_axis(sims, neighbors[i0:i1], axis=1).mean(axis=1)
+        elif not table:
+            mean[i0:i1] = _top_values(sims, i0, k).mean(axis=1)
+        else:
+            for a0, a1 in _row_blocks(i1 - i0, budget_rows(4 * g)):
+                rows = slice(i0 + a0, i0 + a1)
+                neighbors[rows] = _top_columns(sims[a0:a1], rows.start, k)
+                mean[rows] = np.take_along_axis(sims[a0:a1], neighbors[rows], axis=1).mean(axis=1)
+        del sims  # freed before the next block's GEMM, not after it
     return neighbors, mean
 
 

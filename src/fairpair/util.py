@@ -4,6 +4,7 @@ lines, # comments) and atomic file replacement."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import uuid
 from pathlib import Path
@@ -17,8 +18,12 @@ def replaced(paths: list[Path]):
 
     Each move is an `os.replace`, so a reader sees a path's old file or its
     whole new one. If the block raises, no path changes and the temporary
-    files are deleted.
+    files are deleted. A path whose directory is missing raises
+    FileNotFoundError naming that path, before any temporary file is made.
     """
+    for p in paths:
+        if not p.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(p))
     temps = [p.with_name(f".{p.name}.{uuid.uuid4().hex[:12]}.tmp") for p in paths]
     try:
         yield temps

@@ -495,6 +495,14 @@ def test_grad_check_bad_flag_exit_2_before_checking(capsys, monkeypatch, flag, v
     assert message in capsys.readouterr().err
 
 
+def test_analyze_missing_out_directory_exit_3(tmp_path, pop_path, capsys):
+    out = tmp_path / "nodir" / "sim.csv"
+    assert main(["analyze", "--in", str(pop_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == ["pop.ffeb", "profile.cfg"]  # no temporary left
+
+
 # --- convert -------------------------------------------------------------------------
 
 def test_convert_roundtrip(tmp_path, pop_path, capsys):
@@ -517,6 +525,21 @@ def test_convert_non_finite_component_names_the_line(tmp_path, capsys, value):
     assert main(["convert", "--in", str(bad), "--out", str(tmp_path / "o.ffeb")]) == 3
     assert "record 3: non-finite vector component" in capsys.readouterr().err
     assert not (tmp_path / "o.ffeb").exists()
+
+
+@pytest.mark.parametrize("name", ["x.csv", "x.ffeb"])
+def test_convert_missing_out_directory_exit_3(tmp_path, pop_path, capsys, name):
+    # both directions: the .ffeb set to csv, and its csv back to .ffeb
+    src = pop_path
+    if name.endswith(".ffeb"):
+        src = tmp_path / "pop.csv"
+        assert main(["convert", "--in", str(pop_path), "--out", str(src)]) == 0
+    before = sorted(os.listdir(tmp_path))
+    out = tmp_path / "nodir" / name
+    assert main(["convert", "--in", str(src), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == before  # no temporary left
 
 
 def test_convert_unknown_extension_exit_2(tmp_path, pop_path, capsys):

@@ -358,6 +358,25 @@ def test_evaluation_picks_values_not_columns(small_set, monkeypatch):
     assert rep.s_inter.tobytes() == want.tobytes()
 
 
+def test_evaluation_reads_no_floor(small_set, monkeypatch):
+    # the values pick partitions each block in place: the floor that
+    # `_above_floor` reads serves the column pick alone
+    from fairpair import pairwise
+
+    calls = []
+    real = pairwise._above_floor
+
+    def spy(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(pairwise, "_above_floor", spy)
+    evaluate_dataset(small_set, EvalConfig(target_fpr=2e-2, k=5))
+    assert calls == []
+    pairwise.topk_neighbors(mean_vectors(small_set), 5)
+    assert calls  # the spy sees the column pick
+
+
 # --- CSV writers ------------------------------------------------------------------
 
 def test_per_identity_csv(tmp_path, small_set, report):

@@ -840,6 +840,29 @@ def test_values_pick_keeps_column_pick_bits(monkeypatch):
         sims[np.arange(b), i0 + np.arange(b)] = -np.inf
         assert got.flags.c_contiguous and got.shape == (b, k)
         assert np.array_equal(got, np.take_along_axis(sims, cols, axis=1))
+    # whole 128-row blocks, as the neighbour pass partitions them,
+    # at G = 1,001 and 3,204 (not multiples of 128), on tied and untied means,
+    # and the pass itself on blocks of 4 and 64 rows
+    for g in (1001, 3204):
+        tied = rng.integers(-1, 2, size=(g, 8)).astype(np.float64)
+        tied[~tied.any(axis=1), 0] = 1.0
+        for v in (tied, rng.normal(size=(g, 16))):
+            mu = v / np.linalg.norm(v, axis=1, keepdims=True)
+            for k in (1, 50, 1000):  # K = G - 1 at 1,001
+                for i0 in (0, 128, g - 128):
+                    sims = mu[i0:i0 + 128] @ mu.T
+                    cols = pairwise._top_columns(sims.copy(), i0, k)
+                    got = pairwise._top_values(sims.copy(), i0, k)
+                    sims[np.arange(128), i0 + np.arange(128)] = -np.inf
+                    want = np.take_along_axis(sims, cols, axis=1)
+                    assert got.flags.c_contiguous and np.array_equal(got, want)
+                    assert got.mean(axis=1).tobytes() == want.mean(axis=1).tobytes()
+                for block in (4, 64):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(pairwise, "NEIGHBOR_BLOCK", block)
+                        want = pairwise._neighbor_pass(mu, k)[1]
+                        got = pairwise._neighbor_pass(mu, k, table=False)[1]
+                    assert got.tobytes() == want.tobytes(), (g, k, block)
 
 
 def test_neighbor_block_keeps_bits(monkeypatch):
@@ -944,9 +967,9 @@ def test_similarity_peak_on_many_identities():
 
 
 def test_tied_rows_stay_within_twice_the_budget():
-    # 3,200 equal means: every entry of a row ties at its floor, so the pick
-    # packs whole rows, and only the `budget_rows(4 G)` sub-blocks bound it;
-    # a pick on whole 128-row blocks peaked at 25 MiB
+    # 3,200 equal means: every entry of a row ties with its K-th largest. The
+    # values pick partitions each block in place; a pick that packed every
+    # entry at or above a floor on whole 128-row blocks peaked at 25 MiB
     g = 3200
     mu = np.full((g, 8), 8 ** -0.5)
     tracemalloc.start()
@@ -960,9 +983,10 @@ def test_tied_rows_stay_within_twice_the_budget():
 
 
 def test_tied_rows_values_pick_scratch_below_column_pick():
-    # 3,200 equal means: every column passes the floor. The values pick
-    # holds three G-wide 8-byte arrays and a mask per row, within one
-    # working set, the column pick four and a mask (`_neighbor_pass`)
+    # 3,200 equal means: every column passes the column pick's floor, and it
+    # packs four G-wide 8-byte arrays and a mask per row of each
+    # `budget_rows(4 G)` sub-block. The values pick partitions each block in
+    # place and holds two (b, K) arrays (`_neighbor_pass`)
     g = 3200
     mu = np.full((g, 8), 8 ** -0.5)
     scratch = {}
@@ -977,6 +1001,23 @@ def test_tied_rows_values_pick_scratch_below_column_pick():
         scratch[table] = peak - held
     assert scratch[False] < scratch[True], f"{scratch[False] / 2**20:.2f} MiB of scratch"
     assert scratch[False] < store.WORKING_SET, f"{scratch[False] / 2**20:.2f} MiB of scratch"
+
+
+def test_values_pass_holds_one_block_and_its_output():
+    # the values pick partitions each GEMM block in place, so beyond the block
+    # and the output it holds two (b, K) arrays, on tied rows too: 3,200 equal
+    # means took 1.54 MiB more when the pick packed the entries above a floor
+    g = 3200
+    v = np.random.default_rng(5).normal(size=(g, 128))
+    for mu in (np.full((g, 8), 8 ** -0.5), v / np.linalg.norm(v, axis=1, keepdims=True)):
+        tracemalloc.start()
+        try:
+            _, mean = pairwise._neighbor_pass(mu, 50, table=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = peak - pairwise.NEIGHBOR_BLOCK * g * 8 - mean.nbytes
+        assert scratch < 0.25 * 2**20, f"{scratch / 2**20:.2f} MiB of scratch"
 
 
 def test_evaluation_holds_no_n_by_d_copy():

@@ -1,7 +1,9 @@
+import os
+
 import pytest
 
 from fairpair.errors import ConfigError
-from fairpair.util import kv_get, parse_kv
+from fairpair.util import kv_get, parse_kv, replaced
 
 
 def test_parse_kv_basics():
@@ -44,3 +46,16 @@ def test_kv_get_bad_value():
         kv_get({"n": "abc"}, "n", int)
     with pytest.raises(ConfigError):
         kv_get({"b": "maybe"}, "b", bool)
+
+
+def test_replaced_names_the_path_whose_directory_is_missing(tmp_path):
+    # the error names the path asked for, not a hidden temporary beside it,
+    # and nothing is made: neither a temporary nor the file in the directory
+    # that does exist
+    kept, lost = tmp_path / "a.csv", tmp_path / "nodir" / "b.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        with replaced([kept, lost]):
+            pytest.fail("the block ran")
+    assert info.value.filename == str(lost)
+    assert str(lost) in str(info.value) and ".tmp" not in str(info.value)
+    assert os.listdir(tmp_path) == []
