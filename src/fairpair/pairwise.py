@@ -29,7 +29,7 @@ or not, so tiles stay unclipped and a pass clips only the values it
 gathers.
 For unit rows on both sides delta comes from gamma_d for the float32 GEMM
 plus the float32 rounding of s: about 3.06e-5 at d = 512 and 7.7e-6 at
-d = 128 (`_screen_delta`). The scaled columns add the rounding of c_j and of
+d = 128 (`_unit_delta`). The scaled columns add the rounding of c_j and of
 the scaling product, the unit rows' own rounding |u_j - v_j / norm_j|, and
 the products that underflow, about 1.8e-7 more (`_scaled_delta`). Where a
 norm lies outside [2^-64, 2^64], the raw GEMM could overflow or c_j leave
@@ -155,18 +155,12 @@ class UnitRows:
     against the raw rows, to be scaled by c, and `edges` turns an edge on the
     screened value into one per raw column. Where a norm lies outside
     [2^-64, 2^64] (the guard) `scale` is None and `columns` gathers unit
-    rows; so it is for rows passed with `normalized=True`, unit rows already,
-    yet returned as copies: numpy would send a GEMM of a buffer by itself to
-    SYRK instead.
+    rows.
     """
 
-    def __init__(self, vectors: np.ndarray, normalized: bool = False):
+    def __init__(self, vectors: np.ndarray):
         self.raw, self.shape = vectors, vectors.shape
-        self.norm = self.scale = None
-        if normalized:
-            self.delta = _screen_delta(vectors)
-            return
-        self.norm = np.empty(len(vectors))
+        self.norm, self.scale = np.empty(len(vectors)), None
         m32 = 0.0
         for i0, i1, v64, norm in _unit_chunks(vectors):
             self.norm[i0:i1] = norm
@@ -183,8 +177,6 @@ class UnitRows:
         return self.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
-        if self.norm is None:
-            return self.raw[key].copy()
         v = self.raw[key]
         out = np.empty(v.shape, np.float32) if np.may_share_memory(v, self.raw) else v
         return np.divide(v, self.norm[key, None], out=out, casting="same_kind")
@@ -223,11 +215,6 @@ class UnitRows:
             up = reaches(mid)
             a, b = np.where(up, a, mid), np.where(up, mid, b)
         return _key_value(b)
-
-
-def _rows_of(u) -> UnitRows:
-    """`u` as a UnitRows; a plain array is taken as float32 unit rows already."""
-    return u if isinstance(u, UnitRows) else UnitRows(u, normalized=True)
 
 
 def _near_midpoint(v: np.ndarray, e) -> np.ndarray:
@@ -377,19 +364,15 @@ def _exact_pairs(u32: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _screen_delta(u32: np.ndarray) -> float:
-    """delta(d): a bound on |s~ - s| for every pair, s~ the clipped float32 GEMM value.
+def _unit_delta(d: int, m32: float) -> float:
+    """delta(d): a bound on |s~ - s| for every pair of unit rows, s~ the clipped
+    float32 GEMM value, m32 the rows' largest float32 sum of squares.
 
     gamma_d * sum_k |u_ik u_jk| bounds the float32 GEMM's error, and the sum is
     at most the largest squared row norm m (1 for unit rows, bounded here from
-    a float32 sum of squares). Terms: the float32 GEMM, the float32 rounding
-    of s, and float32 products that underflow.
+    m32). Terms: the float32 GEMM, the float32 rounding of s, and float32
+    products that underflow.
     """
-    return _unit_delta(u32.shape[1], float(np.einsum("ij,ij->i", u32, u32).max()))
-
-
-def _unit_delta(d: int, m32: float) -> float:
-    """`_screen_delta` of unit rows whose largest float32 sum of squares is m32."""
     g32 = d * 2.0**-24 / (1 - d * 2.0**-24)
     m = max(1.0, m32 / (1 - g32))
     return float(np.nextafter(m * (g32 + 2.0**-24) + d * 2.0**-149, np.inf))
@@ -400,7 +383,7 @@ def _scaled_delta(d: int, m32: float, c_max: float) -> float:
 
     Here g is the float32 GEMM of the unit row u_i and the raw row v_j,
     n_j the float64 norm of v_j, c_j = fl32(1 / n_j) and u_j = fl32(v_j / n_j)
-    its unit row; m bounds every |u|^2 as in `_screen_delta`, a = 2^-24 (1 +
+    its unit row; m bounds every |u|^2 as in `_unit_delta`, a = 2^-24 (1 +
     2^-29) the relative error of rounding a float64 result to float32, and
     S = sum_k |u_ik v_jk| / n_j. Then (Higham, section 3.1):
     - the GEMM: |g - u_i . v_j| / n_j <= gamma_d S + d 2^-149 / n_j;
@@ -470,23 +453,21 @@ def _split_tiles(n: int, size: int, workers: int, tiles, select, finish) -> None
                 finish(parts, i0, j0, *rest)
 
 
-def _half_tiles(u32, i0: int, i1: int):
+def _half_tiles(rows: UnitRows, i0: int, i1: int):
     """Screened tiles of row slab [i0, i1) against the TILE-column tiles j0 >= i0.
 
-    `u32` is a `UnitRows` or an array of float32 unit rows. Yields (j0, g, c),
-    the `UnitRows.columns` of the slab's unit rows, gathered once, so every
-    tile, the diagonal one too, is one float32 GEMM: entry [r, q] belongs to
-    records i0 + r and j0 + q. Slabs and tiles share one grid of TILE, so the
-    first tile is the diagonal one (j0 == i0), whose pairs i < j are its entries
-    q > r; a range of its rows that starts r0 rows in keeps q > r + r0
-    (`_pairs`). The caller holds each tile only until its rows are selected,
-    so the next GEMM runs with no other tile alive (`_split_tiles`). delta
-    bounds the screen's error before clipping too, so a caller compares the
-    tile as it comes and clips only the values it gathers: s~ >= f exactly
-    when clip(s~) >= f for an edge f in (-1, 1], and below that range every
-    entry passes the clipped test.
+    Yields (j0, g, c), the `UnitRows.columns` of the slab's unit rows,
+    gathered once, so every tile, the diagonal one too, is one float32 GEMM:
+    entry [r, q] belongs to records i0 + r and j0 + q. Slabs and tiles share
+    one grid of TILE, so the first tile is the diagonal one (j0 == i0), whose
+    pairs i < j are its entries q > r; a range of its rows that starts r0
+    rows in keeps q > r + r0 (`_pairs`). The caller holds each tile only
+    until its rows are selected, so the next GEMM runs with no other tile
+    alive (`_split_tiles`). delta bounds the screen's error before clipping
+    too, so a caller compares the tile as it comes and clips only the values
+    it gathers: s~ >= f exactly when clip(s~) >= f for an edge f in (-1, 1],
+    and below that range every entry passes the clipped test.
     """
-    rows = _rows_of(u32)
     slab = rows[i0:i1]
     for j0 in range(i0, len(rows), TILE):
         yield j0, *rows.columns(slab, slice(j0, min(j0 + TILE, len(rows))))
@@ -878,7 +859,7 @@ class PairStatsAccumulator:
         return self.identity_counts.sum(axis=0)
 
 
-def _count_above(u32, ids: np.ndarray, lo: float, hi: float,
+def _count_above(rows: UnitRows, ids: np.ndarray, lo: float, hi: float,
                  workers: int) -> tuple[np.ndarray, np.ndarray, _KeyBins]:
     """(fp, tp, keys) of the window [lo, hi] in one screened half sweep: per record,
     (n,) int64 counts of its pairs above `hi` whose identities differ (FP) or
@@ -886,7 +867,7 @@ def _count_above(u32, ids: np.ndarray, lo: float, hi: float,
     pair whose s~ lies more than delta outside the window is decided by s~;
     each tile refines the pairs between at once, so memory stays per tile.
     """
-    rows, n = _rows_of(u32), len(ids)
+    n = len(ids)
     # every s lies in [-1, 1]; compared exactly, never rounded to float32
     lo, hi = (np.float64(min(max(float(x), -2.0), 2.0)) for x in (lo, hi))
     s_lo, s_hi = _f32_out(lo - rows.delta, up=False), _f32_out(hi + rows.delta, up=True)
@@ -935,49 +916,23 @@ def _unit_means(means: MeanVectors) -> np.ndarray:
     return means.means / norms
 
 
-def _above_floor(sims: np.ndarray, i0: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(f, slots): each row's entries at or above a floor, packed row by row.
-
-    The column pick's first step (`_top_columns`). Row r of `sims` belongs to
-    identity i0 + r, whose own column is set to -inf. A per-row floor comes
-    first: with the columns cut into at least 4K disjoint groups of strided
-    columns, one `max` reduction gives each group's maximum, and the K-th
-    largest of those is the floor. Each group maximum is a distinct entry of
-    the row, so the floor never exceeds the row's K-th largest value. f holds
-    the flat indices of the entries at or above it, row-major, so each row's
-    in column order. `slots` is a (b, w) mask, w the most entries any row
-    has, True in the first n places of a row with n entries:
-    `packed[slots] = sims.ravel()[f]` packs each row's entries at the left of
-    its row of a (b, w) array.
-    """
-    b, g = sims.shape
-    own = np.arange(b)
-    sims[own, i0 + own] = -np.inf
-    per = g // (4 * k)  # columns per group
-    groups = sims[:, :g // per * per].reshape(b, per, -1).max(axis=1) if per > 1 else sims
-    m = groups.shape[1]
-    # a copy, not a view, so the partitioned groups are freed before the mask
-    floor = np.partition(groups, m - k, axis=1)[:, m - k, None].copy()
-    del groups
-    f = np.flatnonzero(sims >= floor)
-    n = np.diff(np.searchsorted(f, np.arange(0, b * g + 1, g)))  # entries per row
-    return f, np.arange(int(n.max())) < n[:, None]
-
-
 def _top_columns(sims: np.ndarray, i0: int, k: int) -> np.ndarray:
     """Columns of each row's K largest entries, largest first, ties to the lower column.
 
-    Only the entries `_above_floor` packs are ordered: padded with -inf and
-    sorted by value descending with a stable sort, so ties keep the lower
-    column first; each row keeps its first K.
+    Row r of `sims` belongs to identity i0 + r, whose own column is set to
+    -inf. The values pick on a copy (`_top_values`) gives each row's K-th
+    largest value; every entry above it is taken, then the row's
+    lowest-column entries equal to it, up to K. The K are stable-sorted by
+    value descending, so ties keep the lower column first.
     """
-    f, slots = _above_floor(sims, i0, k)
-    vals = np.full(slots.shape, np.inf)
-    vals[slots] = -sims.ravel()[f]
-    cols = np.zeros(slots.shape, dtype=np.int64)
-    cols[slots] = f % sims.shape[1]
-    del f, slots
-    order = np.argsort(vals, axis=1, kind="stable")[:, :k]
+    b, g = sims.shape
+    sims[np.arange(b), i0 + np.arange(b)] = -np.inf
+    kth = _top_values(sims.copy(), i0, k)[:, -1:]
+    take, tie = sims > kth, sims == kth
+    room = k - np.count_nonzero(take, axis=1)[:, None]
+    take |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= room)
+    cols = (np.flatnonzero(take) % g).reshape(b, k)
+    order = np.argsort(-np.take_along_axis(sims, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
 
 
@@ -1006,7 +961,7 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
     False they are not kept, and only the K largest values are picked and
     averaged (`_top_values`), in the same order and so to the same bits.
 
-    Each GEMM takes NEIGHBOR_BLOCK rows, a multiple of 4. With G a multiple
+    Each GEMM takes NEIGHBOR_BLOCK rows, a multiple of 64. With G a multiple
     of 8, such blocks give the bits of one product of all G rows on the
     Haswell, Sandybridge and SkylakeX kernels. Otherwise the last bits still
     follow the partition: SkylakeX's dgemm takes the last G mod 8 columns
@@ -1015,10 +970,9 @@ def _neighbor_pass(mu: np.ndarray, k: int = 0, neighbors: np.ndarray | None = No
 
     The values pick partitions each block in place, so its scratch is two
     (b, K) arrays whatever the ties. The column pick reads each block in
-    sub-blocks of `budget_rows(4 G)` rows: its scratch is then a G-byte mask
-    and the few entries above `_above_floor`'s floor per row, and only when
-    every entry of a row ties at its floor does every column pass, with four
-    G-wide 8-byte arrays and a mask per row, under twice the working set.
+    sub-blocks of `budget_rows(4 G)` rows, a quarter of the working set: its
+    scratch is a copy of the sub-block for the values pick, then two masks
+    and an int32 count of ties, no larger, whatever the ties.
     """
     g = len(mu)
     pick = neighbors is None
@@ -1052,5 +1006,10 @@ def topk_neighbors(means: MeanVectors, k: int) -> np.ndarray:
 
 
 def neighbor_mean_similarity(means: MeanVectors, neighbors: np.ndarray) -> np.ndarray:
-    """Mean cosine similarity of each identity's mean to its listed neighbors."""
-    return _neighbor_pass(_unit_means(means), neighbors=neighbors)[1]
+    """Mean cosine of each identity's mean to its listed neighbors, a (G, K >= 1) table."""
+    g, nb = len(means.means), np.asarray(neighbors)
+    if not (nb.ndim == 2 and nb.shape[0] == g and nb.size and nb.dtype.kind in "iu"
+            and 0 <= nb.min() and nb.max() < g):
+        raise DomainError(f"neighbors must be a ({g}, K >= 1) integer table of identities "
+                          f"in [0, {g}), got {nb.dtype} of shape {nb.shape}")
+    return _neighbor_pass(_unit_means(means), neighbors=nb)[1]

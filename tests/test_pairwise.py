@@ -150,8 +150,8 @@ def fused_matches_full(ds, target, cap_offset=None, tile=768, workers=1):
     """
     with tile_size(tile):
         r = solve_at_cap(ds, target, cap_offset, workers=workers)
-        fp, tp, _ = pairwise._count_above(unit_rows(ds), ds.identity, r.threshold, r.threshold,
-                                          workers)
+        fp, tp, _ = pairwise._count_above(pairwise.UnitRows(ds.vectors), ds.identity,
+                                          r.threshold, r.threshold, workers)
         acc = confusion_sweep(ds, r.threshold, workers=workers, fp=r.record_fp,
                               tp=r.record_tp)
     s = exact_sims_of(ds)
@@ -734,6 +734,22 @@ def test_zero_mean_rejected():
             call()
 
 
+def test_neighbor_table_checked():
+    # a table that is not (G, K >= 1) integers in [0, G) is refused: an index
+    # of -1 would read the last identity's mean, and a short table or an
+    # index of G would fail inside numpy
+    mv = MeanVectors(means=np.random.default_rng(4).normal(size=(6, 5)),
+                     counts=np.ones(6, np.int64))
+    good = topk_neighbors(mv, 2)
+    neighbor_mean_similarity(mv, good)
+    minus = good.copy()
+    minus[0, 0] = -1
+    for bad in (minus, good[:5], np.full((6, 2), 6), good.astype(np.float64),
+                np.zeros((6, 0), np.int64), good[:, 0]):
+        with pytest.raises(DomainError, match="neighbors must be"):
+            neighbor_mean_similarity(mv, bad)
+
+
 def _top_columns_by_mask(sims, i0, k):
     """The reference: the K-th value from `np.partition`, every entry above it,
     then each row's lowest-index ties until it holds K; largest first."""
@@ -983,10 +999,11 @@ def test_tied_rows_stay_within_twice_the_budget():
 
 
 def test_tied_rows_values_pick_scratch_below_column_pick():
-    # 3,200 equal means: every column passes the column pick's floor, and it
-    # packs four G-wide 8-byte arrays and a mask per row of each
-    # `budget_rows(4 G)` sub-block. The values pick partitions each block in
-    # place and holds two (b, K) arrays (`_neighbor_pass`)
+    # 3,200 equal means: every entry of a row ties with its K-th largest. The
+    # column pick copies each `budget_rows(4 G)` sub-block to read the K-th
+    # value, then masks the entries above it and the ties; the values pick
+    # partitions each block in place and holds two (b, K) arrays
+    # (`_neighbor_pass`)
     g = 3200
     mu = np.full((g, 8), 8 ** -0.5)
     scratch = {}
@@ -1020,6 +1037,25 @@ def test_values_pass_holds_one_block_and_its_output():
         assert scratch < 0.25 * 2**20, f"{scratch / 2**20:.2f} MiB of scratch"
 
 
+def test_column_pass_holds_one_block_and_its_outputs():
+    # the column pick reads each `budget_rows(4 G)` sub-block's K-th value off
+    # a copy and masks the sub-block, so beyond the block, the table and the
+    # means it stays under half the working set, on tied rows too: 3,200
+    # equal means took 2.02 MiB more when the pick packed the entries at or
+    # above a floor
+    g = 3200
+    v = np.random.default_rng(5).normal(size=(g, 128))
+    for mu in (np.full((g, 8), 8 ** -0.5), v / np.linalg.norm(v, axis=1, keepdims=True)):
+        tracemalloc.start()
+        try:
+            nb, mean = pairwise._neighbor_pass(mu, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = peak - pairwise.NEIGHBOR_BLOCK * g * 8 - nb.nbytes - mean.nbytes
+        assert scratch < store.WORKING_SET / 2, f"{scratch / 2**20:.2f} MiB of scratch"
+
+
 def test_evaluation_holds_no_n_by_d_copy():
     # 6,000 x 256: one N x d float32 array is 5.9 MiB. The rows are made from
     # the raw vectors as tiles need them; tile 256 keeps the tile buffers,
@@ -1045,14 +1081,33 @@ def _all_pairs(n):
 def _screen_matrix(u):
     """The float32 GEMM screen of every pair, tile by tile as the engine computes it.
 
-    The half sweep leaves the tiles below the diagonal out; they are mirrored.
+    A `UnitRows` is screened by the engine (`_half_tiles`). Plain unit rows
+    give the reference: a float32 GEMM of copies of the same tiles, so numpy
+    makes no SYRK call. The half sweep leaves the tiles below the diagonal
+    out; they are mirrored.
     """
     s = np.full((len(u), len(u)), np.nan, dtype=np.float32)
     with tile_size(37):
         for i0, i1 in pairwise._row_blocks(len(u), 37):
-            for j0, g, c in pairwise._half_tiles(u, i0, i1):
+            if isinstance(u, pairwise.UnitRows):
+                tiles = pairwise._half_tiles(u, i0, i1)
+            else:
+                tiles = ((j0, u[i0:i1].copy() @ u[j0:j0 + 37].copy().T, None)
+                         for j0 in range(i0, len(u), 37))
+            for j0, g, c in tiles:
                 s[i0:i1, j0:j0 + g.shape[1]] = g if c is None else g * c
     return np.where(np.isnan(s), s.T, s)
+
+
+def _m32(u):
+    """The largest float32 sum of squares of the rows u, as `UnitRows` reads it."""
+    return float(np.einsum("ij,ij->i", u, u).max())
+
+
+def _guarded(ds):
+    """`UnitRows` of the raw rows scaled by 2^70: past the guard, so the screen
+    runs on unit rows on both sides, bitwise those of the unscaled rows."""
+    return pairwise.UnitRows(ds.vectors * np.float32(2.0**70))
 
 
 def _adversarial_raw(rng, d):
@@ -1076,17 +1131,17 @@ def _row_set(raw):
                         labels=LabelTable.default(len(raw), 1))
 
 
-def _adversarial_rows(rng, d):
-    return unit_rows(_row_set(_adversarial_raw(rng, d)))
-
-
 @pytest.mark.parametrize("d", [2, 64, 512])
 def test_screen_error_within_delta(d):
-    u = _adversarial_rows(np.random.default_rng(d), d)
-    delta = pairwise._screen_delta(u)
+    ds = _row_set(_adversarial_raw(np.random.default_rng(d), d))
+    u, rows = unit_rows(ds), _guarded(ds)
+    delta = pairwise._unit_delta(d, _m32(u))
+    assert rows.scale is None and rows.delta == delta
     i, j = _all_pairs(len(u))
     exact = pairwise._exact_pairs(u, i, j).astype(np.float64)
-    tiles = _screen_matrix(u)[i, j].astype(np.float64)
+    screen = _screen_matrix(rows)
+    assert np.array_equal(screen, _screen_matrix(u))
+    tiles = screen[i, j].astype(np.float64)
     assert np.all(np.abs(tiles - exact) <= delta)
     assert exact.max() == 1.0 and exact.min() == -1.0  # the clipped ends are exercised
     gamma = d * 2.0**-24 / (1 - d * 2.0**-24)
@@ -1096,7 +1151,7 @@ def test_screen_error_within_delta(d):
 def test_screen_delta_values():
     for d, want in ((512, 3.06e-5), (128, 7.7e-6)):
         u = np.eye(d, dtype=np.float32)
-        assert abs(pairwise._screen_delta(u) - want) < 0.01 * want
+        assert abs(pairwise._unit_delta(d, _m32(u)) - want) < 0.01 * want
 
 
 # raw scales of the adversarial rows: every norm inside [2^-64, 2^64], where the
@@ -1138,10 +1193,11 @@ def test_scaled_screen_error_within_delta(d):
         screen = _screen_matrix(rows)
         assert np.all(np.abs(screen[i, j].astype(np.float64) - exact) <= rows.delta)
         if scale in GUARDED_BY:  # unit rows on both sides: the unit screen and delta
-            assert rows.scale is None and rows.delta == pairwise._screen_delta(u)
+            assert rows.scale is None and rows.delta == pairwise._unit_delta(d, _m32(u))
             assert np.array_equal(screen, _screen_matrix(u))
         else:
-            assert pairwise._screen_delta(u) < rows.delta < pairwise._screen_delta(u) + 2.0**-21
+            unit = pairwise._unit_delta(d, _m32(u))
+            assert unit < rows.delta < unit + 2.0**-21
             moved |= bool(np.any(screen != _screen_matrix(u)))
     assert moved  # the scaled columns round differently from the unit ones
 
@@ -1441,8 +1497,7 @@ def test_counts_exact_on_and_one_ulp_around_threshold():
     for near in (t, np.nextafter(t, np.float32(2)), np.nextafter(t, np.float32(-2))):
         assert np.count_nonzero((vals == near) & same) >= 1
         assert np.count_nonzero((vals == near) & ~same) >= 1
-    u = unit_rows(ds)
-    screen = _screen_matrix(u)[np.ix_(a, p)]
+    screen = _screen_matrix(_guarded(ds))[np.ix_(a, p)]
     assert np.count_nonzero((screen > t) != (vals > t)) >= 3  # the refine decides these
     gid, att = oracle_counts(ds, float(t))
     for tile in (7, 37, 768):
@@ -1477,8 +1532,8 @@ def _adversarial_screen(monkeypatch):
         moved = exact + 0.9 * delta * noise
         return np.clip(moved.astype(np.float32), -1.0, 1.0)
 
-    def tiles(u32, i0, i1):
-        rows, tile = pairwise._rows_of(u32), pairwise.TILE  # the sweep's delta and tile
+    def tiles(rows, i0, i1):
+        tile = pairwise.TILE  # the sweep's tile
         for j0 in range(i0, len(rows), tile):
             s = pairwise._exact_grid(rows, np.arange(i0, i1),
                                      np.arange(j0, min(j0 + tile, len(rows))))
