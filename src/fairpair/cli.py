@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -28,7 +29,7 @@ from .store import load_csv, load_dataset, mean_vectors, save_csv, save_dataset
 from .synth import (gen_population, gen_training_set, parse_profile, seeded_rng,
                     split_by_identity)
 from .train import TrainConfig, encode_dataset, parse_train_config, save_trace, train
-from .util import replaced
+from .util import replaced, require_parent
 
 WORKERS_ENV = "FAIRPAIR_WORKERS"
 # train-toy flags that override the TrainConfig field of the same name when given
@@ -68,6 +69,17 @@ def _read_text(path, what: str) -> str:
         raise ConfigError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} file {path}: byte {exc.start} is not UTF-8 text") from exc
+
+
+def _out_dir(path: str) -> Path:
+    """The output directory `path`, checked before any work and made later: its
+    nearest existing ancestor, itself included, must be a directory."""
+    out = p = Path(path)
+    while not p.exists() and p != p.parent:
+        p = p.parent
+    if not p.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    return out
 
 
 def _load_ffeb(path):
@@ -112,11 +124,12 @@ def _write_report(report, out_dir: Path, dataset) -> str:
 
 def cmd_eval(args) -> int:
     config = _eval_config(args)
+    out_dir = _out_dir(args.out_dir)
     dataset = _load_ffeb(args.input)
     _progress(f"loaded {dataset.n} x {dataset.dim} "
               f"({dataset.n_identities} identities, {dataset.n_attributes} attributes)")
     report = evaluate_dataset(dataset, config, progress=_progress)
-    text = _write_report(report, Path(args.out_dir), dataset)
+    text = _write_report(report, out_dir, dataset)
     _progress(f"report written to {args.out_dir}")
     _emit(text)
     return 0
@@ -124,6 +137,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = EvalConfig(k=args.k)
+    if args.out:
+        require_parent(Path(args.out))
     dataset = _load_ffeb(args.input)
     k, note = config.clamped_k(dataset.n_identities)
     if note:
@@ -149,6 +164,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_train_toy(args) -> int:
     eval_cfg = _eval_config(args)
+    out_dir = _out_dir(args.out_dir)
     dataset = _load_ffeb(args.data)
     base = parse_train_config(_read_text(args.config, "training config"),
                               d_in=dataset.dim) if args.config else TrainConfig(d_in=dataset.dim)
@@ -162,7 +178,6 @@ def cmd_train_toy(args) -> int:
     _progress(f"training mode={config.mode} on {len(train_idx)} samples "
               f"({config.epochs} epochs, batch {config.batch_size}, seed {config.seed})")
     params, trace = train(config, x[train_idx], dataset.identity[train_idx])
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(out_dir / "model.ffmp", params)
     save_trace(out_dir / "trace.csv", trace)

@@ -70,14 +70,11 @@ Workers. Every pass walks its slabs and tiles in one thread, which computes
 each tile once, so one tile and one BLAS call are in flight at any worker
 count. With workers > 1, a pool that lives for one pass splits each tile's
 rows into that many contiguous ranges for the compare, the selection and
-the gather (`_split_tiles`): threads share one block instead of each
+the gather (`_sweep`): threads share one block instead of each
 holding its own (Smith et al., "Anatomy of High-Performance Many-Threaded
 Matrix Multiplication", IPDPS 2014). The tile is released before its
 pairs are scaled and counted in the calling thread, so the solve's memory
 does not grow with the workers and its counts take no lock.
-
-`sweep_histogram` counts every value with `_exact_counts`, which computes
-whole tiles with `_exact_grid` instead of the screen.
 """
 
 from __future__ import annotations
@@ -429,30 +426,6 @@ def _row_blocks(n: int, size: int):
         yield i0, min(i0 + size, n)
 
 
-def _split_tiles(n: int, size: int, workers: int, tiles, select, finish) -> None:
-    """A half sweep over n records, each tile's rows split among `workers` threads.
-
-    The calling thread walks the slabs [i0, i1) of `size` rows and the tiles
-    (j0, tile, *rest) that tiles(i0, i1) yields, in order, computing each
-    once, so one tile and one BLAS call are in flight at any worker count.
-    select(tile, a, b, i0, j0, *rest) runs on `workers` contiguous row
-    ranges [a, b) at once, the first in the calling thread and the others in
-    a pool that lives for the sweep. The tile is then released, and
-    finish(parts, i0, j0, *rest) gets their results in row order, as a list
-    it may empty, in the calling thread: it needs no lock.
-    """
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        for i0, i1 in _row_blocks(n, size):
-            cuts = sorted({(i1 - i0) * p // workers for p in range(workers + 1)})
-            for j0, tile, *rest in tiles(i0, i1):
-                jobs = [pool.submit(select, tile, a, b, i0, j0, *rest)
-                        for a, b in zip(cuts[1:-1], cuts[2:])]
-                parts = [select(tile, 0, cuts[1], i0, j0, *rest)]
-                parts += [job.result() for job in jobs]
-                del tile, jobs
-                finish(parts, i0, j0, *rest)
-
-
 def _half_tiles(rows: UnitRows, i0: int, i1: int):
     """Screened tiles of row slab [i0, i1) against the TILE-column tiles j0 >= i0.
 
@@ -463,7 +436,7 @@ def _half_tiles(rows: UnitRows, i0: int, i1: int):
     pairs i < j are its entries q > r; a range of its rows that starts r0
     rows in keeps q > r + r0 (`_pairs`). The caller holds each tile only
     until its rows are selected, so the next GEMM runs with no other tile
-    alive (`_split_tiles`). delta bounds the screen's error before clipping
+    alive (`_sweep`). delta bounds the screen's error before clipping
     too, so a caller compares the tile as it comes and clips only the values
     it gathers: s~ >= f exactly when clip(s~) >= f for an edge f in (-1, 1],
     and below that range every entry passes the clipped test.
@@ -512,45 +485,6 @@ def _pairs(s: np.ndarray, ids: np.ndarray, i0: int, j0: int, where=None,
     return np.flatnonzero(mask)
 
 
-def _exact_counts(u32: np.ndarray, ids: np.ndarray, bucket, size: int,
-                  tile: int, workers: int) -> np.ndarray:
-    """(size,) int64 counts of the ordered negative pairs by the bucket of their value.
-
-    Every tile of the half sweep is computed exactly, by `_exact_grid`, and
-    its rows are bucketed by `workers` threads (`_split_tiles`). `bucket`
-    maps a float32 array of values to the bucket of each one, in [0, size).
-    """
-    ids, n = _narrow(ids), len(ids)
-    counts = np.zeros(size, dtype=np.int64)
-
-    def tiles(i0, i1):
-        for j0 in range(i0, n, tile):
-            yield j0, _exact_grid(u32, np.arange(i0, i1), np.arange(j0, min(j0 + tile, n)))
-
-    def select(s, a, b, i0, j0):
-        s = s[a:b]
-        return np.bincount(bucket(s.ravel()[_pairs(s, ids, i0 + a, j0)]), minlength=size)
-
-    _split_tiles(n, tile, workers, tiles, select,
-                 lambda parts, i0, j0: np.add(counts, sum(parts), out=counts))
-    return 2 * counts
-
-
-def sweep_histogram(dataset: EmbeddingSet, bins: int,
-                    tile: int = TILE, workers: int = 1) -> np.ndarray:
-    """(bins,) int64 counts of every ordered negative-pair similarity over [-1, 1].
-
-    The interior edges are those of `np.linspace(-1, 1, bins + 1)`; bin b
-    holds edges[b] <= s < edges[b + 1], and the last bin also holds 1.
-    """
-    if bins < 2:
-        raise DomainError(f"histogram needs at least 2 bins, got {bins}")
-    edges = np.linspace(-1.0, 1.0, bins + 1)[1:-1]
-    return _exact_counts(UnitRows(dataset.vectors), dataset.identity,
-                         lambda v: np.searchsorted(edges, v.astype(np.float64), side="right"),
-                         bins, tile, workers)
-
-
 def _quot_rem(f: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """(f // w, f % w) of non-negative integers f: under half of `np.divmod`'s
     time on int64, and no array beyond the two results."""
@@ -573,13 +507,14 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, workers: int, visit)
     Each tile is compared with the per-column edges of lo (`UnitRows.edges`),
     or with lo where it comes without column scales, and only the entries
     that pass are gathered, then scaled and clipped: a tile costs its GEMM,
-    one compare and work in proportion to those pairs. `workers` threads
-    split each tile's rows for the compare, the selection and the gather;
-    the tile is released before its pairs are scaled (`_split_tiles`).
-    visit(i, j, v, same) gets their records, clipped s~ and whether their
-    identities match, in the calling thread, one tile at a time.
+    one compare and work in proportion to those pairs. The calling thread
+    computes each tile once (`_half_tiles`) and splits its rows into
+    `workers` ranges, the first run in that thread and the others in a pool
+    that lives for the sweep. The tile is released before its pairs are
+    scaled. visit(i, j, v, same) gets their records, clipped s~ and whether
+    their identities match, in the calling thread, one tile at a time.
     """
-    ids = _narrow(ids)
+    ids, n = _narrow(ids), len(ids)
     edges = rows.edges(lo) if lo > -1 else None
 
     def select(g, a, b, i0, j0, c):
@@ -591,20 +526,60 @@ def _sweep(rows: UnitRows, ids: np.ndarray, lo: np.float32, workers: int, visit)
         f += a * w  # flat in the whole tile
         return f, v
 
-    def finish(parts, i0, j0, c):
-        f, v = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        parts.clear()
-        i, j = _quot_rem(f, min(TILE, len(ids) - j0))  # the tile's row and column
-        del f
-        if c is not None:
-            v *= c[j]
-        np.clip(v, -1.0, 1.0, out=v)
-        i += i0
-        j += j0
-        visit(i, j, v, ids[i] == ids[j])
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for i0, i1 in _row_blocks(n, TILE):
+            cuts = sorted({(i1 - i0) * p // workers for p in range(workers + 1)})
+            for j0, g, c in _half_tiles(rows, i0, i1):
+                jobs = [pool.submit(select, g, a, b, i0, j0, c)
+                        for a, b in zip(cuts[1:-1], cuts[2:])]
+                parts = [select(g, 0, cuts[1], i0, j0, c)] + [job.result() for job in jobs]
+                del g, jobs
+                f, v = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+                del parts
+                i, j = _quot_rem(f, min(TILE, n - j0))  # the tile's row and column
+                del f
+                if c is not None:
+                    v *= c[j]
+                np.clip(v, -1.0, 1.0, out=v)
+                i += i0
+                j += j0
+                visit(i, j, v, ids[i] == ids[j])
+                del i, j, v  # freed before the next tile's GEMM
 
-    _split_tiles(len(ids), TILE, workers, lambda i0, i1: _half_tiles(rows, i0, i1),
-                 select, finish)
+
+def sweep_histogram(dataset: EmbeddingSet, bins: int,
+                    tile: int = TILE, workers: int = 1) -> np.ndarray:
+    """(bins,) int64 counts of every ordered negative-pair similarity over [-1, 1].
+
+    The interior edges are those of `np.linspace(-1, 1, bins + 1)`; bin b
+    holds edges[b] <= s < edges[b + 1], and the last bin also holds 1.
+    One screened half sweep bins each negative by its clipped s~. As
+    |clip(s~) - s| <= delta, a value farther than delta from both edges of
+    its bin lies in the bin of s; only those within e = delta (1 + 2^-20) of
+    an edge are refined (`_exact_pairs`) and binned again. The slack covers
+    the float64 rounding of the distances, under 2^-52 against e - delta >=
+    2^-43. `tile` must be TILE: it stays for perfbench's probe, which passes
+    it, and goes with that probe (ROADMAP item 5).
+    """
+    if bins < 2 or tile != TILE:
+        raise DomainError(f"histogram needs at least 2 bins and tile {TILE}, got {bins} and {tile}")
+    rows = UnitRows(dataset.vectors)
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    edges[0], edges[-1] = -np.inf, np.inf  # bin b holds edges[b] <= s < edges[b + 1]
+    e = rows.delta * (1 + 2.0**-20)
+    counts = np.zeros(bins, dtype=np.int64)
+
+    def visit(i, j, v, same):
+        neg = ~same
+        i, j, v = i[neg], j[neg], v[neg].astype(np.float64)
+        b = np.searchsorted(edges, v, side="right") - 1
+        near = np.flatnonzero((v - e < edges[b]) | (v + e >= edges[b + 1]))
+        s = _exact_pairs(rows, i[near], j[near]).astype(np.float64)
+        b[near] = np.searchsorted(edges, s, side="right") - 1
+        np.add(counts, np.bincount(b, minlength=bins), out=counts)
+
+    _sweep(rows, dataset.identity, -1, workers, visit)
+    return 2 * counts
 
 
 def _pivots(rows: UnitRows, ids: np.ndarray, k: int) -> tuple[float, float]:

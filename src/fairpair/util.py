@@ -12,6 +12,12 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def require_parent(path: Path) -> None:
+    """Raise FileNotFoundError naming `path` when the directory it would go in is missing."""
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 @contextlib.contextmanager
 def replaced(paths: list[Path]):
     """Yields a temporary path beside each of `paths`; moves them all into place at the end.
@@ -22,8 +28,7 @@ def replaced(paths: list[Path]):
     FileNotFoundError naming that path, before any temporary file is made.
     """
     for p in paths:
-        if not p.parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(p))
+        require_parent(p)
     temps = [p.with_name(f".{p.name}.{uuid.uuid4().hex[:12]}.tmp") for p in paths]
     try:
         yield temps

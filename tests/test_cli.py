@@ -503,6 +503,29 @@ def test_analyze_missing_out_directory_exit_3(tmp_path, pop_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["pop.ffeb", "profile.cfg"]  # no temporary left
 
 
+@pytest.mark.parametrize("command, work", [("eval", "evaluate_dataset"), ("train-toy", "train"),
+                                           ("analyze", "intra_inter_similarity")])
+def test_unusable_output_location_exit_3_before_the_work(tmp_path, pop_path, capsys,
+                                                         monkeypatch, command, work):
+    # a file where a directory must be, or a missing directory for analyze's
+    # file: the run stops before loading, names the path and makes nothing
+    monkeypatch.setattr(cli, work, lambda *args, **kw: pytest.fail(f"{work} ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    before = sorted(os.listdir(tmp_path))
+    if command == "analyze":
+        outs = [("--out", tmp_path / "nodir" / "sim.csv"), ("--out", taken / "sim.csv")]
+    else:
+        outs = [("--out-dir", taken), ("--out-dir", taken / "sub" / "run")]
+    data = "--data" if command == "train-toy" else "--in"
+    for flag, out in outs:
+        assert main([command, data, str(pop_path), flag, str(out)]) == 3
+        captured = capsys.readouterr()
+        assert f"'{out}'" in captured.err and "i/o error" in captured.err
+        assert captured.out == "" and "loaded" not in captured.err
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 # --- convert -------------------------------------------------------------------------
 
 def test_convert_roundtrip(tmp_path, pop_path, capsys):

@@ -526,9 +526,15 @@ def test_band_over_the_cap_narrows_in_two_rounds(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_no_solve_reaches_exact_counts(seed, monkeypatch):
-    # the exact whole-tile count serves only the histogram: no route of the
-    # solve computes every tile, ties or none, whatever the cap
-    monkeypatch.setattr(pairwise, "_exact_counts", None)
+    # no route of the solve computes a whole tile exactly, ties or none,
+    # whatever the cap: every exact grid it runs picks its pairs
+    grid = pairwise._exact_grid
+
+    def picking_grid(u32, rows, cols, pick=None):
+        if pick is None:
+            pytest.fail("a whole grid computed exactly")
+        return grid(u32, rows, cols, pick)
+    monkeypatch.setattr(pairwise, "_exact_grid", picking_grid)
     base = np.random.default_rng(seed).normal(size=(4, 6)).astype(np.float32)
     ties = EmbeddingSet(vectors=base[np.arange(48) % 4], identity=np.arange(48) // 3,
                         attribute=np.zeros(48, np.int64), labels=LabelTable.default(16, 1))
@@ -652,6 +658,8 @@ def test_bad_target_fpr_rejected(small_set):
 
 def test_histogram_totals(small_set):
     counts = sweep_histogram(small_set, bins=64)
+    with pytest.raises(DomainError):  # the sweep has one tile size
+        sweep_histogram(small_set, bins=64, tile=pairwise.TILE // 2)
     _, neg = ordered_pair_totals(small_set)
     assert counts.dtype == np.int64 and int(counts.sum()) == neg
     s = oracle_sims(small_set)
@@ -1261,7 +1269,7 @@ def test_exact_pairs_symmetric_and_batch_free():
     for tile in (1, 7, 600):  # other groupings into GEMMs
         with tile_size(tile):
             assert np.array_equal(pairwise._exact_pairs(u, i[pick], j[pick]), ref[pick])
-    # the whole-tile path of the histogram agrees bitwise
+    # a whole grid agrees bitwise
     full = pairwise._exact_grid(u, np.arange(len(u)), np.arange(len(u)))
     assert np.array_equal(full[i, j], ref)
     few = rng.choice(len(u), size=12, replace=False)
@@ -1454,10 +1462,12 @@ def test_one_similarity_on_every_path():
                 with tile_size(tile):
                     acc = confusion_sweep(ds, r.threshold, workers=workers)
                 assert acc.overall[pairwise.FP] == r.realized_fp
-    # the histogram's exact count buckets it by its exact value too
-    lo = want[0, 1]
-    counts = pairwise._exact_counts(u, ds.identity, lambda v: (v >= lo).astype(np.int64), 2, 5, 2)
-    assert counts[1] == np.count_nonzero(vals >= want[0, 1])
+    # the histogram bins it by its exact value too
+    for bins in (2, 200):
+        hist, _ = np.histogram(want[neg].astype(np.float64), bins=np.linspace(-1.0, 1.0, bins + 1))
+        for tile, workers in ((768, 1), (5, 3)):
+            with tile_size(tile):
+                assert np.array_equal(sweep_histogram(ds, bins, tile, workers), hist)
 
 
 def _boundary_set(steps=20):
@@ -1561,6 +1571,25 @@ def test_exact_under_worst_case_screen_error(monkeypatch):
         for target, (ot, oallowed, orealized) in zip(targets, oracle):
             r = fused_matches_full(ds, target, None, tile, workers)
             assert (r.allowed_fp, r.threshold, r.realized_fp) == (oallowed, ot, orealized)
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_histogram_exact_at_its_edges(adversarial, monkeypatch):
+    # at 20 bins 0.3 is an edge, and the probes' cosines step single float32
+    # ulps across it: the screen alone bins some of them wrong, even when its
+    # error is the worst the engine allows
+    ds, _ = _boundary_set(steps=60)
+    s = exact_sims_of(ds)
+    edges = np.linspace(-1.0, 1.0, 21)
+    assert np.count_nonzero(np.abs(s - edges[13]) < 2e-6) > 1000
+    want, _ = np.histogram(s[ds.identity[:, None] != ds.identity[None, :]].astype(np.float64),
+                           bins=edges)
+    if adversarial:
+        _adversarial_screen(monkeypatch)
+    for tile in (7, 37, 768):
+        for workers in (1, 3):
+            with tile_size(tile):
+                assert np.array_equal(sweep_histogram(ds, 20, tile, workers), want)
 
 
 def _magnitude_set(powers):
